@@ -147,19 +147,41 @@ def evaluate(curve: Curve, x: Fraction) -> Fraction:
     return _ONE
 
 
+def _height_at(points: list[tuple[Fraction, Fraction]], i: int, x: Fraction) -> Fraction:
+    """Height at ``x`` of the polyline ``points``, where ``points[i]`` is its
+    first point with abscissa at least ``x`` (and ``i > 0`` unless x = 0)."""
+    x1, y1 = points[i]
+    if x1 == x:
+        return y1
+    x0, y0 = points[i - 1]
+    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+
 def majorizes(a: Curve, b: Curve) -> bool:
     """Whether ``a`` lies on or above ``b`` everywhere on [0, Z].
 
     Both curves are piecewise linear, so it suffices to compare them at the
-    union of their breakpoint abscissae; the comparison is exact.
+    union of their breakpoint abscissae.  One merge walk over the two sorted
+    breakpoint lists visits each abscissa once, so the cost is linear in the
+    segment counts; the comparison is exact.
     """
     if a.total_width != b.total_width:
         raise WidthMismatch(
             f"widths differ: {a.total_width} vs {b.total_width}; "
             "curves from different Hamiltonians are not comparable"
         )
-    xs = {x for x, _ in breakpoints(a)} | {x for x, _ in breakpoints(b)}
-    return all(evaluate(a, x) >= evaluate(b, x) for x in xs)
+    pa, pb = breakpoints(a), breakpoints(b)
+    i = j = 0
+    # Both lists run from (0, 0) to (Z, 1), so they run out together.
+    while i < len(pa):
+        x = min(pa[i][0], pb[j][0])
+        if _height_at(pa, i, x) < _height_at(pb, j, x):
+            return False
+        if pa[i][0] == x:
+            i += 1
+        if pb[j][0] == x:
+            j += 1
+    return True
 
 
 def coincide(a: Curve, b: Curve) -> bool:

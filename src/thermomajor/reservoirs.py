@@ -8,6 +8,13 @@ joint initial and final thermomajorization curves coincide, which is decided
 exactly by :func:`verify_efficient`.  The constructions here never
 self-certify; tests always go through the verifier.
 
+Verification runs through the curve monoid: the curve of system (x)
+reservoir is ``product(curve_of(system), curve_of(reservoir))``, so no joint
+state is built.  Sloped width (the D_0 rational) and top slope (the D_inf
+rational) are multiplicative under that product, which gives exact O(n)
+rejections before either product is formed.  :func:`joint_states` keeps the
+materialised tensor product as an independent cross-check.
+
 Synthesis routes:
 
 * :func:`minimal_extraction_reservoir` builds the unique 2m-level reservoir
@@ -24,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from .curves import Curve, coincide, curve_of, divide, num_distinct_slopes
+from .curves import Curve, coincide, curve_of, divide, num_distinct_slopes, product
 from .divergences import ln_frac, renyi
 from .errors import (
     DimensionMismatch,
@@ -35,7 +42,7 @@ from .errors import (
     ProbSumNotOne,
     ZeroProbability,
 )
-from .states import ThermoState, Transition, gibbs_of, is_gibbs
+from .states import ThermoState, Transition, gibbs_of, is_gibbs, tensor
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -218,26 +225,30 @@ def alt_product_reservoir(t: Transition) -> Reservoir:
 
 def joint_states(t: Transition, res: Reservoir) -> tuple[ThermoState, ThermoState]:
     """System (x) reservoir endpoints over the shared joint level set."""
-    weights = tuple(
-        gs * wl for gs in t.weights for wl in res.level_weights
-    )
-    init_probs = tuple(
-        ps * pl for ps in t.initial.probs for pl in res.initial_state().probs
-    )
-    fin_probs = tuple(
-        ps * pl for ps in t.final.probs for pl in res.final_state().probs
-    )
-    return ThermoState(init_probs, weights), ThermoState(fin_probs, weights)
+    return tensor(t.initial, res.initial_state()), tensor(t.final, res.final_state())
 
 
 def verify_efficient(t: Transition, res: Reservoir) -> bool:
     """Exact zero-dissipation check: do the joint curves coincide?
 
+    The joint curves are the monoid products
+    ``product(curve_of(t.initial), curve_of(res.initial_state()))`` and
+    ``product(curve_of(t.final), curve_of(res.final_state()))``.  Before
+    forming them, two necessary conditions are checked in O(n), since the
+    product multiplies them: the sloped widths (D_0) and the top slopes
+    (D_inf) of the two sides must agree.  Every comparison is exact.
+
     This is the single source of truth for efficiency; every construction in
     this module is expected to pass it but none is trusted without it.
     """
-    joint_init, joint_fin = joint_states(t, res)
-    return coincide(curve_of(joint_init), curve_of(joint_fin))
+    sys_i, sys_f = curve_of(t.initial), curve_of(t.final)
+    res_i, res_f = curve_of(res.initial_state()), curve_of(res.final_state())
+    if sys_i.sloped_width * res_i.sloped_width != sys_f.sloped_width * res_f.sloped_width:
+        return False
+    top_i = sys_i.segments[0].slope * res_i.segments[0].slope
+    if top_i != sys_f.segments[0].slope * res_f.segments[0].slope:
+        return False
+    return coincide(product(sys_i, res_i), product(sys_f, res_f))
 
 
 def average_work(res: Reservoir) -> float:

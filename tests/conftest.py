@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from thermomajor.curves import Curve, curve_of
 from thermomajor.oracle import random_state, random_transition
 from thermomajor.states import ThermoState, Transition
@@ -15,7 +17,10 @@ __all__ = [
     "random_transition",
     "random_full_support_state",
     "random_curve",
+    "family_states",
 ]
+
+PALETTE = tuple(Fraction(x) for x in ("1", "2", "3", "1/2", "1/3", "4", "2/3"))
 
 
 def seeded(seed: int) -> random.Random:
@@ -29,3 +34,27 @@ def random_full_support_state(rng: random.Random, dim: int) -> ThermoState:
 def random_curve(rng: random.Random, max_dim: int = 4) -> Curve:
     dim = rng.randint(1, max_dim)
     return curve_of(random_state(rng, dim, allow_zero=True))
+
+
+@st.composite
+def family_states(draw, dim, palette, weights=None):
+    """Hypothesis states of one family.
+
+    Palette states take weights from ``PALETTE`` and masses 0..6, so slopes
+    collapse; generic states take distinct rational weights and masses
+    1..999, so slopes rarely collide.  ``weights`` overrides the draw.
+    """
+    if weights is None:
+        weight = st.sampled_from(PALETTE) if palette else st.builds(
+            Fraction, st.integers(1, 60), st.integers(1, 60)
+        )
+        weights = tuple(
+            draw(st.lists(weight, min_size=dim, max_size=dim, unique=not palette))
+        )
+    mass = st.integers(0, 6) if palette else st.integers(1, 999)
+    raw = draw(
+        st.lists(mass, min_size=len(weights), max_size=len(weights)).filter(
+            lambda xs: sum(xs) > 0
+        )
+    )
+    return ThermoState(tuple(Fraction(x, sum(raw)) for x in raw), weights)

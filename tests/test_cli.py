@@ -1,10 +1,13 @@
 """Command-line front end: formats, exit codes, determinism."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from thermomajor.cli import main
+from thermomajor.divergences import DEFAULT_ALPHA_GRID
 from thermomajor.states import state_to_json, make_state
 
 
@@ -99,6 +102,18 @@ class TestDivergence:
         code, out = run(capsys, ["divergence", state_files["biased"]])
         assert code == 0
         assert json.loads(out)["alpha"] == [0.5, 2.0]
+
+    def test_tiny_weight_profile_is_finite(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("THERMO_ALPHA_GRID", raising=False)
+        path = tmp_path / "tiny.json"
+        path.write_text(state_to_json(make_state(("1/2", "1/2"), (1, Fraction(1, 10**200)))))
+        code, out = run(capsys, ["divergence", str(path)])
+        assert code == 0
+        values = json.loads(out)["value"]
+        assert len(values) == len(DEFAULT_ALPHA_GRID)
+        assert all(math.isfinite(v) for v in values)
+        d4 = values[DEFAULT_ALPHA_GRID.index(4.0)]
+        assert abs(d4 - (200 * math.log(10) - 4 / 3 * math.log(2))) <= 1e-10
 
 
 class TestBuildVerify:

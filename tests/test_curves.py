@@ -22,7 +22,7 @@ from thermomajor.curves import (
 from thermomajor.errors import WidthMismatch
 from thermomajor.states import ThermoState, gibbs_of, make_state, tensor
 
-from conftest import random_curve, random_state, seeded
+from conftest import family_states, random_curve, random_state, seeded
 
 F = Fraction
 
@@ -44,6 +44,25 @@ def states(draw, min_dim=1, max_dim=4, allow_zero=True):
 
 
 HYPO = settings(max_examples=80, derandomize=True, deadline=None)
+
+
+@st.composite
+def product_pairs(draw, collapse):
+    """Two product curves a (x) c and b (x) c of equal width.
+
+    With ``collapse`` the factors are palette states, so product slopes
+    merge; otherwise they are generic.  Half the time b is a mixture of a
+    with its Gibbs state, which a majorizes.
+    """
+    a = draw(family_states(draw(st.integers(1, 6)), collapse))
+    mix = draw(st.one_of(st.none(), st.fractions(0, 1, max_denominator=8)))
+    if mix is None:
+        b = draw(family_states(a.dim, collapse, a.weights))
+    else:
+        tau = gibbs_of(a).probs
+        b = ThermoState(tuple(mix * x + (1 - mix) * g for x, g in zip(a.probs, tau)), a.weights)
+    c = curve_of(draw(family_states(draw(st.integers(1, 4)), collapse)))
+    return product(curve_of(a), c), product(curve_of(b), c), mix is not None
 
 
 class TestCurveOf:
@@ -165,6 +184,20 @@ class TestMajorizes:
         gibbs = curve_of(gibbs_of(s))
         if majorizes(gibbs, curve_of(s)):
             assert coincide(gibbs, curve_of(s))
+
+    @pytest.mark.parametrize("collapse", [True, False])
+    @HYPO
+    @given(data=st.data())
+    def test_merge_walk_matches_all_breakpoints(self, collapse, data):
+        def brute_force(a, b):
+            xs = {x for x, _ in breakpoints(a)} | {x for x, _ in breakpoints(b)}
+            return all(evaluate(a, x) >= evaluate(b, x) for x in xs)
+
+        a, b, b_is_mixture = data.draw(product_pairs(collapse))
+        assert majorizes(a, b) == brute_force(a, b)
+        assert majorizes(b, a) == brute_force(b, a)
+        if b_is_mixture:
+            assert majorizes(a, b)
 
     def test_partial_order_on_random_triples(self):
         rng = seeded(4)

@@ -113,6 +113,19 @@ class TestRenyi:
         assert renyi(2.0, p, q) == math.inf
         assert renyi(1.0, p, q) == math.inf
 
+    def test_tiny_weight_stays_finite(self):
+        # exp(alpha ln p + (1 - alpha) ln q) leaves double range here for
+        # |alpha| >= 2, although every D_alpha is finite.
+        p = make_state(("1/2", "1/2"), (1, F(1, 10**200)))
+        tau = gibbs_of(p)
+        c = curve_of(p)
+        for alpha in DEFAULT_ALPHA_GRID:
+            d = renyi(alpha, p, tau)
+            assert math.isfinite(d)
+            assert abs(curve_alpha_divergence(c, alpha) - d) <= 1e-12 * max(1.0, d)
+        d4 = 200 * math.log(10) - 4 / 3 * math.log(2)
+        assert abs(renyi(4.0, p, tau) - d4) <= 1e-10
+
 
 class TestEntropyProduction:
     def test_erasure_with_two_level_reservoir_is_free(self):

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from thermomajor.curves import coincide, curve_of, product
 from thermomajor.divergences import renyi, shannon_entropy
@@ -28,13 +29,35 @@ from thermomajor.reservoirs import (
 )
 from thermomajor.states import Transition, clock_lift, gibbs_of, is_gibbs, make_state
 
-from conftest import random_full_support_state, random_state, seeded
+from conftest import family_states, random_full_support_state, random_state, seeded
 
 F = Fraction
 
 
 def extraction_transition(p):
     return Transition(p, gibbs_of(p))
+
+
+@st.composite
+def transitions_with_reservoirs(draw, kind):
+    """A transition of at most 8 levels and the reservoir built for it.
+
+    ``generic`` and ``palette`` are plain transitions of one family; the
+    clock-lifted and extraction kinds draw their family.
+    """
+    palette = kind == "palette" or (kind != "generic" and draw(st.booleans()))
+    if kind == "lifted":
+        t = clock_lift(
+            draw(family_states(draw(st.integers(1, 4)), palette)),
+            draw(family_states(draw(st.integers(1, 4)), palette)),
+        )
+        return t, general_efficient_reservoir(t)
+    initial = draw(family_states(draw(st.integers(1, 8)), palette))
+    if kind == "extraction":
+        assume(not is_gibbs(initial))
+        return extraction_transition(initial), minimal_extraction_reservoir(initial)
+    t = Transition(initial, draw(family_states(initial.dim, palette, initial.weights)))
+    return t, general_efficient_reservoir(t)
 
 
 class TestTwoLevelBounds:
@@ -296,6 +319,27 @@ class TestVerifyEfficient:
             init_probs = sorted(p for p in res.initial_state().probs if p > 0)
             fin_probs = sorted(p for p in res.final_state().probs if p > 0)
             assert init_probs == fin_probs
+
+
+class TestJointStatesAgainstMonoid:
+    @pytest.mark.parametrize("tampered", [False, True])
+    @pytest.mark.parametrize("kind", ["generic", "palette", "lifted", "extraction"])
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_verdicts_agree(self, kind, tampered, data):
+        t, res = data.draw(transitions_with_reservoirs(kind))
+        if tampered:
+            k = data.draw(st.integers(0, len(res.r) - 1))
+            fin = list(res.fin_weights)
+            fin[k] *= F(10001, 10000)
+            res = Reservoir(res.r, res.init_weights, tuple(fin))
+        ji, jf = joint_states(t, res)
+        joint_i, joint_f = curve_of(ji), curve_of(jf)
+        assert joint_i == product(curve_of(t.initial), curve_of(res.initial_state()))
+        assert joint_f == product(curve_of(t.final), curve_of(res.final_state()))
+        verdict = verify_efficient(t, res)
+        assert verdict == coincide(joint_i, joint_f)
+        assert verdict is not tampered
 
 
 class TestFormationFamily:
