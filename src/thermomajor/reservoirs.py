@@ -10,10 +10,10 @@ self-certify; tests always go through the verifier.
 
 Verification runs through the curve monoid: the curve of system (x)
 reservoir is ``product(curve_of(system), curve_of(reservoir))``, so no joint
-state is built.  Sloped width (the D_0 rational) and top slope (the D_inf
-rational) are multiplicative under that product, which gives exact O(n)
-rejections before either product is formed.  :func:`joint_states` keeps the
-materialised tensor product as an independent cross-check.
+state is built.  Sloped width (the D_0 rational) is multiplicative under
+that product, which gives an exact O(n) rejection before either product is
+formed.  :func:`joint_states` keeps the materialised tensor product as an
+independent cross-check.
 
 Synthesis routes:
 
@@ -234,9 +234,9 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     The joint curves are the monoid products
     ``product(curve_of(t.initial), curve_of(res.initial_state()))`` and
     ``product(curve_of(t.final), curve_of(res.final_state()))``.  Before
-    forming them, two necessary conditions are checked in O(n), since the
-    product multiplies them: the sloped widths (D_0) and the top slopes
-    (D_inf) of the two sides must agree.  Every comparison is exact.
+    forming them, one necessary condition is checked in O(n), since the
+    product multiplies it: the sloped widths (D_0) of the two sides must
+    agree.  Every comparison is exact.
 
     This is the single source of truth for efficiency; every construction in
     this module is expected to pass it but none is trusted without it.
@@ -244,9 +244,6 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     sys_i, sys_f = curve_of(t.initial), curve_of(t.final)
     res_i, res_f = curve_of(res.initial_state()), curve_of(res.final_state())
     if sys_i.sloped_width * res_i.sloped_width != sys_f.sloped_width * res_f.sloped_width:
-        return False
-    top_i = sys_i.segments[0].slope * res_i.segments[0].slope
-    if top_i != sys_f.segments[0].slope * res_f.segments[0].slope:
         return False
     return coincide(product(sys_i, res_i), product(sys_f, res_f))
 
