@@ -51,7 +51,7 @@ from .errors import (
     WidthMismatch,
     ZeroProbability,
 )
-from .oracle import GibbsMap, lp_feasible, random_gibbs_map, recovery_map
+from .oracle import lp_feasible, random_rational_gibbs_matrix, recovery_map
 from .reservoirs import (
     Reservoir,
     alt_product_reservoir,

@@ -41,6 +41,7 @@ from .states import (
     as_rat,
     clock_lift,
     make_state,
+    rational_list,
     state_from_dict,
     state_to_dict,
 )
@@ -67,10 +68,20 @@ def _load_json(path: str) -> object:
 
 
 def _load_state(path: str) -> ThermoState:
+    data = _load_json(path)
     try:
-        return state_from_dict(_load_json(path))
+        return state_from_dict(data)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _load_transition(initial_path: str, final_path: str) -> Transition:
+    """A shared-weights transition, or its clock lift when the weights differ."""
+    initial = _load_state(initial_path)
+    final = _load_state(final_path)
+    if initial.weights == final.weights:
+        return Transition(initial, final)
+    return clock_lift(initial, final)
 
 
 def _load_reservoir(path: str) -> Reservoir:
@@ -79,12 +90,10 @@ def _load_reservoir(path: str) -> Reservoir:
         raise ParseError(f"{path}: reservoir JSON must be an object")
     try:
         return Reservoir(
-            tuple(as_rat(x) for x in data["r"]),
-            tuple(as_rat(x) for x in data["init_weights"]),
-            tuple(as_rat(x) for x in data["fin_weights"]),
+            rational_list(data, "r", "reservoir"),
+            rational_list(data, "init_weights", "reservoir"),
+            rational_list(data, "fin_weights", "reservoir"),
         )
-    except KeyError as exc:
-        raise ParseError(f"{path}: reservoir JSON missing field {exc}") from exc
     except ThermomajorError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -227,12 +236,7 @@ def cmd_build_reservoir(args: argparse.Namespace) -> int:
     else:
         if len(args.states) != 2:
             raise ParseError(f"{args.method} method takes two state files")
-        initial = _load_state(args.states[0])
-        final = _load_state(args.states[1])
-        if initial.weights == final.weights:
-            t = Transition(initial, final)
-        else:
-            t = clock_lift(initial, final)
+        t = _load_transition(*args.states)
         if args.method == "general":
             res = general_efficient_reservoir(t, as_rat(args.anchor))
         else:
@@ -244,13 +248,8 @@ def cmd_build_reservoir(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    initial = _load_state(args.initial)
-    final = _load_state(args.final)
+    t = _load_transition(args.initial, args.final)
     res = _load_reservoir(args.reservoir)
-    if initial.weights == final.weights:
-        t = Transition(initial, final)
-    else:
-        t = clock_lift(initial, final)
     verdict = verify_efficient(t, res)
     _emit(args, _dump({"efficient": verdict, "average_work": average_work(res)}))
     return 0 if verdict else 1
@@ -277,9 +276,25 @@ def cmd_catalytic_check(args: argparse.Namespace) -> int:
     return 0 if verdict.feasible else 1
 
 
+def _parse_dims(text: str) -> list[int]:
+    cap = oracle_mod.DEFAULT_DIMENSION_CAP
+    dims = []
+    for token in text.split(","):
+        try:
+            dim = int(token)
+        except ValueError as exc:
+            raise ParseError(f"bad dimension {token!r}") from exc
+        if not 1 <= dim <= cap:
+            raise ParseError(f"dimension {dim} is outside 1..{cap}")
+        dims.append(dim)
+    return dims
+
+
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
+    dims = _parse_dims(args.dims)
     rng = random.Random(args.seed)
-    dims = [int(d) for d in args.dims.split(",")]
     disagreements = []
     agree = 0
     for index in range(args.trials):
@@ -302,7 +317,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     payload = {
         "trials": args.trials,
         "agreements": agree,
-        "agreement_rate": agree / args.trials if args.trials else 1.0,
+        "agreement_rate": agree / args.trials,
         "disagreements": disagreements,
     }
     _emit(args, _dump(payload))

@@ -9,208 +9,125 @@ independent to be checked against.
 The solver is a small dense Phase-I simplex with Bland's rule: at the
 dimensions this oracle caps out at (n <= 8, so at most 64 variables and 24
 equalities) an industrial LP library buys nothing, and a self-contained
-solver keeps the oracle's trust chain short.  It runs in floating point with
-a 1e-9 feasibility tolerance; near-degenerate disagreements with the exact
-curve check are resolved in favor of the exact check.
+solver keeps the oracle's trust chain short.  It runs over exact rationals,
+so the verdict is exact and the witness satisfies every constraint exactly.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .errors import DimensionCapExceeded, NonPositiveWeight
+from .errors import DimensionCapExceeded, DimensionMismatch, NonPositiveWeight
 from .states import ThermoState, Transition
 
 __all__ = [
-    "GibbsMap",
     "lp_feasible",
     "recovery_map",
-    "random_gibbs_map",
     "random_rational_gibbs_matrix",
     "random_state",
     "random_transition",
 ]
 
 DEFAULT_DIMENSION_CAP = 8
-FEASIBILITY_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class GibbsMap:
-    """A column-stochastic matrix that fixes a Gibbs distribution."""
-
-    matrix: np.ndarray
-
-    def is_valid(self, tau: Sequence[float], tol: float = FEASIBILITY_TOL) -> bool:
-        m = self.matrix
-        tau_arr = np.asarray(tau, dtype=float)
-        if m.shape != (tau_arr.size, tau_arr.size):
-            return False
-        if (m < -tol).any():
-            return False
-        if np.abs(m.sum(axis=0) - 1.0).max() > tol:
-            return False
-        return np.abs(m @ tau_arr - tau_arr).max() <= tol
-
-    def apply(self, probs: Sequence[float]) -> np.ndarray:
-        return self.matrix @ np.asarray(probs, dtype=float)
+Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _phase1_simplex(
-    a: np.ndarray, b: np.ndarray, tol: float, max_iter: int = 50000
-) -> tuple[float, np.ndarray]:
-    """Minimize the total artificial slack of {x >= 0 : Ax = b}.
+    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> tuple[Fraction, list[Fraction]]:
+    """Minimize the total artificial slack of {x >= 0 : Ax = b}, for b >= 0.
 
-    Returns (objective, x); the system is feasible iff the objective is ~0.
+    Returns (objective, x); the system is feasible iff the objective is 0.
     Bland's rule (smallest eligible column; ties in the ratio test broken by
-    smallest basis variable) rules out cycling.
+    smallest basis variable) rules out cycling, so the loop terminates.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    m, n = a.shape
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    tableau = np.hstack([a, np.eye(m)])
-    rhs = b.copy()
-    basis = np.arange(n, n + m)
+    m, n = len(a), len(a[0])
+    tableau = [list(row) for row in a]
+    rhs = list(b)
+    # Artificial i starts basic in row i.  Its column is not stored: once it
+    # leaves the basis it never needs to return, since dropping it keeps the
+    # optimum 0 exactly when {x >= 0 : Ax = b} is non-empty.
+    basis = list(range(n, n + m))
     # Phase-I reduced costs with the all-artificial basis.
-    reduced = np.zeros(n + m)
-    reduced[:n] = -a.sum(axis=0)
-    for _ in range(max_iter):
-        entering_candidates = np.nonzero(reduced < -tol)[0]
-        if entering_candidates.size == 0:
+    reduced = [-sum(column) for column in zip(*tableau)]
+    while True:
+        j = next((k for k, cost in enumerate(reduced) if cost < 0), None)
+        if j is None:
             break
-        j = int(entering_candidates[0])
-        column = tableau[:, j]
-        eligible = np.nonzero(column > tol)[0]
-        if eligible.size == 0:
-            break
-        ratios = rhs[eligible] / column[eligible]
-        best = ratios.min()
-        ties = eligible[ratios == best]
-        i = int(ties[np.argmin(basis[ties])])
-        pivot = tableau[i, j]
-        tableau[i] /= pivot
+        # The Phase-I objective is bounded below by 0, so a column with a
+        # negative reduced cost always has a positive entry.
+        i = min(
+            (r for r in range(m) if tableau[r][j] > 0),
+            key=lambda r: (rhs[r] / tableau[r][j], basis[r]),
+        )
+        pivot_row = tableau[i]
+        pivot = pivot_row[j]
+        pivot_row[:] = [x / pivot if x else x for x in pivot_row]
         rhs[i] /= pivot
-        factors = tableau[:, j].copy()
-        factors[i] = 0.0
-        tableau -= np.outer(factors, tableau[i])
-        rhs -= factors * rhs[i]
-        reduced = reduced - reduced[j] * tableau[i]
-        reduced[j] = 0.0
+        support = [k for k, x in enumerate(pivot_row) if x]
+        for r, row in enumerate(tableau):
+            factor = row[j]
+            if r != i and factor:
+                for k in support:
+                    row[k] -= factor * pivot_row[k]
+                rhs[r] -= factor * rhs[i]
+        factor = reduced[j]
+        for k in support:
+            reduced[k] -= factor * pivot_row[k]
         basis[i] = j
-    x = np.zeros(n)
+    x = [Fraction(0)] * n
     for row, var in enumerate(basis):
         if var < n:
             x[var] = rhs[row]
-    objective = float(rhs[basis >= n].sum())
+    objective = sum((rhs[row] for row, var in enumerate(basis) if var >= n), Fraction(0))
     return objective, x
 
 
 def lp_feasible(
-    t: Transition,
-    dim_cap: int = DEFAULT_DIMENSION_CAP,
-    tol: float = FEASIBILITY_TOL,
-) -> tuple[bool, Optional[GibbsMap]]:
+    t: Transition, dim_cap: int = DEFAULT_DIMENSION_CAP
+) -> tuple[bool, Optional[Matrix]]:
     """Decide existence of a Gibbs-fixing stochastic matrix G with G p = p'.
 
     Constraints, with variables G_ij laid out row-major: every column sums to
     one, G g = g (equivalent to fixing tau, avoids divisions), and G p = p'.
-    Returns the witness on success.
+    Returns the exact witness, as a tuple of rows, on success.
     """
     n = t.dim
     if n > dim_cap:
         raise DimensionCapExceeded(f"dimension {n} exceeds cap {dim_cap}")
-    g = np.array([float(w) for w in t.weights])
-    p = np.array([float(x) for x in t.initial.probs])
-    p_fin = np.array([float(x) for x in t.final.probs])
     rows = []
     rhs = []
     for j in range(n):  # column sums
-        row = np.zeros(n * n)
-        row[j::n] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for i in range(n):  # G g = g
-        row = np.zeros(n * n)
-        row[i * n : (i + 1) * n] = g
-        rows.append(row)
-        rhs.append(g[i])
-    for i in range(n):  # G p = p'
-        row = np.zeros(n * n)
-        row[i * n : (i + 1) * n] = p
-        rows.append(row)
-        rhs.append(p_fin[i])
-    objective, x = _phase1_simplex(np.array(rows), np.array(rhs), tol)
-    if objective > tol:
+        rows.append([Fraction(int(k % n == j)) for k in range(n * n)])
+        rhs.append(Fraction(1))
+    # G g = g, then G p = p'
+    for vec, image in ((t.weights, t.weights), (t.initial.probs, t.final.probs)):
+        for i in range(n):
+            row = [Fraction(0)] * (n * n)
+            row[i * n : (i + 1) * n] = vec
+            rows.append(row)
+            rhs.append(image[i])
+    objective, x = _phase1_simplex(rows, rhs)
+    if objective:
         return False, None
-    return True, GibbsMap(x.reshape(n, n))
+    return True, tuple(tuple(x[i * n : (i + 1) * n]) for i in range(n))
 
 
-def recovery_map(g: GibbsMap, tau: Sequence[float]) -> GibbsMap:
-    """Petz-style reversal R_ij = G_ji tau_i / tau_j.
+def recovery_map(matrix: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]) -> Matrix:
+    """Petz-style reversal R_ij = G_ji g_i / g_j, exactly.
 
-    R always fixes tau; when the forward transition produced no entropy, R
-    carries the forward image back to the original distribution.
+    R fixes the Gibbs distribution whenever G does; when the forward
+    transition produced no entropy, R carries the forward image back to the
+    original distribution.
     """
-    tau_arr = np.asarray(tau, dtype=float)
-    if (tau_arr <= 0).any():
-        raise NonPositiveWeight("tau must be strictly positive")
-    matrix = g.matrix.T * tau_arr[:, None] / tau_arr[None, :]
-    return GibbsMap(matrix)
-
-
-def _beta_swap(n: int, i: int, j: int, tau: np.ndarray) -> np.ndarray:
-    """Extremal two-level exchange fixing tau: full swap of the lighter level."""
-    if tau[j] > tau[i]:
-        i, j = j, i
-    m = np.eye(n)
-    ratio = tau[j] / tau[i]
-    m[i, i] = 1.0 - ratio
-    m[j, i] = ratio
-    m[i, j] = 1.0
-    m[j, j] = 0.0
-    return m
-
-
-def random_gibbs_map(
-    tau: Sequence[float],
-    seed: int,
-    mix: Optional[tuple[float, float, float]] = None,
-) -> GibbsMap:
-    """Seeded random Gibbs-stochastic matrix.
-
-    Convex mixture of the identity, the all-tau map, and two-level exchange
-    extremals on random pairs.  ``mix`` overrides the drawn weights for the
-    three parts (identity, all-tau, exchanges).
-    """
-    tau_arr = np.asarray(tau, dtype=float)
-    if (tau_arr <= 0).any():
-        raise NonPositiveWeight("tau must be strictly positive")
-    n = tau_arr.size
-    rng = np.random.default_rng(seed)
-    if mix is None:
-        raw = rng.dirichlet(np.ones(3))
-        mix = (float(raw[0]), float(raw[1]), float(raw[2]))
-    w_id, w_tau, w_swap = mix
-    matrix = w_id * np.eye(n) + w_tau * np.tile(
-        (tau_arr / tau_arr.sum())[:, None], (1, n)
-    )
-    if n >= 2 and w_swap > 0:
-        pair_count = max(1, n - 1)
-        shares = rng.dirichlet(np.ones(pair_count)) * w_swap
-        for share in shares:
-            i, j = rng.choice(n, size=2, replace=False)
-            matrix += share * _beta_swap(n, int(i), int(j), tau_arr)
-    elif w_swap > 0:
-        matrix += w_swap * np.eye(n)
-    return GibbsMap(matrix)
+    g = [Fraction(w) for w in weights]
+    if any(w <= 0 for w in g):
+        raise NonPositiveWeight("weights must be strictly positive")
+    n = len(g)
+    return tuple(tuple(matrix[j][i] * g[i] / g[j] for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +152,8 @@ def random_state(
     weights: Optional[Sequence[Fraction]] = None,
 ) -> ThermoState:
     """A random exact state with small-denominator entries."""
+    if dim < 1:
+        raise DimensionMismatch(f"dimension must be at least 1, got {dim}")
     while True:
         raw = [rng.randint(0 if allow_zero else 1, 9) for _ in range(dim)]
         if sum(raw) > 0:

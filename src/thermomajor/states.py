@@ -176,25 +176,27 @@ def state_to_dict(state: ThermoState) -> dict:
     }
 
 
+def rational_list(data: dict, key: str, kind: str) -> tuple[Fraction, ...]:
+    """Parse the JSON list ``data[key]`` of rationals; errors name the field."""
+    if key not in data:
+        raise ParseError(f"{kind} JSON missing field {key!r}")
+    if not isinstance(data[key], Sequence) or isinstance(data[key], str):
+        raise ParseError(f"{kind} field {key!r} must be a list")
+    out = []
+    for index, raw in enumerate(data[key]):
+        try:
+            out.append(as_rat(raw))
+        except ParseError as exc:
+            raise ParseError(f"{key}[{index}]: {exc}") from exc
+    return tuple(out)
+
+
 def state_from_dict(data: object) -> ThermoState:
     if not isinstance(data, dict):
         raise ParseError(f"state JSON must be an object, got {type(data).__name__}")
-    for key in ("probs", "weights"):
-        if key not in data:
-            raise ParseError(f"state JSON missing field {key!r}")
-        if not isinstance(data[key], Sequence) or isinstance(data[key], str):
-            raise ParseError(f"state field {key!r} must be a list")
-
-    def parse_field(key: str) -> tuple[Fraction, ...]:
-        out = []
-        for index, raw in enumerate(data[key]):
-            try:
-                out.append(as_rat(raw))
-            except ParseError as exc:
-                raise ParseError(f"{key}[{index}]: {exc}") from exc
-        return tuple(out)
-
-    return ThermoState(parse_field("probs"), parse_field("weights"))
+    return ThermoState(
+        rational_list(data, "probs", "state"), rational_list(data, "weights", "state")
+    )
 
 
 def state_to_json(state: ThermoState) -> str:

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from typing import Sequence
 
 from hypothesis import strategies as st
 
+import thermomajor
 from thermomajor.curves import Curve, curve_of
 from thermomajor.oracle import random_state, random_transition
 from thermomajor.states import ThermoState, Transition
@@ -18,6 +24,9 @@ __all__ = [
     "random_full_support_state",
     "random_curve",
     "family_states",
+    "apply",
+    "is_gibbs_stochastic",
+    "run_python",
 ]
 
 PALETTE = tuple(Fraction(x) for x in ("1", "2", "3", "1/2", "1/3", "4", "2/3"))
@@ -25,6 +34,35 @@ PALETTE = tuple(Fraction(x) for x in ("1", "2", "3", "1/2", "1/3", "4", "2/3"))
 
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def apply(matrix: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> tuple:
+    """The exact image G v."""
+    return tuple(sum((a * v for a, v in zip(row, vector)), Fraction(0)) for row in matrix)
+
+
+def is_gibbs_stochastic(matrix: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]) -> bool:
+    """Exactly: n x n, entries >= 0, every column sums to 1, and G g = g."""
+    n = len(weights)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        return False
+    if any(x < 0 for row in matrix for x in row):
+        return False
+    if any(sum(column) != 1 for column in zip(*matrix)):
+        return False
+    return apply(matrix, weights) == tuple(weights)
+
+
+def run_python(*args: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` that imports this thermomajor."""
+    src = str(Path(thermomajor.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 def random_full_support_state(rng: random.Random, dim: int) -> ThermoState:

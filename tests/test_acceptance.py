@@ -138,7 +138,7 @@ def test_lp_oracle_agrees_with_curve_criterion():
         dim = 2 + index % 4
         t = random_transition(rng, dim)
         curve_verdict = majorizes(curve_of(t.initial), curve_of(t.final))
-        lp_verdict, _ = lp_feasible(t, tol=1e-9)
+        lp_verdict, _ = lp_feasible(t)
         if curve_verdict == lp_verdict:
             agree += 1
     elapsed = time.perf_counter() - start

@@ -10,6 +10,8 @@ from thermomajor.cli import main
 from thermomajor.divergences import DEFAULT_ALPHA_GRID
 from thermomajor.states import state_to_json, make_state
 
+from conftest import run_python
+
 
 @pytest.fixture
 def state_files(tmp_path):
@@ -66,6 +68,17 @@ class TestCurve:
     def test_missing_file_exits_2(self, capsys):
         code, _ = run(capsys, ["curve", "nope.json"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", '{"probs": ["1/0", "1"], "weights": [1, 1]}']
+    )
+    def test_error_names_path_once(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["curve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: ")
+        assert err.count(str(path)) == 1
 
 
 class TestMajorize:
@@ -178,6 +191,16 @@ class TestBuildVerify:
         assert code == 1
         assert json.loads(out)["efficient"] is False
 
+    @pytest.mark.parametrize("field", ["r", "init_weights", "fin_weights"])
+    def test_reservoir_string_field_exits_2(self, capsys, state_files, tmp_path, field):
+        fields = {"r": ["1"], "init_weights": ["1"], "fin_weights": ["1"]}
+        fields[field] = "1"
+        res_path = tmp_path / "res.json"
+        res_path.write_text(json.dumps(fields))
+        code = main(["verify", state_files["mixed"], state_files["mixed"], str(res_path)])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestCatalyticCheck:
     def test_feasible_direction(self, capsys, state_files, tmp_path):
@@ -208,6 +231,29 @@ class TestOracleCheck:
         payload = json.loads(out)
         assert payload["agreements"] == 30
         assert payload["disagreements"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--dims", ""],
+            ["--dims", "2,x"],
+            ["--dims", "9"],
+            ["--trials", "0"],
+            ["--trials", "-1"],
+        ],
+    )
+    def test_out_of_range_input_exits_2(self, capsys, argv):
+        code, out = run(capsys, ["oracle-check", *argv])
+        assert code == 2
+        assert out == ""
+
+    # In a subprocess with a timeout, so that a hang fails the test.
+    @pytest.mark.parametrize("dims", ["0", "3,-1"])
+    def test_empty_dimension_exits_2_without_hanging(self, dims):
+        proc = run_python("-m", "thermomajor.cli", "oracle-check", "--dims", dims, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
 
 
 class TestEngine:
