@@ -31,6 +31,9 @@ from .states import ThermoState, Transition, gibbs_of
 
 _ZERO = Fraction(0)
 
+#: Largest |D_alpha(a) - D_alpha(b)| that :func:`coincide_iff_alpha_equal` reads as equal.
+_ALPHA_EQUAL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CtoVerdict:
@@ -157,13 +160,8 @@ def strip_catalyst(
     return coincide(curve_of(sys_init), curve_of(sys_fin))
 
 
-def coincide_iff_alpha_equal(
-    a: ThermoState,
-    b: ThermoState,
-    alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
-    tol: float = 1e-12,
-) -> tuple[bool, bool]:
-    """Compare curve coincidence against D_alpha equality on a grid.
+def coincide_iff_alpha_equal(a: ThermoState, b: ThermoState) -> tuple[bool, bool]:
+    """Compare curve coincidence against D_alpha equality on the default grid.
 
     Coincidence implies equality at every real alpha, so the first True must
     force the second.  The converse direction holds up to grid coverage: a
@@ -174,12 +172,12 @@ def coincide_iff_alpha_equal(
     tau = gibbs_of(a)
     curves_equal = coincide(curve_of(a), curve_of(b))
     alphas_equal = True
-    for alpha in (float(x) for x in alpha_grid):
+    for alpha in DEFAULT_ALPHA_GRID:
         da = renyi(alpha, a, tau)
         db = renyi(alpha, b, tau)
         if math.isinf(da) and math.isinf(db):
             continue
-        if math.isinf(da) or math.isinf(db) or abs(da - db) > tol:
+        if math.isinf(da) or math.isinf(db) or abs(da - db) > _ALPHA_EQUAL_TOL:
             alphas_equal = False
             break
     return curves_equal, alphas_equal

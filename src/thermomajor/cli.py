@@ -19,7 +19,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from . import engine as engine_mod
 from . import oracle as oracle_mod
@@ -46,6 +46,8 @@ from .states import (
     state_to_dict,
 )
 
+_T = TypeVar("_T")
+
 SVG_WIDTH = 800
 SVG_HEIGHT = 500
 SVG_MARGIN = 60
@@ -56,46 +58,41 @@ SVG_MARGIN = 60
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: str) -> object:
+def _load(path: str, parse: Callable[[object], _T]) -> _T:
+    """Read the JSON file at ``path`` and build it with ``parse``.
+
+    Every error names the path once, so a command that reads several files
+    says which one is bad.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return parse(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _load_state(path: str) -> ThermoState:
-    data = _load_json(path)
-    try:
-        return state_from_dict(data)
-    except ParseError as exc:
+    except ThermomajorError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _reservoir_from_dict(data: object) -> Reservoir:
+    if not isinstance(data, dict):
+        raise ParseError("reservoir JSON must be an object")
+    return Reservoir(
+        rational_list(data, "r", "reservoir"),
+        rational_list(data, "init_weights", "reservoir"),
+        rational_list(data, "fin_weights", "reservoir"),
+    )
 
 
 def _load_transition(initial_path: str, final_path: str) -> Transition:
     """A shared-weights transition, or its clock lift when the weights differ."""
-    initial = _load_state(initial_path)
-    final = _load_state(final_path)
+    initial = _load(initial_path, state_from_dict)
+    final = _load(final_path, state_from_dict)
     if initial.weights == final.weights:
         return Transition(initial, final)
     return clock_lift(initial, final)
-
-
-def _load_reservoir(path: str) -> Reservoir:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: reservoir JSON must be an object")
-    try:
-        return Reservoir(
-            rational_list(data, "r", "reservoir"),
-            rational_list(data, "init_weights", "reservoir"),
-            rational_list(data, "fin_weights", "reservoir"),
-        )
-    except ThermomajorError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def reservoir_to_dict(res: Reservoir) -> dict:
@@ -132,9 +129,12 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
         if not token:
             continue
         try:
-            grid.append(float(token))
+            alpha = float(token)
         except ValueError as exc:
             raise ParseError(f"bad alpha value {token!r}") from exc
+        if math.isnan(alpha) or alpha == -math.inf:
+            raise ParseError(f"alpha must be a real number or inf, got {token!r}")
+        grid.append(alpha)
     if not grid:
         raise ParseError("alpha grid is empty")
     return tuple(grid)
@@ -154,27 +154,31 @@ def _alpha_grid(args: argparse.Namespace) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _decimal(x: Fraction) -> str:
+    """``x`` (nonnegative) as a float literal, or "inf" beyond float range."""
+    try:
+        return repr(float(x))
+    except OverflowError:
+        return "inf"
+
+
 def breakpoints_csv(curve: Curve) -> str:
     lines = ["x,y,x_decimal,y_decimal"]
     for x, y in breakpoints(curve):
-        lines.append(f"{x},{y},{float(x)!r},{float(y)!r}")
+        lines.append(f"{x},{y},{_decimal(x)},{_decimal(y)}")
     return "\n".join(lines) + "\n"
 
 
 def curve_svg(curve: Curve) -> str:
-    """Fixed-size SVG polyline; rationals become floats only at render time."""
-    z = float(curve.total_width)
+    """Fixed-size SVG polyline; coordinates are scaled to [0, 1] exactly and
+    become floats only at render time, so any width Z renders."""
+    z = curve.total_width
     inner_w = SVG_WIDTH - 2 * SVG_MARGIN
     inner_h = SVG_HEIGHT - 2 * SVG_MARGIN
-
-    def sx(x: float) -> float:
-        return SVG_MARGIN + (x / z) * inner_w if z else SVG_MARGIN
-
-    def sy(y: float) -> float:
-        return SVG_HEIGHT - SVG_MARGIN - y * inner_h
-
     points = " ".join(
-        f"{sx(float(x)):.3f},{sy(float(y)):.3f}" for x, y in breakpoints(curve)
+        f"{SVG_MARGIN + float(x / z) * inner_w:.3f},"
+        f"{SVG_HEIGHT - SVG_MARGIN - float(y) * inner_h:.3f}"
+        for x, y in breakpoints(curve)
     )
     axis_color = "#444"
     return (
@@ -198,7 +202,7 @@ def curve_svg(curve: Curve) -> str:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    state = _load_state(args.state)
+    state = _load(args.state, state_from_dict)
     curve = curve_of(state)
     if args.format == "svg":
         _emit(args, curve_svg(curve))
@@ -208,16 +212,16 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_majorize(args: argparse.Namespace) -> int:
-    a = _load_state(args.initial)
-    b = _load_state(args.final)
+    a = _load(args.initial, state_from_dict)
+    b = _load(args.final, state_from_dict)
     verdict = majorizes(curve_of(a), curve_of(b))
     _emit(args, _dump({"majorizes": verdict}))
     return 0 if verdict else 1
 
 
 def cmd_divergence(args: argparse.Namespace) -> int:
-    state = _load_state(args.state)
-    reference = _load_state(args.reference) if args.reference else None
+    state = _load(args.state, state_from_dict)
+    reference = _load(args.reference, state_from_dict) if args.reference else None
     profile = alpha_profile(state, reference, _alpha_grid(args))
     payload = {
         "alpha": [_float_token(a) for a in profile.alphas],
@@ -231,7 +235,7 @@ def cmd_build_reservoir(args: argparse.Namespace) -> int:
     if args.method == "minimal":
         if len(args.states) != 1:
             raise ParseError("minimal method takes one state file")
-        state = _load_state(args.states[0])
+        state = _load(args.states[0], state_from_dict)
         res = minimal_extraction_reservoir(state, as_rat(args.c))
     else:
         if len(args.states) != 2:
@@ -249,15 +253,15 @@ def cmd_build_reservoir(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     t = _load_transition(args.initial, args.final)
-    res = _load_reservoir(args.reservoir)
+    res = _load(args.reservoir, _reservoir_from_dict)
     verdict = verify_efficient(t, res)
     _emit(args, _dump({"efficient": verdict, "average_work": average_work(res)}))
     return 0 if verdict else 1
 
 
 def cmd_catalytic_check(args: argparse.Namespace) -> int:
-    initial = _load_state(args.initial)
-    final = _load_state(args.final)
+    initial = _load(args.initial, state_from_dict)
+    final = _load(args.final, state_from_dict)
     t = Transition(initial, final)
     verdict = cto_feasible(t, _alpha_grid(args), nonnegative_only=args.nonnegative_only)
     payload = {

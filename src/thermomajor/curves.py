@@ -16,6 +16,7 @@ the unique quotient off a product when one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -78,7 +79,7 @@ class Curve:
         if self.sloped_width > self.total_width:
             raise ValueError("sloped width exceeds total width")
 
-    @property
+    @cached_property
     def sloped_width(self) -> Fraction:
         return sum((seg.height / seg.slope for seg in self.segments), _ZERO)
 

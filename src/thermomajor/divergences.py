@@ -5,9 +5,13 @@ side of the alpha = 0 and alpha = infinity endpoints (the rational inside the
 log) is exposed separately for callers that need exact comparisons.  Natural
 logs throughout.
 
-Conventions at zeros: 0*ln(0) = 0; for alpha >= 1 a probability outside the
-reference support gives +inf; for alpha < 0 any zero probability on the
-reference support gives +inf (the formula's negative power diverges).
+One private kernel holds every order's rules, and :func:`renyi` (two states)
+and :func:`curve_alpha_divergence` (a curve against its equilibrium) only
+supply its inputs.  Conventions at zeros: 0*ln(0) = 0; for alpha >= 1 a
+probability outside the reference support gives +inf; for alpha < 0 a
+reference level that carries no probability gives +inf (the formula's
+negative power diverges).  A curve's flat tail carries no segment, so the
+curve form has no such level and stays finite at negative orders.
 
 Negative orders use the sign-flipped variant sgn(alpha)/(alpha-1) * ln(sum),
 the member of the extended free-energy family that is nonnegative and
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .curves import Curve, curve_of
 from .errors import DimensionMismatch
@@ -56,6 +60,9 @@ DEFAULT_ALPHA_GRID: tuple[float, ...] = (
     math.inf,
 )
 
+#: Absolute slack on each order's log ratio in :func:`jarzynski_ratio_check`.
+_RATIO_TOL = 1e-9
+
 
 def ln_frac(x: Fraction) -> float:
     """Natural log of a positive rational, safe for huge numerators."""
@@ -67,12 +74,6 @@ def ln_frac(x: Fraction) -> float:
 def shannon_entropy(probs: Iterable[Fraction]) -> float:
     """Shannon entropy in nats, with 0*ln(0) = 0."""
     return -sum(float(p) * ln_frac(p) for p in probs if p > 0)
-
-
-def _log_sum_exp(logs: Sequence[float]) -> float:
-    """ln(sum_i exp(x_i)), shifted by the largest x_i so no term overflows."""
-    top = max(logs)
-    return top + math.log(sum(math.exp(x - top) for x in logs))
 
 
 def _check_dims(p: ThermoState, q: ThermoState) -> None:
@@ -89,56 +90,57 @@ def d0_support_mass(p: ThermoState, q: ThermoState) -> Fraction:
 def dinf_max_ratio(p: ThermoState, q: ThermoState) -> Optional[Fraction]:
     """Exact inner argument of D_inf: max p_i/q_i on p's support, None if infinite."""
     _check_dims(p, q)
-    best: Optional[Fraction] = None
-    for pi, qi in zip(p.probs, q.probs):
-        if pi == 0:
-            continue
-        if qi == 0:
-            return None
-        ratio = pi / qi
-        if best is None or ratio > best:
-            best = ratio
-    return best
+    pairs = tuple(zip(p.probs, q.probs))
+    if any(pi and not qi for pi, qi in pairs):
+        return None
+    return max(pi / qi for pi, qi in pairs if pi)
+
+
+def _divergence(
+    alpha: float,
+    terms: Iterable[tuple[Fraction, float]],
+    support_mass: Callable[[], Fraction],
+    max_ratio: Callable[[], Fraction],
+    escapes: bool,
+    misses: bool,
+) -> float:
+    """D_alpha(p || q) in nats, the one place that knows the order's rules.
+
+    ``terms`` yields (p_i, ln(p_i / q_i)) where both are positive;
+    ``support_mass`` and ``max_ratio`` give the exact rationals inside D_0 and
+    D_inf.  Each is evaluated only at the orders that read it.  ``escapes``:
+    p has mass where q has none; ``misses``: q has mass where p has none.
+    The sum runs in log-sum-exp form, so tiny weights do not overflow.
+    """
+    if (escapes and alpha >= 1) or (misses and alpha < 0):
+        return math.inf
+    if alpha == 0:
+        mass = support_mass()
+        return -ln_frac(mass) + 0.0 if mass else math.inf  # + 0.0: no -0.0
+    if alpha == math.inf:
+        return ln_frac(max_ratio())
+    if alpha == 1:
+        return sum(float(h) * ln_r for h, ln_r in terms)
+    logs = [ln_frac(h) + (alpha - 1.0) * ln_r for h, ln_r in terms]
+    if not logs:
+        return math.inf
+    top = max(logs)
+    total = top + math.log(sum(math.exp(x - top) for x in logs))
+    return (-total if alpha < 0 else total) / (alpha - 1.0)
 
 
 def renyi(alpha: float, p: ThermoState, q: ThermoState) -> float:
     """Classical Renyi divergence D_alpha(p || q) in nats (may be +inf)."""
     _check_dims(p, q)
-    if alpha == 1:
-        total = 0.0
-        for pi, qi in zip(p.probs, q.probs):
-            if pi == 0:
-                continue
-            if qi == 0:
-                return math.inf
-            total += float(pi) * ln_frac(pi / qi)
-        return total
-    if alpha == 0:
-        mass = d0_support_mass(p, q)
-        if mass == 0:
-            return math.inf
-        return -ln_frac(mass) + 0.0  # avoid -0.0 for full-support states
-    if math.isinf(alpha) and alpha > 0:
-        ratio = dinf_max_ratio(p, q)
-        if ratio is None:
-            return math.inf
-        return ln_frac(ratio)
-    if alpha < 0:
-        if any(pi == 0 and qi > 0 for pi, qi in zip(p.probs, q.probs)):
-            return math.inf
-    if alpha > 1:
-        if any(pi > 0 and qi == 0 for pi, qi in zip(p.probs, q.probs)):
-            return math.inf
-    logs = [
-        alpha * ln_frac(pi) + (1.0 - alpha) * ln_frac(qi)
-        for pi, qi in zip(p.probs, q.probs)
-        if pi > 0 and qi > 0
-    ]
-    if not logs:
-        return math.inf
-    if alpha < 0:
-        return _log_sum_exp(logs) / (1.0 - alpha)
-    return _log_sum_exp(logs) / (alpha - 1.0)
+    pairs = tuple(zip(p.probs, q.probs))
+    return _divergence(
+        alpha,
+        ((pi, ln_frac(pi) - ln_frac(qi)) for pi, qi in pairs if pi and qi),
+        lambda: d0_support_mass(p, q),
+        lambda: dinf_max_ratio(p, q),
+        escapes=any(pi and not qi for pi, qi in pairs),
+        misses=any(qi and not pi for pi, qi in pairs),
+    )
 
 
 def entropy_production(t: Transition) -> float:
@@ -187,25 +189,20 @@ def curve_alpha_divergence(curve: Curve, alpha: float) -> float:
     """
     z = curve.total_width
     lnz = ln_frac(z)
-    if alpha == 1:
-        return sum(float(s.height) * (ln_frac(s.slope) + lnz) for s in curve.segments)
-    if alpha == 0:
-        return lnz - ln_frac(curve.sloped_width)
-    if math.isinf(alpha) and alpha > 0:
-        return ln_frac(curve.segments[0].slope) + lnz
-    total = _log_sum_exp(
-        [ln_frac(s.height) + (alpha - 1.0) * (ln_frac(s.slope) + lnz) for s in curve.segments]
+    return _divergence(
+        alpha,
+        ((s.height, ln_frac(s.slope) + lnz) for s in curve.segments),
+        lambda: curve.sloped_width / z,
+        lambda: curve.segments[0].slope * z,
+        escapes=False,
+        misses=False,
     )
-    if alpha < 0:
-        return total / (1.0 - alpha)
-    return total / (alpha - 1.0)
 
 
 def jarzynski_ratio_check(
     res,
     sys: ThermoState,
     alphas: Sequence[float] = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, math.inf),
-    rel_tol: float = 1e-9,
 ) -> bool:
     """Check the fluctuation-style ratio identity for formation/extraction reservoirs.
 
@@ -220,19 +217,15 @@ def jarzynski_ratio_check(
     """
     sys_curve = curve_of(sys)
     curve_init, curve_fin = curve_of(res.initial_state()), curve_of(res.final_state())
-
-    deviations_forward = []
-    deviations_reverse = []
-    for alpha in alphas:
-        lhs = curve_alpha_divergence(curve_fin, alpha) - curve_alpha_divergence(
-            curve_init, alpha
+    # The log of the right-hand side is -D_alpha(sys || tau) from the curve,
+    # at every order and in both sign conventions.
+    sides = [
+        (
+            curve_alpha_divergence(curve_fin, alpha) - curve_alpha_divergence(curve_init, alpha),
+            -curve_alpha_divergence(sys_curve, alpha),
         )
-        # The log of the right-hand side is -D_alpha(sys || tau) from the
-        # curve, at every order and in both sign conventions.
-        rhs = -curve_alpha_divergence(sys_curve, alpha)
-        deviations_forward.append(abs(lhs - rhs))
-        deviations_reverse.append(abs(-lhs - rhs))
-    tol = rel_tol
-    return all(d <= tol for d in deviations_forward) or all(
-        d <= tol for d in deviations_reverse
+        for alpha in alphas
+    ]
+    return any(
+        all(abs(sign * lhs - rhs) <= _RATIO_TOL for lhs, rhs in sides) for sign in (1.0, -1.0)
     )

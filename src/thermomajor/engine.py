@@ -94,6 +94,16 @@ def excited_population(beta: float, epsilon: float) -> float:
     return x / (1.0 + x)
 
 
+def _cycle_numbers(spec: EngineSpec) -> tuple[float, float, float, float]:
+    """Excited populations and Boltzmann factors: (p_c, p_h, w_c, w_h)."""
+    return (
+        excited_population(spec.beta_c, spec.epsilon),
+        excited_population(spec.beta_h, spec.epsilon),
+        math.exp(-spec.beta_c * spec.epsilon),
+        math.exp(-spec.beta_h * spec.epsilon),
+    )
+
+
 def reservoir_level_table(
     spec: EngineSpec, c1: float = 1.0, c2: float = 1.0
 ) -> tuple[LevelRow, ...]:
@@ -108,8 +118,7 @@ def reservoir_level_table(
     """
     if c1 <= 0 or c2 <= 0:
         raise InvalidTemperatures("level-table constants must be positive")
-    p_c = excited_population(spec.beta_c, spec.epsilon)
-    p_h = excited_population(spec.beta_h, spec.epsilon)
+    p_c, p_h = _cycle_numbers(spec)[:2]
     rows = []
     for cold_excited, hot_excited in ((True, True), (True, False), (False, True), (False, False)):
         cold_part = p_c if cold_excited else 1.0 - p_c
@@ -126,32 +135,26 @@ def reservoir_level_table(
     return tuple(rows)
 
 
-def _certify_stroke(
-    population: float, excited_weight: float, max_denominator: int
-) -> tuple[bool, Optional[Reservoir], ThermoState, float]:
-    """Rationalize one stroke and verify its minimal reservoir exactly."""
-    p = Fraction(population).limit_denominator(max_denominator)
-    w = Fraction(excited_weight).limit_denominator(max_denominator)
-    state = make_state((1 - p, p), (1, w))
-    target = gibbs_of(state)
-    gap = max(abs(float(p) - population), abs(float(w) - excited_weight))
+def _certify_stroke(state: ThermoState, target: ThermoState) -> tuple[bool, Optional[Reservoir]]:
+    """Verify exactly the minimal reservoir that relaxes ``state`` to ``target``."""
     if state.probs == target.probs:
-        return True, None, state, gap
+        return True, None
     res = minimal_extraction_reservoir(state)
-    ok = verify_efficient(Transition(state, target), res)
-    return ok, res, state, gap
+    return verify_efficient(Transition(state, target), res), res
 
 
-def run_carnot(spec: EngineSpec, max_denominator: int = APPROX_DENOMINATOR) -> EngineReport:
+def run_carnot(spec: EngineSpec) -> EngineReport:
     """One full cycle: populations, heats, work, efficiency, certified strokes.
 
     Zero dissipation ties each stroke's heat to the entropy swing:
     beta_h q_h = s_c - s_h and beta_c q_c = s_h - s_c (heats counted into the
     baths), so beta_c q_c + beta_h q_h = 0, w = -q_h - q_c, and the efficiency
-    is exactly 1 - beta_h / beta_c.
+    is exactly 1 - beta_h / beta_c.  The strokes are certified on the
+    rationalized :func:`stage_states`: the hot stroke takes panel 2 to panel 3,
+    the cold stroke panel 4 to panel 1.
     """
-    p_c = excited_population(spec.beta_c, spec.epsilon)
-    p_h = excited_population(spec.beta_h, spec.epsilon)
+    numbers = _cycle_numbers(spec)
+    p_c, p_h = numbers[:2]
     s_c = _binary_entropy(p_c)
     s_h = _binary_entropy(p_h)
     q_h = (s_c - s_h) / spec.beta_h
@@ -159,11 +162,14 @@ def run_carnot(spec: EngineSpec, max_denominator: int = APPROX_DENOMINATOR) -> E
     w = -q_h - q_c
     eta = 1.0 - spec.beta_h / spec.beta_c
 
-    hot_ok, hot_res, _, gap_hot = _certify_stroke(
-        p_c, math.exp(-spec.beta_h * spec.epsilon), max_denominator
-    )
-    cold_ok, cold_res, _, gap_cold = _certify_stroke(
-        p_h, math.exp(-spec.beta_c * spec.epsilon), max_denominator
+    cold_eq, cold_at_hot, hot_eq, hot_at_cold = stage_states(spec)
+    hot_ok, hot_res = _certify_stroke(cold_at_hot, hot_eq)
+    cold_ok, cold_res = _certify_stroke(hot_at_cold, cold_eq)
+    rationals = (
+        cold_at_hot.probs[1],
+        hot_at_cold.probs[1],
+        hot_at_cold.weights[1],
+        cold_at_hot.weights[1],
     )
     return EngineReport(
         p_c=p_c,
@@ -179,30 +185,25 @@ def run_carnot(spec: EngineSpec, max_denominator: int = APPROX_DENOMINATOR) -> E
         cold_reservoir=cold_res,
         hot_step_certified=hot_ok,
         cold_step_certified=cold_ok,
-        approximation_gap=max(gap_hot, gap_cold),
+        approximation_gap=max(abs(float(x) - v) for x, v in zip(rationals, numbers)),
     )
 
 
-def stage_states(
-    spec: EngineSpec, max_denominator: int = APPROX_DENOMINATOR
-) -> tuple[ThermoState, ThermoState, ThermoState, ThermoState]:
+def stage_states(spec: EngineSpec) -> tuple[ThermoState, ThermoState, ThermoState, ThermoState]:
     """Rationalized system states for the four cycle panels.
 
     Order: equilibrium at the cold bath, cold populations at the hot bath,
     equilibrium at the hot bath, hot populations at the cold bath.
+    Populations and Boltzmann factors get denominators of at most
+    ``APPROX_DENOMINATOR``; a factor that rounds to 0 is rejected.
     """
-    p_c = Fraction(excited_population(spec.beta_c, spec.epsilon)).limit_denominator(
-        max_denominator
-    )
-    p_h = Fraction(excited_population(spec.beta_h, spec.epsilon)).limit_denominator(
-        max_denominator
-    )
-    w_c = Fraction(math.exp(-spec.beta_c * spec.epsilon)).limit_denominator(
-        max_denominator
-    )
-    w_h = Fraction(math.exp(-spec.beta_h * spec.epsilon)).limit_denominator(
-        max_denominator
-    )
+    numbers = _cycle_numbers(spec)
+    p_c, p_h, w_c, w_h = (Fraction(x).limit_denominator(APPROX_DENOMINATOR) for x in numbers)
+    if w_c == 0:  # beta_c >= beta_h, so w_c <= w_h rounds to 0 first
+        raise InvalidTemperatures(
+            f"Boltzmann factor exp(-beta_c*epsilon) = {numbers[2]:.3g} rounds to 0 "
+            "at the 10^6 denominator cap"
+        )
     return (
         gibbs_of(make_state((1, 0), (1, w_c))),
         make_state((1 - p_c, p_c), (1, w_h)),

@@ -86,9 +86,7 @@ def _phase1_simplex(
     return objective, x
 
 
-def lp_feasible(
-    t: Transition, dim_cap: int = DEFAULT_DIMENSION_CAP
-) -> tuple[bool, Optional[Matrix]]:
+def lp_feasible(t: Transition) -> tuple[bool, Optional[Matrix]]:
     """Decide existence of a Gibbs-fixing stochastic matrix G with G p = p'.
 
     Constraints, with variables G_ij laid out row-major: every column sums to
@@ -96,8 +94,8 @@ def lp_feasible(
     Returns the exact witness, as a tuple of rows, on success.
     """
     n = t.dim
-    if n > dim_cap:
-        raise DimensionCapExceeded(f"dimension {n} exceeds cap {dim_cap}")
+    if n > DEFAULT_DIMENSION_CAP:
+        raise DimensionCapExceeded(f"dimension {n} exceeds cap {DEFAULT_DIMENSION_CAP}")
     rows = []
     rhs = []
     for j in range(n):  # column sums

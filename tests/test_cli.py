@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from thermomajor.cli import main
+from thermomajor.curves import breakpoints, curve_of
 from thermomajor.divergences import DEFAULT_ALPHA_GRID
-from thermomajor.states import state_to_json, make_state
+from thermomajor.states import make_state, state_from_dict, state_to_json
 
 from conftest import run_python
 
@@ -80,6 +81,23 @@ class TestCurve:
         assert err.startswith(f"input error: {path}: ")
         assert err.count(str(path)) == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_width_beyond_float_range(self, capsys, tmp_path, fmt):
+        path = tmp_path / "huge.json"
+        data = {"probs": ["1/2", "1/2"], "weights": ["1e400", "1"]}
+        path.write_text(json.dumps(data))
+        code = main(["curve", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        if fmt == "svg":
+            assert "<polyline" in captured.out
+            return
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        exact = [(Fraction(x), Fraction(y)) for x, y, _, _ in rows]
+        assert exact == breakpoints(curve_of(state_from_dict(data)))
+        assert [row[2] for row in rows] == ["0.0", "1.0", "inf"]
+
 
 class TestMajorize:
     def test_true_direction(self, capsys, state_files):
@@ -91,6 +109,15 @@ class TestMajorize:
         code, out = run(capsys, ["majorize", state_files["mixed"], state_files["pure"]])
         assert code == 1
         assert json.loads(out) == {"majorizes": False}
+
+    def test_invalid_state_names_its_path_once(self, capsys, state_files, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"probs": ["1/2", "1/3"], "weights": [1, 1]}')
+        assert main(["majorize", state_files["mixed"], str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: ")
+        assert err.count(str(path)) == 1
+        assert "5/6" in err
 
 
 class TestDivergence:
@@ -115,6 +142,25 @@ class TestDivergence:
         code, out = run(capsys, ["divergence", state_files["biased"]])
         assert code == 0
         assert json.loads(out)["alpha"] == [0.5, 2.0]
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["divergence", "biased", "--alpha-grid", "nan"], None),
+            (["divergence", "biased"], "0,nan"),
+            (["catalytic-check", "biased", "biased", "--alpha-grid=-inf"], None),
+        ],
+        ids=["flag-nan", "env-nan", "catalytic-flag-minus-inf"],
+    )
+    def test_nan_and_minus_inf_orders_exit_2(self, capsys, state_files, monkeypatch, argv, env):
+        if env is None:
+            monkeypatch.delenv("THERMO_ALPHA_GRID", raising=False)
+        else:
+            monkeypatch.setenv("THERMO_ALPHA_GRID", env)
+        argv = [state_files.get(arg, arg) for arg in argv]
+        code, out = run(capsys, argv)
+        assert code == 2
+        assert out == ""
 
     def test_tiny_weight_profile_is_finite(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("THERMO_ALPHA_GRID", raising=False)
@@ -286,6 +332,14 @@ class TestEngine:
             "stage4_hot_populations_cold_bath.csv",
         ]
 
+    def test_boltzmann_factor_below_the_cap_exits_2(self, capsys):
+        # e^-1000 rounds to 0 at the 10^6 denominator cap.
+        code = main(["engine", "--epsilon", "1", "--t-hot", "1e-3", "--t-cold", "1e-4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "rounds to 0 at the 10^6 denominator cap" in captured.err
+
 
 class TestReproduce:
     @pytest.mark.parametrize("target", ["table1", "example1", "example2", "engine"])
@@ -312,9 +366,9 @@ class TestDeterminism:
             capsys,
             ["build-reservoir", "--method", "minimal", state_files["biased"], "-o", str(res_path)],
         )
-        from thermomajor.cli import _load_reservoir
+        from thermomajor.cli import _load, _reservoir_from_dict
         from thermomajor.reservoirs import minimal_extraction_reservoir
 
-        rebuilt = _load_reservoir(str(res_path))
+        rebuilt = _load(str(res_path), _reservoir_from_dict)
         direct = minimal_extraction_reservoir(make_state(("3/4", "1/4"), (1, 1)))
         assert rebuilt == direct

@@ -192,14 +192,27 @@ class TestAlphaProfile:
         assert profile.values[0] == renyi(0.0, s, gibbs_of(s))
 
     def test_curve_formula_matches_state_formula(self):
+        # Every order on full-support states; with zero-probability levels
+        # the two agree at alpha >= 0 (negative orders: see the next test).
         rng = seeded(27)
         for _ in range(20):
-            s = random_full_support_state(rng, rng.randint(2, 4))
-            c = curve_of(s)
-            for alpha in NONNEG_GRID:
-                assert abs(
-                    curve_alpha_divergence(c, alpha) - renyi(alpha, s, gibbs_of(s))
-                ) <= 1e-10
+            for s, grid in (
+                (random_full_support_state(rng, rng.randint(2, 4)), DEFAULT_ALPHA_GRID),
+                (random_state(rng, rng.randint(2, 4), allow_zero=True), NONNEG_GRID),
+            ):
+                c = curve_of(s)
+                for alpha in grid:
+                    assert abs(
+                        curve_alpha_divergence(c, alpha) - renyi(alpha, s, gibbs_of(s))
+                    ) <= 1e-10
+
+    def test_negative_orders_on_a_zero_probability_level(self):
+        # renyi sees the empty level and diverges; the curve's flat tail
+        # carries no segment, so the curve form stays finite.
+        s = make_state(("1/2", "1/2", 0), (1, 2, 3))
+        for alpha in (-2.0, -1.0, -0.5):
+            assert renyi(alpha, s, gibbs_of(s)) == math.inf
+            assert math.isfinite(curve_alpha_divergence(curve_of(s), alpha))
 
 
 class TestJarzynskiRatio:
