@@ -36,14 +36,18 @@ from .divergences import (
 from .engine import EngineReport, EngineSpec, LevelRow, reservoir_level_table, run_carnot
 from .errors import (
     CatalystMarginalMismatch,
+    CurvesDiffer,
     DimensionCapExceeded,
     DimensionMismatch,
     GibbsInput,
+    InvalidCurve,
+    InvalidOrder,
     InvalidTemperatures,
     NegativeProbability,
     NonPositiveWeight,
     NontrivialHamiltonian,
     NotProductState,
+    OutsideDomain,
     ParseError,
     ProbSumNotOne,
     ReproductionMismatch,

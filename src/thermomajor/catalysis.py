@@ -24,6 +24,7 @@ from .divergences import (
 )
 from .errors import (
     CatalystMarginalMismatch,
+    CurvesDiffer,
     DimensionMismatch,
     NotProductState,
 )
@@ -64,7 +65,8 @@ def cto_feasible(
     tau = gibbs_of(t.initial)
     grid = tuple(float(a) for a in alpha_grid)
     if nonnegative_only:
-        grid = tuple(a for a in grid if a >= 0)
+        # Drop the negative reals only: nan and -inf go on to be refused.
+        grid = tuple(a for a in grid if not -math.inf < a < 0)
     witnessed = []
     feasible = True
     for alpha in grid:
@@ -153,7 +155,7 @@ def strip_catalyst(
     if cat_init.probs != cat_fin.probs or cat_init.weights != cat_fin.weights:
         raise CatalystMarginalMismatch("catalyst marginal changed across the transition")
     if not coincide(curve_of(joint_init), curve_of(joint_fin)):
-        raise ValueError(
+        raise CurvesDiffer(
             "joint curves do not coincide; strip_catalyst only applies in the "
             "zero-dissipation regime"
         )

@@ -132,8 +132,6 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
             alpha = float(token)
         except ValueError as exc:
             raise ParseError(f"bad alpha value {token!r}") from exc
-        if math.isnan(alpha) or alpha == -math.inf:
-            raise ParseError(f"alpha must be a real number or inf, got {token!r}")
         grid.append(alpha)
     if not grid:
         raise ParseError("alpha grid is empty")

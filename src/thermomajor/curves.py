@@ -11,6 +11,15 @@ Canonical curves of a fixed inverse temperature form a commutative monoid
 under the tensor product (heights and slopes multiply pairwise, equal slopes
 merge, widths multiply).  The monoid is cancellative: :func:`divide` peels
 the unique quotient off a product when one exists.
+
+:func:`canonical_curve` and :func:`product` share one integer kernel.  A
+curve's slopes are scaled to integers over the lcm of their denominators,
+and so are its heights; a product slope is then the integer x*y over
+d_a*d_b and a product height h*k over e_a*e_b.  Equal slopes merge in a
+dict keyed by those integers, the keys sort as integers, and one Fraction
+is built per output segment.  ``Curve`` validation reads signs and order
+from numerators and cross products and sums heights and widths in one
+exact integer sum, so every check stays exact.
 """
 
 from __future__ import annotations
@@ -20,8 +29,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import WidthMismatch
-from .states import ThermoState, _ONE, _ZERO
+from .errors import InvalidCurve, OutsideDomain, WidthMismatch
+from .states import ThermoState, _ONE, _ZERO, _exact_sum, _scaled
 
 __all__ = [
     "Segment",
@@ -62,26 +71,53 @@ class Curve:
 
     def __post_init__(self) -> None:
         if not self.segments:
-            raise ValueError("curve needs at least one segment")
+            raise InvalidCurve("curve needs at least one segment")
         previous = None
-        total_height = _ZERO
+        # Denominators are positive: a numerator carries the sign, and
+        # a/b >= c/d exactly when a*d >= c*b.
         for seg in self.segments:
-            if seg.height <= 0:
-                raise ValueError(f"segment height {seg.height} must be positive")
-            if seg.slope <= 0:
-                raise ValueError(f"segment slope {seg.slope} must be positive")
-            if previous is not None and seg.slope >= previous:
-                raise ValueError("segment slopes must strictly decrease")
-            previous = seg.slope
-            total_height += seg.height
+            height, slope = seg.height, seg.slope
+            if height.numerator <= 0:
+                raise InvalidCurve(f"segment height {height} must be positive")
+            if slope.numerator <= 0:
+                raise InvalidCurve(f"segment slope {slope} must be positive")
+            if previous is not None and (
+                slope.numerator * previous.denominator >= previous.numerator * slope.denominator
+            ):
+                raise InvalidCurve("segment slopes must strictly decrease")
+            previous = slope
+        total_height = _exact_sum(seg.height for seg in self.segments)
         if total_height != _ONE:
-            raise ValueError(f"segment heights sum to {total_height}, not 1")
+            raise InvalidCurve(f"segment heights sum to {total_height}, not 1")
         if self.sloped_width > self.total_width:
-            raise ValueError("sloped width exceeds total width")
+            raise InvalidCurve("sloped width exceeds total width")
 
     @cached_property
     def sloped_width(self) -> Fraction:
-        return sum((seg.height / seg.slope for seg in self.segments), _ZERO)
+        return _exact_sum(
+            Fraction(
+                seg.height.numerator * seg.slope.denominator,
+                seg.height.denominator * seg.slope.numerator,
+            )
+            for seg in self.segments
+        )
+
+
+def _merged(
+    pairs: Iterable[tuple[int, int]], height_den: int, slope_den: int, total_width: Fraction
+) -> Curve:
+    """The canonical curve of integer (height, slope) pairs over one height
+    and one slope denominator: zero heights dropped, equal slopes merged,
+    slopes sorted descending, one Fraction per output segment."""
+    merged: dict[int, int] = {}
+    for height, slope in pairs:
+        if height:
+            merged[slope] = merged.get(slope, 0) + height
+    segments = tuple(
+        Segment(Fraction(merged[slope], height_den), Fraction(slope, slope_den))
+        for slope in sorted(merged, reverse=True)
+    )
+    return Curve(segments, total_width)
 
 
 def canonical_curve(pairs: Iterable[tuple[Fraction, Fraction]], total_width: Fraction) -> Curve:
@@ -90,21 +126,18 @@ def canonical_curve(pairs: Iterable[tuple[Fraction, Fraction]], total_width: Fra
     Zero heights are dropped, equal slopes are merged, and the result is
     sorted by descending slope; that is the unique canonical form.
     """
-    merged: dict[Fraction, Fraction] = {}
-    for height, slope in pairs:
-        if height == 0:
-            continue
-        merged[slope] = merged.get(slope, _ZERO) + height
-    segments = tuple(
-        Segment(merged[slope], slope) for slope in sorted(merged, reverse=True)
-    )
-    return Curve(segments, total_width)
+    pairs = list(pairs)
+    heights, height_den = _scaled([height for height, _ in pairs])
+    slopes, slope_den = _scaled([slope for _, slope in pairs])
+    return _merged(zip(heights, slopes), height_den, slope_den, total_width)
 
 
 def curve_of(state: ThermoState) -> Curve:
     """Canonical curve of a state: slopes are p_i / g_i on the support."""
     pairs = [
-        (p, p / w) for p, w in zip(state.probs, state.weights) if p > 0
+        (p, Fraction(p.numerator * w.denominator, p.denominator * w.numerator))
+        for p, w in zip(state.probs, state.weights)
+        if p
     ]
     return canonical_curve(pairs, state.z)
 
@@ -136,7 +169,7 @@ def breakpoints(curve: Curve) -> list[tuple[Fraction, Fraction]]:
 def evaluate(curve: Curve, x: Fraction) -> Fraction:
     """Exact value of the curve at ``x`` in [0, Z]."""
     if x < 0 or x > curve.total_width:
-        raise ValueError(f"x={x} outside [0, {curve.total_width}]")
+        raise OutsideDomain(f"x={x} outside [0, {curve.total_width}]")
     y = _ZERO
     remaining = x
     for seg in curve.segments:
@@ -192,12 +225,13 @@ def coincide(a: Curve, b: Curve) -> bool:
 
 def product(a: Curve, b: Curve) -> Curve:
     """Monoid product: pairwise (height*height, slope*slope), widths multiply."""
-    pairs = [
-        (sa.height * sb.height, sa.slope * sb.slope)
-        for sa in a.segments
-        for sb in b.segments
-    ]
-    return canonical_curve(pairs, a.total_width * b.total_width)
+    ha, ea = _scaled([seg.height for seg in a.segments])
+    xa, da = _scaled([seg.slope for seg in a.segments])
+    hb, eb = _scaled([seg.height for seg in b.segments])
+    xb, db = _scaled([seg.slope for seg in b.segments])
+    rows = list(zip(hb, xb))
+    pairs = ((h * k, x * y) for h, x in zip(ha, xa) for k, y in rows)
+    return _merged(pairs, ea * eb, da * db, a.total_width * b.total_width)
 
 
 def divide(l: Curve, a: Curve) -> Optional[Curve]:
@@ -211,32 +245,33 @@ def divide(l: Curve, a: Curve) -> Optional[Curve]:
     """
     width = l.total_width / a.total_width
     a_top = a.segments[0]
-    # Mutable multiset of l's segments, sorted by descending slope.
-    remaining: list[list[Fraction]] = [[seg.slope, seg.height] for seg in l.segments]
+    # l's unpeeled height per slope.  Emptied slopes are deleted and no key
+    # is added, so insertion order keeps the steepest remaining slope first.
+    remaining: dict[Fraction, Fraction] = {seg.slope: seg.height for seg in l.segments}
     quotient: list[tuple[Fraction, Fraction]] = []
     height_total = _ZERO
     while remaining:
         if len(quotient) >= len(l.segments):
             return None
-        top_slope, top_height = remaining[0]
+        top_slope = next(iter(remaining))
         q_slope = top_slope / a_top.slope
-        q_height = top_height / a_top.height
+        q_height = remaining[top_slope] / a_top.height
         quotient.append((q_height, q_slope))
         height_total += q_height
         if height_total > 1:
             return None
         for seg in a.segments:
             want_slope = seg.slope * q_slope
-            want_height = seg.height * q_height
-            for entry in remaining:
-                if entry[0] == want_slope:
-                    entry[1] -= want_height
-                    if entry[1] < 0:
-                        return None
-                    break
-            else:
+            left = remaining.get(want_slope)
+            if left is None:
                 return None
-        remaining = [entry for entry in remaining if entry[1] != 0]
+            left -= seg.height * q_height
+            if left < 0:
+                return None
+            if left:
+                remaining[want_slope] = left
+            else:
+                del remaining[want_slope]
     if height_total != _ONE:
         return None
     try:

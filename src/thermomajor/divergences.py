@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .curves import Curve, curve_of
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidOrder, OutsideDomain
 from .states import ThermoState, Transition, gibbs_of
 
 __all__ = [
@@ -67,7 +67,7 @@ _RATIO_TOL = 1e-9
 def ln_frac(x: Fraction) -> float:
     """Natural log of a positive rational, safe for huge numerators."""
     if x <= 0:
-        raise ValueError(f"ln of non-positive rational {x}")
+        raise OutsideDomain(f"ln of non-positive rational {x}")
     return math.log(x.numerator) - math.log(x.denominator)
 
 
@@ -111,7 +111,10 @@ def _divergence(
     D_inf.  Each is evaluated only at the orders that read it.  ``escapes``:
     p has mass where q has none; ``misses``: q has mass where p has none.
     The sum runs in log-sum-exp form, so tiny weights do not overflow.
+    Orders are real numbers or +inf; nan and -inf raise InvalidOrder.
     """
+    if math.isnan(alpha) or alpha == -math.inf:
+        raise InvalidOrder(f"alpha must be a real number or inf, got {alpha}")
     if (escapes and alpha >= 1) or (misses and alpha < 0):
         return math.inf
     if alpha == 0:

@@ -53,6 +53,22 @@ class DimensionCapExceeded(ThermomajorError):
     """LP oracle invoked above its configured dimension cap."""
 
 
+class InvalidCurve(ThermomajorError, ValueError):
+    """Curve segments violate the canonical-form invariants."""
+
+
+class OutsideDomain(ThermomajorError, ValueError):
+    """An argument lies outside the domain of the function it was passed to."""
+
+
+class InvalidOrder(ThermomajorError, ValueError):
+    """A Renyi order is nan or -inf; valid orders are real numbers or +inf."""
+
+
+class CurvesDiffer(ThermomajorError, ValueError):
+    """An operation defined only for coinciding curves met two that differ."""
+
+
 class ParseError(ThermomajorError):
     """Malformed input file or rational literal."""
 

@@ -42,7 +42,15 @@ from .errors import (
     ProbSumNotOne,
     ZeroProbability,
 )
-from .states import ThermoState, Transition, gibbs_of, is_gibbs, tensor
+from .states import (
+    ThermoState,
+    Transition,
+    _check_rationals,
+    _exact_sum,
+    gibbs_of,
+    is_gibbs,
+    tensor,
+)
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -61,13 +69,15 @@ class Reservoir:
             raise DimensionMismatch("r, init_weights, fin_weights must share a length")
         if len(self.r) < 1:
             raise DimensionMismatch("reservoir needs at least one occupied level")
+        _check_rationals(self.r + self.init_weights + self.fin_weights)
         for x in self.r:
-            if x <= 0:
+            if x.numerator <= 0:
                 raise NegativeProbability(f"reservoir probability {x} must be positive")
-        if sum(self.r) != _ONE:
-            raise ProbSumNotOne(f"reservoir distribution sums to {sum(self.r)}")
+        total = _exact_sum(self.r)
+        if total != _ONE:
+            raise ProbSumNotOne(f"reservoir distribution sums to {total}")
         for w in self.init_weights + self.fin_weights:
-            if w <= 0:
+            if w.numerator <= 0:
                 raise NonPositiveWeight(f"reservoir weight {w} must be positive")
 
     @property

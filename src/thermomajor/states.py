@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -52,13 +54,34 @@ def as_rat(value: object) -> Fraction:
     raise ParseError(f"expected int, Fraction or 'p/q' string, got {type(value).__name__}")
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over the lcm of their denominators."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The exact sum of rationals: one integer sum over the lcm of their
+    denominators, normalised once, instead of a Fraction per partial sum."""
+    numerators, den = _scaled(tuple(values))
+    return Fraction(sum(numerators), den)
+
+
+def _check_rationals(values: Iterable[object]) -> None:
+    """Reject any entry that is not an int (bools excluded) or a Fraction,
+    the rule :func:`as_rat` applies to parsed input."""
+    for x in values:
+        if type(x) is bool or not isinstance(x, (Fraction, int)):
+            raise ParseError(f"not a rational: {x!r}")
+
+
 @dataclass(frozen=True)
 class ThermoState:
     """A probability vector paired with positive Gibbs weights of equal length.
 
-    Invariants (enforced at construction): probabilities are nonnegative and
-    sum to exactly one; weights are strictly positive; lengths match and are
-    at least one.
+    Invariants (enforced at construction): entries are ints or Fractions;
+    probabilities are nonnegative and sum to exactly one; weights are
+    strictly positive; lengths match and are at least one.
     """
 
     probs: tuple[Fraction, ...]
@@ -71,13 +94,16 @@ class ThermoState:
             )
         if len(self.probs) < 1:
             raise DimensionMismatch("state needs at least one level")
+        _check_rationals(self.probs)
+        _check_rationals(self.weights)
+        # Denominators are positive, so a numerator carries the sign.
         for w in self.weights:
-            if w <= 0:
+            if w.numerator <= 0:
                 raise NonPositiveWeight(f"weight {w} is not positive")
         for p in self.probs:
-            if p < 0:
+            if p.numerator < 0:
                 raise NegativeProbability(f"probability {p} is negative")
-        total = sum(self.probs)
+        total = _exact_sum(self.probs)
         if total != _ONE:
             raise ProbSumNotOne(f"probabilities sum to {total}, not 1")
 
@@ -85,10 +111,10 @@ class ThermoState:
     def dim(self) -> int:
         return len(self.probs)
 
-    @property
+    @cached_property
     def z(self) -> Fraction:
         """Partition function: the sum of all Gibbs weights."""
-        return sum(self.weights, _ZERO)
+        return _exact_sum(self.weights)
 
     def gibbs_probs(self) -> tuple[Fraction, ...]:
         z = self.z

@@ -12,7 +12,12 @@ from thermomajor.catalysis import (
 )
 from thermomajor.curves import coincide, curve_of, divide
 from thermomajor.divergences import DEFAULT_ALPHA_GRID, renyi
-from thermomajor.errors import CatalystMarginalMismatch, NotProductState
+from thermomajor.errors import (
+    CatalystMarginalMismatch,
+    CurvesDiffer,
+    NotProductState,
+    ThermomajorError,
+)
 from thermomajor.oracle import random_transition
 from thermomajor.reservoirs import joint_states, minimal_extraction_reservoir
 from thermomajor.states import Transition, gibbs_of, is_gibbs, make_state, tensor
@@ -132,6 +137,17 @@ class TestStripCatalyst:
             strip_catalyst(
                 tensor(sys_init, catalyst), tensor(sys_fin, catalyst), catalyst.dim
             )
+
+
+    def test_dissipative_joint_error_is_a_library_error(self):
+        catalyst = make_state(("1/4", "3/4"), (1, 1))
+        with pytest.raises(CurvesDiffer, match="joint curves do not coincide"):
+            strip_catalyst(
+                tensor(make_state(("1/2", "1/2"), (1, 1)), catalyst),
+                tensor(make_state(("1/3", "2/3"), (1, 1)), catalyst),
+                catalyst.dim,
+            )
+        assert issubclass(CurvesDiffer, ThermomajorError)
 
 
 class TestCoincideIffAlphaEqual:

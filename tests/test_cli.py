@@ -162,6 +162,17 @@ class TestDivergence:
         assert code == 2
         assert out == ""
 
+    def test_order_refused_by_the_library_exits_2(self, capsys, state_files, monkeypatch):
+        # --nonnegative-only drops negative reals only, so nan reaches the
+        # library's one order check and comes back as an input error.
+        monkeypatch.delenv("THERMO_ALPHA_GRID", raising=False)
+        argv = ["catalytic-check", state_files["biased"], state_files["mixed"]]
+        code = main(argv + ["--nonnegative-only", "--alpha-grid", "0,nan"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "alpha must be a real number or inf, got nan" in captured.err
+
     def test_tiny_weight_profile_is_finite(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("THERMO_ALPHA_GRID", raising=False)
         path = tmp_path / "tiny.json"

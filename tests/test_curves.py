@@ -1,11 +1,13 @@
 """Curve geometry, the majorization order, and the monoid algebra."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thermomajor.curves import (
+    Curve,
     Segment,
     breakpoints,
     canonical_curve,
@@ -19,8 +21,8 @@ from thermomajor.curves import (
     product,
     realize_state,
 )
-from thermomajor.errors import WidthMismatch
-from thermomajor.states import ThermoState, gibbs_of, make_state, tensor
+from thermomajor.errors import InvalidCurve, OutsideDomain, ThermomajorError, WidthMismatch
+from thermomajor.states import ThermoState, _exact_sum, gibbs_of, make_state, tensor
 
 from conftest import family_states, random_curve, random_state, seeded
 
@@ -63,6 +65,99 @@ def product_pairs(draw, collapse):
         b = ThermoState(tuple(mix * x + (1 - mix) * g for x, g in zip(a.probs, tau)), a.weights)
     c = curve_of(draw(family_states(draw(st.integers(1, 4)), collapse)))
     return product(curve_of(a), c), product(curve_of(b), c), mix is not None
+
+
+def fraction_canonical_curve(pairs, total_width):
+    """The Fraction pair/dict/sort definition the integer kernel replaced."""
+    merged = {}
+    for height, slope in pairs:
+        if height == 0:
+            continue
+        merged[slope] = merged.get(slope, F(0)) + height
+    return Curve(tuple(Segment(merged[x], x) for x in sorted(merged, reverse=True)), total_width)
+
+
+def fraction_product(a, b):
+    pairs = [
+        (sa.height * sb.height, sa.slope * sb.slope) for sa in a.segments for sb in b.segments
+    ]
+    return fraction_canonical_curve(pairs, a.total_width * b.total_width)
+
+
+def fraction_curve_of(s):
+    pairs = [(p, p / w) for p, w in zip(s.probs, s.weights) if p > 0]
+    return fraction_canonical_curve(pairs, sum(s.weights, F(0)))
+
+
+def all_fractions(curve):
+    values = [curve.total_width] + [x for seg in curve.segments for x in (seg.height, seg.slope)]
+    return all(type(x) is Fraction for x in values)
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("palette", [True, False], ids=["palette", "generic"])
+    @HYPO
+    @given(data=st.data())
+    def test_matches_fraction_definition(self, palette, data):
+        a = data.draw(family_states(data.draw(st.integers(1, 12)), palette))
+        b = data.draw(family_states(data.draw(st.integers(1, 12)), palette))
+        ca, cb = curve_of(a), curve_of(b)
+        assert ca == fraction_curve_of(a) and cb == fraction_curve_of(b)
+        prod = product(ca, cb)
+        assert prod == fraction_product(ca, cb)
+        assert all_fractions(prod)
+        # Raw level pairs of the joint state: zero heights, repeats, any order.
+        joint = tensor(a, b)
+        pairs = [(p, p / w) for p, w in zip(joint.probs, joint.weights)]
+        assert canonical_curve(pairs, joint.z) == fraction_canonical_curve(pairs, joint.z)
+        for values in (a.probs, a.weights, [seg.height / seg.slope for seg in prod.segments]):
+            assert _exact_sum(values) == sum(values, F(0))
+            assert type(_exact_sum(values)) is Fraction
+        assert prod.sloped_width == ca.sloped_width * cb.sloped_width
+
+
+class TestCurveValidation:
+    """Each ``Curve`` check fires exactly, with its message."""
+
+    @pytest.mark.parametrize(
+        "segments, width, message",
+        [
+            ((), F(1), "curve needs at least one segment"),
+            (((F(0), F(2)), (F(1), F(1, 2))), F(2), "segment height 0 must be positive"),
+            (((F(3, 2), F(1)), (F(-1, 2), F(1, 2))), F(2), "segment height -1/2 must be positive"),
+            (((F(1), F(0)),), F(2), "segment slope 0 must be positive"),
+            (((F(1), F(-1, 3)),), F(2), "segment slope -1/3 must be positive"),
+            (((F(1, 2), F(1)), (F(1, 2), F(1))), F(2), "segment slopes must strictly decrease"),
+            (((F(1, 2), F(1, 2)), (F(1, 2), F(1))), F(3), "segment slopes must strictly decrease"),
+            (((F(1, 2), F(1)),), F(1), "segment heights sum to 1/2, not 1"),
+            (
+                ((F(1, 2), F(1)), (F(1, 2) - F(1, 10**30), F(1, 2))),
+                F(2),
+                f"segment heights sum to {1 - F(1, 10**30)}, not 1",
+            ),
+            (((F(1), F(1, 2)),), F(2) - F(1, 10**30), "sloped width exceeds total width"),
+        ],
+        ids=[
+            "empty", "zero-height", "negative-height", "zero-slope", "negative-slope",
+            "equal-slopes", "rising-slopes", "heights-below-one", "heights-just-below-one",
+            "sloped-width-beyond-total",
+        ],
+    )
+    def test_check_fires(self, segments, width, message):
+        with pytest.raises(InvalidCurve, match=f"^{re.escape(message)}$"):
+            Curve(tuple(Segment(h, x) for h, x in segments), width)
+
+    def test_boundaries_accepted(self):
+        # Slopes 10^-40 apart still strictly decrease; sloped width may equal the total.
+        c = Curve((Segment(F(1, 2), F(1) + F(1, 10**40)), Segment(F(1, 2), F(1))), F(1))
+        assert c.sloped_width < 1
+        assert Curve((Segment(F(1), F(1, 2)),), F(2)).sloped_width == 2
+
+    def test_errors_are_library_value_errors(self):
+        assert issubclass(InvalidCurve, ThermomajorError) and issubclass(InvalidCurve, ValueError)
+        c = curve_of(make_state(("1/3", "2/3"), (1, 1)))
+        with pytest.raises(OutsideDomain, match=re.escape("x=3 outside [0, 2]")):
+            evaluate(c, F(3))
 
 
 class TestCurveOf:
@@ -288,6 +383,21 @@ class TestDivide:
         )
         # the sloped parts divide, but the flat tail cannot
         assert divide(shrunk, a) is None
+
+    @HYPO
+    @given(family_states(12, False), family_states(12, False))
+    def test_cancellation_of_generic_twelve_level_curves(self, sa, sq):
+        a, q = curve_of(sa), curve_of(sq)
+        left = product(a, q)
+        assert divide(left, a) == q
+        assume(len(left.segments) > 1)
+        # Move some height from the flattest segment to the steepest: still a
+        # valid curve, no longer a multiple of a.
+        segs = list(left.segments)
+        moved = segs[-1].height / 2
+        segs[0] = Segment(segs[0].height + moved, segs[0].slope)
+        segs[-1] = Segment(segs[-1].height - moved, segs[-1].slope)
+        assert divide(Curve(tuple(segs), left.total_width), a) is None
 
     def test_cancellation_on_constructed_equalities(self):
         rng = seeded(10)

@@ -18,7 +18,8 @@ from thermomajor.divergences import (
     renyi,
     shannon_entropy,
 )
-from thermomajor.errors import DimensionMismatch
+from thermomajor.catalysis import cto_feasible
+from thermomajor.errors import DimensionMismatch, InvalidOrder, OutsideDomain, ThermomajorError
 from thermomajor.oracle import random_transition
 from thermomajor.reservoirs import Reservoir, minimal_extraction_reservoir
 from thermomajor.states import Transition, gibbs_of, make_state, tensor
@@ -125,6 +126,23 @@ class TestRenyi:
             assert abs(curve_alpha_divergence(c, alpha) - d) <= 1e-12 * max(1.0, d)
         d4 = 200 * math.log(10) - 4 / 3 * math.log(2)
         assert abs(renyi(4.0, p, tau) - d4) <= 1e-10
+
+
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf], ids=["nan", "minus-inf"])
+    def test_nan_and_minus_inf_orders_refused_everywhere(self, alpha):
+        s = make_state(("1/3", "2/3"), (1, 1))
+        tau = gibbs_of(s)
+        calls = [
+            lambda: renyi(alpha, s, tau),
+            lambda: curve_alpha_divergence(curve_of(s), alpha),
+            lambda: alpha_profile(s, alphas=(0.0, alpha)),
+            lambda: cto_feasible(Transition(s, tau), (0.0, alpha)),
+            lambda: cto_feasible(Transition(s, tau), (alpha,), nonnegative_only=True),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidOrder, match="alpha must be a real number or inf"):
+                call()
+        assert issubclass(InvalidOrder, ThermomajorError)
 
 
 class TestEntropyProduction:
@@ -248,6 +266,12 @@ class TestHelpers:
     def test_shannon_entropy(self):
         assert abs(shannon_entropy((F(1, 2), F(1, 2))) - math.log(2)) <= 1e-15
         assert shannon_entropy((F(1), F(0))) == 0.0
+
+    def test_ln_frac_rejects_non_positive(self):
+        with pytest.raises(OutsideDomain, match="ln of non-positive rational 0"):
+            ln_frac(F(0))
+        assert issubclass(OutsideDomain, ThermomajorError)
+        assert issubclass(OutsideDomain, ValueError)
 
     def test_ln_frac_handles_huge_rationals(self):
         big = F(10**400, 3)

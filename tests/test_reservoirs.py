@@ -11,6 +11,8 @@ from thermomajor.divergences import renyi, shannon_entropy
 from thermomajor.errors import (
     GibbsInput,
     NontrivialHamiltonian,
+    ParseError,
+    ProbSumNotOne,
     ZeroProbability,
 )
 from thermomajor.reservoirs import (
@@ -58,6 +60,26 @@ def transitions_with_reservoirs(draw, kind):
         return extraction_transition(initial), minimal_extraction_reservoir(initial)
     t = Transition(initial, draw(family_states(initial.dim, palette, initial.weights)))
     return t, general_efficient_reservoir(t)
+
+
+class TestReservoirValidation:
+    @pytest.mark.parametrize(
+        "r, init_weights, fin_weights, bad",
+        [
+            ((0.5, F(1, 2)), (F(1), F(1)), (F(1), F(1)), "0.5"),
+            ((F(1, 2), F(1, 2)), (F(1), 2.0), (F(1), F(1)), "2.0"),
+        ],
+        ids=["float-probability", "float-weight"],
+    )
+    def test_rejects_non_rational_entries(self, r, init_weights, fin_weights, bad):
+        with pytest.raises(ParseError, match=f"^not a rational: {bad}$"):
+            Reservoir(r, init_weights, fin_weights)
+
+    def test_sum_checked_exactly(self):
+        short = F(1, 2) - F(1, 10**30)
+        message = f"^reservoir distribution sums to {1 - F(1, 10**30)}$"
+        with pytest.raises(ProbSumNotOne, match=message):
+            Reservoir((F(1, 2), short), (F(1), F(1)), (F(1), F(1)))
 
 
 class TestTwoLevelBounds:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from thermomajor.curves import coincide, curve_of, majorizes
+from thermomajor.curves import Segment, coincide, curve_of, majorizes
 from thermomajor.errors import (
     DimensionMismatch,
     NegativeProbability,
@@ -13,6 +13,7 @@ from thermomajor.errors import (
     ProbSumNotOne,
 )
 from thermomajor.states import (
+    ThermoState,
     Transition,
     as_rat,
     clock_lift,
@@ -59,6 +60,25 @@ class TestMakeState:
 
     def test_decimal_strings_exact(self):
         assert as_rat("0.5") == Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "probs, weights, bad",
+        [
+            ((0.5, 0.5), (1, 1), "0.5"),
+            ((Fraction(1, 2), Fraction(1, 2)), (1.0, 1), "1.0"),
+            ((Fraction(1, 2), Fraction(1, 2)), (True, 1), "True"),
+        ],
+        ids=["float-probabilities", "float-weights", "bool-weight"],
+    )
+    def test_state_rejects_non_rational_entries(self, probs, weights, bad):
+        with pytest.raises(ParseError, match=f"^not a rational: {bad}$"):
+            ThermoState(probs, weights)
+
+    def test_int_entries_accepted(self):
+        s = ThermoState((1, 0), (1, 2))
+        assert s.z == 3
+        assert curve_of(s).segments == (Segment(Fraction(1), Fraction(1)),)
+        assert type(curve_of(s).segments[0].slope) is Fraction
 
 
 class TestGibbs:
