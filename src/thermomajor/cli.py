@@ -17,6 +17,7 @@ import math
 import os
 import random
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
@@ -36,7 +37,6 @@ from .reservoirs import (
     verify_efficient,
 )
 from .states import (
-    ThermoState,
     Transition,
     as_rat,
     clock_lift,
@@ -72,6 +72,8 @@ def _load(path: str, parse: Callable[[object], _T]) -> _T:
         return parse(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     except ThermomajorError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -95,14 +97,6 @@ def _load_transition(initial_path: str, final_path: str) -> Transition:
     return clock_lift(initial, final)
 
 
-def reservoir_to_dict(res: Reservoir) -> dict:
-    return {
-        "r": [str(x) for x in res.r],
-        "init_weights": [str(x) for x in res.init_weights],
-        "fin_weights": [str(x) for x in res.fin_weights],
-    }
-
-
 def _float_token(x: float) -> object:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
@@ -111,8 +105,15 @@ def _float_token(x: float) -> object:
     return x
 
 
+def _rational_token(x: object) -> str:
+    """JSON hook: a Fraction becomes its "p/q" string; nothing else is encoded."""
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def _dump(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_rational_token) + "\n"
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -243,7 +244,7 @@ def cmd_build_reservoir(args: argparse.Namespace) -> int:
             res = general_efficient_reservoir(t, as_rat(args.anchor))
         else:
             res = alt_product_reservoir(t)
-    payload = reservoir_to_dict(res)
+    payload = asdict(res)
     payload["average_work"] = average_work(res)
     _emit(args, _dump(payload))
     return 0
@@ -328,31 +329,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def cmd_engine(args: argparse.Namespace) -> int:
     spec = engine_mod.EngineSpec.from_temperatures(args.epsilon, args.t_hot, args.t_cold)
-    report = engine_mod.run_carnot(spec)
-    payload = {
-        "p_c": report.p_c,
-        "p_h": report.p_h,
-        "s_c": report.s_c,
-        "s_h": report.s_h,
-        "q_h": report.q_h,
-        "q_c": report.q_c,
-        "w": report.w,
-        "eta": report.eta,
-        "hot_step_certified": report.hot_step_certified,
-        "cold_step_certified": report.cold_step_certified,
-        "approximation_gap": report.approximation_gap,
-        "hot_reservoir": reservoir_to_dict(report.hot_reservoir)
-        if report.hot_reservoir
-        else None,
-        "cold_reservoir": reservoir_to_dict(report.cold_reservoir)
-        if report.cold_reservoir
-        else None,
-        "reservoir_levels": [
-            {"probability": row.probability, "energies": list(row.energies)}
-            for row in report.reservoir_levels
-        ],
-    }
-    _emit(args, _dump(payload))
+    _emit(args, _dump(asdict(engine_mod.run_carnot(spec))))
     if args.curves_dir:
         out = Path(args.curves_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
-from .states import ThermoState, _ONE, _ZERO, _exact_sum, _scaled
+from .states import ThermoState, _ONE, _ZERO, _check_rationals, _exact_sum, _scaled
 
 __all__ = [
     "Segment",
@@ -63,7 +63,8 @@ class Curve:
 
     ``segments`` have strictly decreasing positive slopes and positive heights
     summing to one.  ``total_width`` is the partition function Z; any excess
-    over the sloped width is the flat (slope-zero) tail.
+    over the sloped width is the flat (slope-zero) tail.  Heights, slopes and
+    ``total_width`` are ints or Fractions.
     """
 
     segments: tuple[Segment, ...]
@@ -72,6 +73,8 @@ class Curve:
     def __post_init__(self) -> None:
         if not self.segments:
             raise InvalidCurve("curve needs at least one segment")
+        _check_rationals((self.total_width,))
+        _check_rationals(x for seg in self.segments for x in (seg.height, seg.slope))
         previous = None
         # Denominators are positive: a numerator carries the sign, and
         # a/b >= c/d exactly when a*d >= c*b.
@@ -124,9 +127,11 @@ def canonical_curve(pairs: Iterable[tuple[Fraction, Fraction]], total_width: Fra
     """Build a curve from raw (height, slope) pairs.
 
     Zero heights are dropped, equal slopes are merged, and the result is
-    sorted by descending slope; that is the unique canonical form.
+    sorted by descending slope; that is the unique canonical form.  Heights,
+    slopes and ``total_width`` must be ints or Fractions.
     """
     pairs = list(pairs)
+    _check_rationals(x for pair in pairs for x in pair)
     heights, height_den = _scaled([height for height, _ in pairs])
     slopes, slope_den = _scaled([slope for _, slope in pairs])
     return _merged(zip(heights, slopes), height_den, slope_den, total_width)

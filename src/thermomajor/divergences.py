@@ -219,7 +219,8 @@ def jarzynski_ratio_check(
     curve-based (elbow data only), which is what the identity constrains.
     """
     sys_curve = curve_of(sys)
-    curve_init, curve_fin = curve_of(res.initial_state()), curve_of(res.final_state())
+    work = res.work_transition()
+    curve_init, curve_fin = curve_of(work.initial), curve_of(work.final)
     # The log of the right-hand side is -D_alpha(sys || tau) from the curve,
     # at every order and in both sign conventions.
     sides = [

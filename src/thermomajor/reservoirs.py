@@ -15,22 +15,26 @@ that product, which gives an exact O(n) rejection before either product is
 formed.  :func:`joint_states` keeps the materialised tensor product as an
 independent cross-check.
 
-Synthesis routes:
+Synthesis routes.  Each level of a reservoir carries one cell of a coupling
+between the initial and final system distributions, weighted by the one
+slope-matching rule :func:`_slope_matched`; the routes differ in the cells:
 
-* :func:`minimal_extraction_reservoir` builds the unique 2m-level reservoir
-  for extraction from a state whose curve has m distinct slopes (run it
-  backwards for state formation).
-* :func:`general_efficient_reservoir` handles an arbitrary shared-weights
-  transition by refining both cumulative distributions on a common grid.
-* :func:`alt_product_reservoir` is a larger 2n^2-level alternative for equal
-  level weights, showing efficiency does not pin the reservoir down.
+* :func:`minimal_extraction_reservoir` couples p's curve segments with tau's
+  single slope: the unique 2m-level reservoir for extraction from a state
+  whose curve has m distinct slopes (run it backwards for formation).
+* :func:`general_efficient_reservoir` takes the north-west-corner coupling
+  of an arbitrary shared-weights transition.
+* :func:`alt_product_reservoir` takes the product coupling: a larger
+  2n^2-level alternative for equal level weights, showing efficiency does
+  not pin the reservoir down.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
+
 from .curves import Curve, coincide, curve_of, divide, num_distinct_slopes, product
 from .divergences import ln_frac, renyi
 from .errors import (
@@ -47,13 +51,14 @@ from .states import (
     Transition,
     _check_rationals,
     _exact_sum,
+    _scaled,
+    clock_lift,
     gibbs_of,
     is_gibbs,
     tensor,
 )
 
 _ONE = Fraction(1)
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -84,17 +89,35 @@ class Reservoir:
     def dim(self) -> int:
         return 2 * len(self.r)
 
-    @property
-    def level_weights(self) -> tuple[Fraction, ...]:
-        return self.init_weights + self.fin_weights
+    def work_transition(self) -> Transition:
+        """The reservoir's move as a transition over its 2d levels: ``r`` on
+        the initial-weight block, then on the final-weight block."""
+        return clock_lift(
+            ThermoState(self.r, self.init_weights), ThermoState(self.r, self.fin_weights)
+        )
 
-    def initial_state(self) -> ThermoState:
-        zeros = (_ZERO,) * len(self.r)
-        return ThermoState(self.r + zeros, self.level_weights)
 
-    def final_state(self) -> ThermoState:
-        zeros = (_ZERO,) * len(self.r)
-        return ThermoState(zeros + self.r, self.level_weights)
+def _slope_matched(
+    cells: Iterable[tuple[Fraction, Fraction, Fraction]], kappa: Fraction
+) -> Reservoir:
+    """The reservoir with one level per cell (m, s, s') of a coupling.
+
+    A cell of mass m leaves an initial system level of slope s = p_j / g_j and
+    reaches a final level of slope s' = p'_i / g_i.  It gets initial weight
+    m / (kappa s') and final weight m / (kappa s).  When the cells' masses
+    aggregate back to p through their initial levels and to p' through their
+    final levels, both joint curves carry mass p_a p'_b at slope
+    kappa s_a s'_b for every pair of levels (a, b), so they coincide.
+    ``kappa`` is the translation gauge.
+    """
+    r, init_weights, fin_weights = [], [], []
+    for m, s, s_prime in cells:
+        # One normalisation per weight: m / kappa over the slope, in integers.
+        num, den = m.numerator * kappa.denominator, m.denominator * kappa.numerator
+        r.append(m)
+        init_weights.append(Fraction(num * s_prime.denominator, den * s_prime.numerator))
+        fin_weights.append(Fraction(num * s.denominator, den * s.numerator))
+    return Reservoir(tuple(r), tuple(init_weights), tuple(fin_weights))
 
 
 def two_level_extraction_bound(p: ThermoState) -> float:
@@ -133,14 +156,10 @@ def minimal_extraction_reservoir(p: ThermoState, c: Fraction = _ONE) -> Reservoi
         raise NonPositiveWeight(f"gauge constant c={c} must be positive")
     if is_gibbs(p):
         raise GibbsInput("state is already Gibbs; extraction reservoir is trivial")
-    curve = curve_of(p)
     z = p.z
-    r = tuple(seg.height for seg in curve.segments)
-    init_weights = tuple(x / c for x in r)
-    fin_weights = tuple(
-        x / (c * z * seg.slope) for x, seg in zip(r, curve.segments)
-    )
-    return Reservoir(r, init_weights, fin_weights)
+    tau_slope = 1 / z
+    cells = ((seg.height, seg.slope, tau_slope) for seg in curve_of(p).segments)
+    return _slope_matched(cells, c * z)
 
 
 def general_efficient_reservoir(
@@ -148,18 +167,14 @@ def general_efficient_reservoir(
 ) -> Reservoir:
     """An efficient reservoir for an arbitrary shared-weights transition.
 
-    Both cumulative distributions are refined on the merged grid of their
-    breakpoints, giving a distribution ``r`` whose cells aggregate back to the
-    final probabilities under one coarse-graining (lambda) and to the initial
-    probabilities under another (lambda').  Each cell's initial weight is
-    chosen so all cells mapped to final level i share the slope
-    kappa * p'_i / g_i, and symmetrically for final weights with the initial
-    probabilities; that forces the joint curves to coincide.
+    The cells are the north-west-corner coupling of p and p': one walk over
+    both distributions in level order, each cell taking what is left of the
+    current initial and final level, in exact integers over one common
+    denominator.  Each cell's weights then follow the slope-matching rule.
 
-    Levels with zero probability on both sides vanish from the grid; a zero
-    on one side only is harmless because every refinement cell has positive
-    mass and therefore lands inside a positive-probability interval of each
-    cumulative distribution.
+    Levels with zero probability on both sides get no cell; a zero on one
+    side only is harmless because every cell has positive mass and therefore
+    lies inside a positive-probability level of each distribution.
 
     ``anchor_weight`` fixes the translation gauge: the first occupied level's
     initial weight equals it exactly.  Equal endpoints yield the trivial
@@ -174,42 +189,24 @@ def general_efficient_reservoir(
     if p == q:
         return Reservoir((_ONE,), (anchor_weight,), (anchor_weight,))
 
-    def cumulative(vec: tuple[Fraction, ...]) -> list[Fraction]:
-        out = []
-        run = _ZERO
-        for x in vec:
-            run += x
-            out.append(run)
-        return out
-
-    cum_p = cumulative(p)
-    cum_q = cumulative(q)
-    grid = sorted((set(cum_p) | set(cum_q)) - {_ZERO})
+    masses, den = _scaled(p + q)
+    # North-west corner over the occupied levels: each cell takes what is
+    # left of the current initial and final level.  Both sides hold `den` in
+    # all, so the final levels run out exactly with the initial ones.
+    initials = ((m, x / w) for m, x, w in zip(masses, p, g) if m)
+    finals = ((m, x / w) for m, x, w in zip(masses[len(p):], q, g) if m)
+    left_prime, s_prime = next(finals)
     cells = []
-    previous = _ZERO
-    for value in grid:
-        cells.append(value - previous)
-        previous = value
-
-    def level_for(cum: list[Fraction], value: Fraction) -> int:
-        # The unique level whose cumulative interval contains `value`;
-        # bisect_left skips zero-probability duplicates.
-        return bisect_left(cum, value)
-
-    lam = [level_for(cum_q, value) for value in grid]
-    lam_prime = [level_for(cum_p, value) for value in grid]
-
-    # Slopes kappa * q_i / g_i on initial levels, kappa * p_i / g_i on final
-    # levels; kappa set so the first initial weight equals the anchor.
-    i0 = lam[0]
-    kappa = cells[0] * g[i0] / (q[i0] * anchor_weight)
-    init_weights = tuple(
-        cell * g[i] / (kappa * q[i]) for cell, i in zip(cells, lam)
-    )
-    fin_weights = tuple(
-        cell * g[i] / (kappa * p[i]) for cell, i in zip(cells, lam_prime)
-    )
-    return Reservoir(tuple(cells), init_weights, fin_weights)
+    for left, s in initials:
+        while left:
+            if not left_prime:
+                left_prime, s_prime = next(finals)
+            m = min(left, left_prime)
+            cells.append((Fraction(m, den), s, s_prime))
+            left -= m
+            left_prime -= m
+    m0, _, s0_prime = cells[0]
+    return _slope_matched(cells, m0 / (s0_prime * anchor_weight))
 
 
 def alt_product_reservoir(t: Transition) -> Reservoir:
@@ -227,24 +224,25 @@ def alt_product_reservoir(t: Transition) -> Reservoir:
         raise NontrivialHamiltonian("all level weights must be equal")
     if any(x == 0 for x in p) or any(x == 0 for x in q):
         raise ZeroProbability("both endpoint distributions must be strictly positive")
-    r = tuple(pi * qj for pi in p for qj in q)
-    init_weights = tuple(pi for pi in p for _ in q)
-    fin_weights = tuple(qj for _ in p for qj in q)
-    return Reservoir(r, init_weights, fin_weights)
+    initial = [(x, x / g[0]) for x in p]
+    final = [(x, x / g[0]) for x in q]
+    return _slope_matched(((a * b, s, s_prime) for a, s in initial for b, s_prime in final), g[0])
 
 
 def joint_states(t: Transition, res: Reservoir) -> tuple[ThermoState, ThermoState]:
     """System (x) reservoir endpoints over the shared joint level set."""
-    return tensor(t.initial, res.initial_state()), tensor(t.final, res.final_state())
+    work = res.work_transition()
+    return tensor(t.initial, work.initial), tensor(t.final, work.final)
 
 
 def verify_efficient(t: Transition, res: Reservoir) -> bool:
     """Exact zero-dissipation check: do the joint curves coincide?
 
     The joint curves are the monoid products
-    ``product(curve_of(t.initial), curve_of(res.initial_state()))`` and
-    ``product(curve_of(t.final), curve_of(res.final_state()))``.  Before
-    forming them, one necessary condition is checked in O(n), since the
+    ``product(curve_of(t.initial), curve_of(work.initial))`` and
+    ``product(curve_of(t.final), curve_of(work.final))`` for ``work =
+    res.work_transition()``.  Before forming them, one necessary condition is
+    checked in O(n), since the
     product multiplies it: the sloped widths (D_0) of the two sides must
     agree.  Every comparison is exact.
 
@@ -252,7 +250,8 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     this module is expected to pass it but none is trusted without it.
     """
     sys_i, sys_f = curve_of(t.initial), curve_of(t.final)
-    res_i, res_f = curve_of(res.initial_state()), curve_of(res.final_state())
+    work = res.work_transition()
+    res_i, res_f = curve_of(work.initial), curve_of(work.final)
     if sys_i.sloped_width * res_i.sloped_width != sys_f.sloped_width * res_f.sloped_width:
         return False
     return coincide(product(sys_i, res_i), product(sys_f, res_f))
@@ -275,8 +274,8 @@ def minimal_formation_pair(sys: ThermoState) -> tuple[Curve, Curve]:
     Formation tau -> sys runs the extraction reservoir backwards: the initial
     work curve copies the system's slope pattern, the final one is straight.
     """
-    res = minimal_extraction_reservoir(sys)
-    return curve_of(res.final_state()), curve_of(res.initial_state())
+    work = minimal_extraction_reservoir(sys).work_transition()
+    return curve_of(work.final), curve_of(work.initial)
 
 
 def characterize_formation_family(

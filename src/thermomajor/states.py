@@ -32,13 +32,18 @@ Rat = Fraction
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
+#: Largest decimal exponent :func:`as_rat` accepts (``"1e4300"``), Python's
+#: default int-from-string digit cap; each unit of exponent is one more digit.
+_MAX_DECIMAL_EXPONENT = 4300
+
 
 def as_rat(value: object) -> Fraction:
     """Coerce an int, Fraction, or string like ``"2/3"`` to an exact rational.
 
-    Decimal strings are converted exactly (``"0.5"`` becomes 1/2).  Floats are
-    rejected: silent binary-fraction conversion would defeat the point of an
-    exact core, so callers must rationalize floats explicitly.
+    Decimal strings are converted exactly (``"0.5"`` becomes 1/2), with a
+    decimal exponent of at most ``_MAX_DECIMAL_EXPONENT`` either way.  Floats
+    are rejected: silent binary-fraction conversion would defeat the point of
+    an exact core, so callers must rationalize floats explicitly.
     """
     if isinstance(value, Fraction):
         return value
@@ -47,8 +52,15 @@ def as_rat(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        too_long = len(exponent) > len(str(_MAX_DECIMAL_EXPONENT))
+        if exponent.isdecimal() and (too_long or int(exponent) > _MAX_DECIMAL_EXPONENT):
+            raise ParseError(
+                f"not a rational: {value!r} (decimal exponent beyond {_MAX_DECIMAL_EXPONENT})"
+            )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
     raise ParseError(f"expected int, Fraction or 'p/q' string, got {type(value).__name__}")

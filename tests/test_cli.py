@@ -98,6 +98,25 @@ class TestCurve:
         assert exact == breakpoints(curve_of(state_from_dict(data)))
         assert [row[2] for row in rows] == ["0.0", "1.0", "inf"]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
+            (
+                json.dumps({"probs": ["1/2", "1/2"], "weights": ["1", "1e999999999"]}),
+                "weights[1]: not a rational: '1e999999999' (decimal exponent beyond 4300)",
+            ),
+        ],
+        ids=["deep-nesting", "huge-exponent"],
+    )
+    def test_hostile_input_exits_2(self, tmp_path, text, message):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        proc = run_python("-m", "thermomajor.cli", "curve", str(path), timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"input error: {path}: {message}\n"
+
 
 class TestMajorize:
     def test_true_direction(self, capsys, state_files):

@@ -21,7 +21,13 @@ from thermomajor.curves import (
     product,
     realize_state,
 )
-from thermomajor.errors import InvalidCurve, OutsideDomain, ThermomajorError, WidthMismatch
+from thermomajor.errors import (
+    InvalidCurve,
+    OutsideDomain,
+    ParseError,
+    ThermomajorError,
+    WidthMismatch,
+)
 from thermomajor.states import ThermoState, _exact_sum, gibbs_of, make_state, tensor
 
 from conftest import family_states, random_curve, random_state, seeded
@@ -146,6 +152,19 @@ class TestCurveValidation:
     def test_check_fires(self, segments, width, message):
         with pytest.raises(InvalidCurve, match=f"^{re.escape(message)}$"):
             Curve(tuple(Segment(h, x) for h, x in segments), width)
+
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: Curve((Segment(0.5, 1.0), Segment(0.5, 0.5)), 3), "0.5"),
+            (lambda: canonical_curve([(0.5, 1.0), (0.5, 0.5)], 3), "0.5"),
+            (lambda: Curve((Segment(1, 1),), 1.5), "1.5"),
+        ],
+        ids=["curve-float-segments", "canonical-float-pairs", "curve-float-width"],
+    )
+    def test_rejects_non_rational_values(self, build, bad):
+        with pytest.raises(ParseError, match=f"^not a rational: {re.escape(bad)}$"):
+            build()
 
     def test_boundaries_accepted(self):
         # Slopes 10^-40 apart still strictly decrease; sloped width may equal the total.

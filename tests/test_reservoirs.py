@@ -1,7 +1,9 @@
 """Deterministic work bounds and the three reservoir constructions."""
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,7 +31,14 @@ from thermomajor.reservoirs import (
     two_level_formation_bound,
     verify_efficient,
 )
-from thermomajor.states import Transition, clock_lift, gibbs_of, is_gibbs, make_state
+from thermomajor.states import (
+    ThermoState,
+    Transition,
+    clock_lift,
+    gibbs_of,
+    is_gibbs,
+    make_state,
+)
 
 from conftest import family_states, random_full_support_state, random_state, seeded
 
@@ -337,9 +346,9 @@ class TestVerifyEfficient:
             weights = random_state(rng, dim).weights
             a = random_state(rng, dim, allow_zero=True, weights=weights)
             b = random_state(rng, dim, allow_zero=True, weights=weights)
-            res = general_efficient_reservoir(Transition(a, b))
-            init_probs = sorted(p for p in res.initial_state().probs if p > 0)
-            fin_probs = sorted(p for p in res.final_state().probs if p > 0)
+            work = general_efficient_reservoir(Transition(a, b)).work_transition()
+            init_probs = sorted(p for p in work.initial.probs if p > 0)
+            fin_probs = sorted(p for p in work.final.probs if p > 0)
             assert init_probs == fin_probs
 
 
@@ -357,11 +366,112 @@ class TestJointStatesAgainstMonoid:
             res = Reservoir(res.r, res.init_weights, tuple(fin))
         ji, jf = joint_states(t, res)
         joint_i, joint_f = curve_of(ji), curve_of(jf)
-        assert joint_i == product(curve_of(t.initial), curve_of(res.initial_state()))
-        assert joint_f == product(curve_of(t.final), curve_of(res.final_state()))
+        work = res.work_transition()
+        assert joint_i == product(curve_of(t.initial), curve_of(work.initial))
+        assert joint_f == product(curve_of(t.final), curve_of(work.final))
         verdict = verify_efficient(t, res)
         assert verdict == coincide(joint_i, joint_f)
         assert verdict is not tampered
+
+
+def reference_general(t, anchor):
+    """The cumulative-grid definition: refine both cumulative sums on their
+    merged breakpoints and find each cell's levels by bisection."""
+    p, q, g = t.initial.probs, t.final.probs, t.weights
+    if p == q:
+        return Reservoir((F(1),), (anchor,), (anchor,))
+    cum_p, cum_q = list(accumulate(p)), list(accumulate(q))
+    grid = sorted((set(cum_p) | set(cum_q)) - {0})
+    cells = [b - a for a, b in zip([F(0)] + grid, grid)]
+    lam = [bisect_left(cum_q, value) for value in grid]
+    lam_prime = [bisect_left(cum_p, value) for value in grid]
+    kappa = cells[0] * g[lam[0]] / (q[lam[0]] * anchor)
+    return Reservoir(
+        tuple(cells),
+        tuple(m * g[i] / (kappa * q[i]) for m, i in zip(cells, lam)),
+        tuple(m * g[j] / (kappa * p[j]) for m, j in zip(cells, lam_prime)),
+    )
+
+
+def reference_minimal(p, c):
+    """Curve heights r_i with weights r_i / c and r_i / (c Z a_i)."""
+    segments = curve_of(p).segments
+    r = tuple(seg.height for seg in segments)
+    return Reservoir(
+        r,
+        tuple(x / c for x in r),
+        tuple(x / (c * p.z * seg.slope) for x, seg in zip(r, segments)),
+    )
+
+
+def reference_product(t):
+    """Product distribution p_i p'_j with weights p_i and p'_j."""
+    p, q = t.initial.probs, t.final.probs
+    return Reservoir(
+        tuple(pi * qj for pi in p for qj in q),
+        tuple(pi for pi in p for _ in q),
+        tuple(qj for _ in p for qj in q),
+    )
+
+
+def reference_work_states(res):
+    """``r`` zero-padded onto the concatenated weight blocks."""
+    zeros = (F(0),) * len(res.r)
+    weights = res.init_weights + res.fin_weights
+    return ThermoState(res.r + zeros, weights), ThermoState(zeros + res.r, weights)
+
+
+@st.composite
+def with_zeros(draw, state):
+    """``state`` with a drawn set of levels emptied and the rest rescaled."""
+    keep = draw(st.lists(st.booleans(), min_size=state.dim, max_size=state.dim))
+    probs = [x if k else F(0) for x, k in zip(state.probs, keep)]
+    total = sum(probs)
+    assume(total > 0)
+    return ThermoState(tuple(x / total for x in probs), state.weights)
+
+
+class TestConstructorsMatchReference:
+    """Every constructor returns exactly the reservoir of its reference
+    definition, and its work transition is the zero-padded pair."""
+
+    gauges = st.builds(F, st.integers(1, 50), st.integers(1, 50))
+
+    @pytest.mark.parametrize("palette", [False, True], ids=["generic", "palette"])
+    @pytest.mark.parametrize("kind", ["plain", "lifted", "extraction", "product"])
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference(self, kind, palette, data):
+        draw = data.draw
+        dim = draw(st.integers(1, 8))
+        if kind == "product":
+            weights = (draw(self.gauges),) * dim
+            initial = draw(family_states(dim, palette, weights))
+            final = draw(family_states(dim, palette, weights))
+            assume(all(initial.probs) and all(final.probs))
+            t = Transition(initial, final)
+            res, expected = alt_product_reservoir(t), reference_product(t)
+        elif kind == "extraction":
+            p = draw(with_zeros(draw(family_states(dim, palette))))
+            assume(not is_gibbs(p))
+            c = draw(self.gauges)
+            res, expected = minimal_extraction_reservoir(p, c), reference_minimal(p, c)
+        else:
+            if kind == "lifted":
+                t = clock_lift(
+                    draw(with_zeros(draw(family_states(draw(st.integers(1, 4)), palette)))),
+                    draw(with_zeros(draw(family_states(draw(st.integers(1, 4)), palette)))),
+                )
+            else:
+                initial = draw(with_zeros(draw(family_states(dim, palette))))
+                final = draw(family_states(dim, palette, initial.weights))
+                t = Transition(initial, draw(with_zeros(final)))
+            anchor = draw(self.gauges)
+            res = general_efficient_reservoir(t, anchor)
+            expected = reference_general(t, anchor)
+        assert res == expected
+        work = res.work_transition()
+        assert (work.initial, work.final) == reference_work_states(expected)
 
 
 class TestFormationFamily:

@@ -62,6 +62,27 @@ class TestMakeState:
         assert as_rat("0.5") == Fraction(1, 2)
 
     @pytest.mark.parametrize(
+        "text, value",
+        [
+            (" 1e4300 ", Fraction(10**4300)),
+            ("1E-4_300", Fraction(1, 10**4300)),
+            ("2.5e0003", Fraction(2500)),
+        ],
+        ids=["at-cap", "at-cap-negative", "leading-zeros"],
+    )
+    def test_decimal_exponent_up_to_cap(self, text, value):
+        assert as_rat(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e4301", "1e-999999999", "1e999999999 ", "1e" + "9" * 5000],
+        ids=["cap-plus-one", "huge-negative", "huge-trailing-space", "beyond-int-digit-cap"],
+    )
+    def test_decimal_exponent_beyond_cap_rejected(self, text):
+        with pytest.raises(ParseError, match="decimal exponent beyond 4300"):
+            as_rat(text)
+
+    @pytest.mark.parametrize(
         "probs, weights, bad",
         [
             ((0.5, 0.5), (1, 1), "0.5"),
