@@ -193,8 +193,8 @@ def general_efficient_reservoir(
     # North-west corner over the occupied levels: each cell takes what is
     # left of the current initial and final level.  Both sides hold `den` in
     # all, so the final levels run out exactly with the initial ones.
-    initials = ((m, x / w) for m, x, w in zip(masses, p, g) if m)
-    finals = ((m, x / w) for m, x, w in zip(masses[len(p):], q, g) if m)
+    initials = ((m, Fraction(x, w)) for m, x, w in zip(masses, p, g) if m)
+    finals = ((m, Fraction(x, w)) for m, x, w in zip(masses[len(p):], q, g) if m)
     left_prime, s_prime = next(finals)
     cells = []
     for left, s in initials:
@@ -224,9 +224,8 @@ def alt_product_reservoir(t: Transition) -> Reservoir:
         raise NontrivialHamiltonian("all level weights must be equal")
     if any(x == 0 for x in p) or any(x == 0 for x in q):
         raise ZeroProbability("both endpoint distributions must be strictly positive")
-    initial = [(x, x / g[0]) for x in p]
-    final = [(x, x / g[0]) for x in q]
-    return _slope_matched(((a * b, s, s_prime) for a, s in initial for b, s_prime in final), g[0])
+    # Equal weights cancel from the rule: slopes p_i and p'_j with gauge 1.
+    return _slope_matched(((a * b, a, b) for a in p for b in q), _ONE)
 
 
 def joint_states(t: Transition, res: Reservoir) -> tuple[ThermoState, ThermoState]:

@@ -473,6 +473,28 @@ class TestConstructorsMatchReference:
         work = res.work_transition()
         assert (work.initial, work.final) == reference_work_states(expected)
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Transition(ThermoState((1, 0), (1, 2)), ThermoState((0, 1), (1, 2))),
+            Transition(
+                ThermoState((F(1, 2), 0, F(1, 2)), (1, 2, 3)),
+                ThermoState((0, F(1, 3), F(2, 3)), (1, 2, 3)),
+            ),
+            clock_lift(ThermoState((1, 0), (1, 3)), ThermoState((F(1, 4), F(3, 4)), (2, 1))),
+            Transition(ThermoState((1,), (3,)), ThermoState((1,), (3,))),
+        ],
+        ids=["pure", "mixed", "lifted", "single"],
+    )
+    def test_int_entries(self, t):
+        """Plain ints, accepted by ThermoState, build the same reservoirs."""
+        for anchor in (1, F(3, 7)):
+            assert general_efficient_reservoir(t, anchor) == reference_general(t, F(anchor))
+        if not is_gibbs(t.initial):
+            assert minimal_extraction_reservoir(t.initial) == reference_minimal(t.initial, F(1))
+        if len(set(t.weights)) == 1 and all(t.initial.probs) and all(t.final.probs):
+            assert alt_product_reservoir(t) == reference_product(t)
+
 
 class TestFormationFamily:
     def test_minimal_pair_is_a_member(self):
