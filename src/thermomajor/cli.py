@@ -2,8 +2,11 @@
 
 Subcommands: curve, majorize, divergence, build-reservoir, verify,
 catalytic-check, oracle-check, engine, reproduce.  Exit codes: 0 success or
-verdict-true, 1 verdict-false, 2 input error, 3 reproduction mismatch.
-THERMO_ALPHA_GRID overrides the default alpha grid.
+verdict-true, 1 verdict-false, 2 input error (or a domain limit, such as an
+output rational beyond Python's digit limit for integer strings), 3
+reproduction mismatch, 4 internal error (an unexpected exception, reported
+in one line on stderr without a traceback).  THERMO_ALPHA_GRID overrides the
+default alpha grid.
 
 Rationals serialize as "p/q" strings so JSON output re-parses exactly; with a
 fixed seed all output is byte-identical across runs.
@@ -105,10 +108,22 @@ def _float_token(x: float) -> object:
     return x
 
 
+def _rational_str(x: Fraction) -> str:
+    """``x`` as its "p/q" string, refusing a numerator or denominator with
+    more digits than Python converts to a string."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise ThermomajorError(
+            f"an output rational has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for integer string conversion"
+        ) from exc
+
+
 def _rational_token(x: object) -> str:
     """JSON hook: a Fraction becomes its "p/q" string; nothing else is encoded."""
     if isinstance(x, Fraction):
-        return str(x)
+        return _rational_str(x)
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
@@ -164,7 +179,7 @@ def _decimal(x: Fraction) -> str:
 def breakpoints_csv(curve: Curve) -> str:
     lines = ["x,y,x_decimal,y_decimal"]
     for x, y in breakpoints(curve):
-        lines.append(f"{x},{y},{_decimal(x)},{_decimal(y)}")
+        lines.append(f"{_rational_str(x)},{_rational_str(y)},{_decimal(x)},{_decimal(y)}")
     return "\n".join(lines) + "\n"
 
 
@@ -187,7 +202,7 @@ def curve_svg(curve: Curve) -> str:
         f'fill="none" stroke="{axis_color}" stroke-width="1"/>\n'
         f'  <text x="{SVG_MARGIN}" y="{SVG_HEIGHT - SVG_MARGIN + 20}" font-size="14">0</text>\n'
         f'  <text x="{SVG_WIDTH - SVG_MARGIN}" y="{SVG_HEIGHT - SVG_MARGIN + 20}" '
-        f'font-size="14" text-anchor="end">{curve.total_width}</text>\n'
+        f'font-size="14" text-anchor="end">{_rational_str(curve.total_width)}</text>\n'
         f'  <text x="{SVG_MARGIN - 10}" y="{SVG_MARGIN + 5}" font-size="14" '
         f'text-anchor="end">1</text>\n'
         f'  <polyline points="{points}" fill="none" stroke="#1f77b4" stroke-width="2"/>\n'
@@ -601,6 +616,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # last resort: keep exit 1 for "verdict false"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

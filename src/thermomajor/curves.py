@@ -12,12 +12,17 @@ under the tensor product (heights and slopes multiply pairwise, equal slopes
 merge, widths multiply).  The monoid is cancellative: :func:`divide` peels
 the unique quotient off a product when one exists.
 
-:func:`canonical_curve` and :func:`product` share one integer kernel.  A
-curve's slopes are scaled to integers over the lcm of their denominators,
-and so are its heights; a product slope is then the integer x*y over
-d_a*d_b and a product height h*k over e_a*e_b.  Equal slopes merge in a
-dict keyed by those integers, the keys sort as integers, and one Fraction
-is built per output segment.  ``Curve`` validation reads signs and order
+:func:`canonical_curve`, :func:`product` and :func:`divide` share one
+integer kernel.  A canonical curve is a finite measure on slopes (a height
+at each slope); its slopes are scaled to integers over the lcm of their
+denominators, and so are its heights, giving a dict from slope numerator to
+height numerator.  A product slope is then the integer x*y over d_a*d_b and
+a product height h*k over e_a*e_b, and equal slopes merge in that dict.
+:func:`product` sorts the keys as integers and builds one Fraction per
+output segment.  Two curves of equal width coincide exactly when their
+measures are equal, so :func:`divide`'s multiply-back check and
+``reservoirs.verify_efficient`` compare the dicts over common denominators
+and build no product curve.  ``Curve`` validation reads signs and order
 from numerators and cross products and sums heights and widths in one
 exact integer sum, so every check stays exact.
 """
@@ -27,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional
+from math import lcm
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
 from .states import ThermoState, _ONE, _ZERO, _check_rationals, _exact_sum, _scaled
@@ -106,19 +112,69 @@ class Curve:
         )
 
 
-def _merged(
-    pairs: Iterable[tuple[int, int]], height_den: int, slope_den: int, total_width: Fraction
-) -> Curve:
-    """The canonical curve of integer (height, slope) pairs over one height
-    and one slope denominator: zero heights dropped, equal slopes merged,
-    slopes sorted descending, one Fraction per output segment."""
+class _Measure(NamedTuple):
+    """A curve's slope measure in integers: each slope numerator maps to the
+    height numerator at that slope, over one height and one slope
+    denominator."""
+
+    heights: dict[int, int]
+    height_den: int
+    slope_den: int
+
+
+def _measure(curve: Curve) -> _Measure:
+    """The measure of a canonical curve: its scaled slopes and heights."""
+    heights, height_den = _scaled([seg.height for seg in curve.segments])
+    slopes, slope_den = _scaled([seg.slope for seg in curve.segments])
+    return _Measure(dict(zip(slopes, heights)), height_den, slope_den)
+
+
+def _product_measure(a: Curve, b: Curve) -> _Measure:
+    """The measure of ``product(a, b)``: height h*k at slope x*y for every
+    pair of segments, summed where slopes coincide."""
+    ma, mb = _measure(a), _measure(b)
+    rows = list(mb.heights.items())
     merged: dict[int, int] = {}
-    for height, slope in pairs:
-        if height:
-            merged[slope] = merged.get(slope, 0) + height
+    for x, h in ma.heights.items():
+        for y, k in rows:
+            slope = x * y
+            merged[slope] = merged.get(slope, 0) + h * k
+    return _Measure(merged, ma.height_den * mb.height_den, ma.slope_den * mb.slope_den)
+
+
+def _rescaled(m: _Measure, height_den: int, slope_den: int) -> dict[int, int]:
+    """``m.heights`` over the given multiples of its denominators."""
+    height_factor, slope_factor = height_den // m.height_den, slope_den // m.slope_den
+    if height_factor == slope_factor == 1:
+        return m.heights
+    return {x * slope_factor: h * height_factor for x, h in m.heights.items()}
+
+
+def _same_measure(m: _Measure, n: _Measure) -> bool:
+    """Whether two measures are equal, compared as integers over the lcm of
+    their slope denominators and the lcm of their height denominators."""
+    if len(m.heights) != len(n.heights):
+        return False
+    height_den = lcm(m.height_den, n.height_den)
+    slope_den = lcm(m.slope_den, n.slope_den)
+    return _rescaled(m, height_den, slope_den) == _rescaled(n, height_den, slope_den)
+
+
+def _products_coincide(a: Curve, b: Curve, c: Curve, d: Curve) -> bool:
+    """Whether ``product(a, b)`` and ``product(c, d)`` coincide, decided from
+    their total widths and measures without building either curve."""
+    if a.total_width * b.total_width != c.total_width * d.total_width:
+        return False
+    return _same_measure(_product_measure(a, b), _product_measure(c, d))
+
+
+def _curve(m: _Measure, total_width: Fraction) -> Curve:
+    """The canonical curve of a measure of positive heights: slopes sorted
+    descending, one Fraction per output segment."""
+    heights, height_den, slope_den = m
     segments = tuple(
-        Segment(Fraction(merged[slope], height_den), Fraction(slope, slope_den))
-        for slope in sorted(merged, reverse=True)
+        Segment(Fraction(heights[slope], height_den), Fraction(slope, slope_den))
+        for slope in sorted(heights, reverse=True)
     )
     return Curve(segments, total_width)
 
@@ -134,7 +190,11 @@ def canonical_curve(pairs: Iterable[tuple[Fraction, Fraction]], total_width: Fra
     _check_rationals(x for pair in pairs for x in pair)
     heights, height_den = _scaled([height for height, _ in pairs])
     slopes, slope_den = _scaled([slope for _, slope in pairs])
-    return _merged(zip(heights, slopes), height_den, slope_den, total_width)
+    merged: dict[int, int] = {}
+    for height, slope in zip(heights, slopes):
+        if height:
+            merged[slope] = merged.get(slope, 0) + height
+    return _curve(_Measure(merged, height_den, slope_den), total_width)
 
 
 def curve_of(state: ThermoState) -> Curve:
@@ -230,13 +290,7 @@ def coincide(a: Curve, b: Curve) -> bool:
 
 def product(a: Curve, b: Curve) -> Curve:
     """Monoid product: pairwise (height*height, slope*slope), widths multiply."""
-    ha, ea = _scaled([seg.height for seg in a.segments])
-    xa, da = _scaled([seg.slope for seg in a.segments])
-    hb, eb = _scaled([seg.height for seg in b.segments])
-    xb, db = _scaled([seg.slope for seg in b.segments])
-    rows = list(zip(hb, xb))
-    pairs = ((h * k, x * y) for h, x in zip(ha, xa) for k, y in rows)
-    return _merged(pairs, ea * eb, da * db, a.total_width * b.total_width)
+    return _curve(_product_measure(a, b), a.total_width * b.total_width)
 
 
 def divide(l: Curve, a: Curve) -> Optional[Curve]:
@@ -246,7 +300,8 @@ def divide(l: Curve, a: Curve) -> Optional[Curve]:
     of ``a``'s steepest slope with the quotient's next slope, which forces the
     quotient segment by segment (this is the cancellation argument run as an
     algorithm).  The candidate is checked by multiplying back, so a returned
-    curve is always a genuine quotient.
+    curve is always a genuine quotient; that check compares the integer
+    measure of ``a`` (x) ``q`` with ``l``'s and builds no product curve.
     """
     width = l.total_width / a.total_width
     a_top = a.segments[0]
@@ -283,7 +338,9 @@ def divide(l: Curve, a: Curve) -> Optional[Curve]:
         q = canonical_curve(quotient, width)
     except ValueError:
         return None
-    if product(a, q) != l:
+    # product(a, q) has width a.total_width * width == l.total_width by
+    # construction, so the measures decide the multiply-back check.
+    if not _same_measure(_product_measure(a, q), _measure(l)):
         return None
     return q
 

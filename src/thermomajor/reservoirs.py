@@ -11,9 +11,11 @@ self-certify; tests always go through the verifier.
 Verification runs through the curve monoid: the curve of system (x)
 reservoir is ``product(curve_of(system), curve_of(reservoir))``, so no joint
 state is built.  Sloped width (the D_0 rational) is multiplicative under
-that product, which gives an exact O(n) rejection before either product is
-formed.  :func:`joint_states` keeps the materialised tensor product as an
-independent cross-check.
+that product, which gives an exact O(n) rejection before any product is
+formed.  Past it, the two joint curves are compared as integer slope
+measures (height at each slope, over common denominators), so neither
+product curve is built either.  :func:`joint_states` keeps the materialised
+tensor product as an independent cross-check.
 
 Synthesis routes.  Each level of a reservoir carries one cell of a coupling
 between the initial and final system distributions, weighted by the one
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .curves import Curve, coincide, curve_of, divide, num_distinct_slopes, product
+from .curves import Curve, _products_coincide, coincide, curve_of, divide, num_distinct_slopes
 from .divergences import ln_frac, renyi
 from .errors import (
     DimensionMismatch,
@@ -240,10 +242,14 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     The joint curves are the monoid products
     ``product(curve_of(t.initial), curve_of(work.initial))`` and
     ``product(curve_of(t.final), curve_of(work.final))`` for ``work =
-    res.work_transition()``.  Before forming them, one necessary condition is
-    checked in O(n), since the
-    product multiplies it: the sloped widths (D_0) of the two sides must
-    agree.  Every comparison is exact.
+    res.work_transition()``.  Each factor curve is built and validated.
+    Before any product, one necessary condition is checked in O(n), since
+    the product multiplies it: the sloped widths (D_0) of the two sides must
+    agree.  Then the joint curves coincide exactly when their total widths
+    and their slope measures are equal (a canonical curve is its width and
+    its measure).  The measures are integer dicts from slope to summed
+    height, compared over common denominators, so no product curve,
+    Fraction per segment or sort is needed.  Every comparison is exact.
 
     This is the single source of truth for efficiency; every construction in
     this module is expected to pass it but none is trusted without it.
@@ -253,7 +259,7 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     res_i, res_f = curve_of(work.initial), curve_of(work.final)
     if sys_i.sloped_width * res_i.sloped_width != sys_f.sloped_width * res_f.sloped_width:
         return False
-    return coincide(product(sys_i, res_i), product(sys_f, res_f))
+    return _products_coincide(sys_i, res_i, sys_f, res_f)
 
 
 def average_work(res: Reservoir) -> float:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from thermomajor import cli
 from thermomajor.cli import main
 from thermomajor.curves import breakpoints, curve_of
 from thermomajor.divergences import DEFAULT_ALPHA_GRID
@@ -116,6 +117,34 @@ class TestCurve:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"input error: {path}: {message}\n"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [["curve"], ["curve", "--format", "svg"], ["build-reservoir", "--method", "minimal"]],
+        ids=["csv", "svg", "build-reservoir"],
+    )
+    def test_output_beyond_digit_limit_exits_2(self, tmp_path, argv):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"probs": ["1/2", "1/2"], "weights": ["1", "1e4300"]}))
+        proc = run_python("-m", "thermomajor.cli", *argv, str(path), timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: an output rational has more than 4300 digits, "
+            "the limit for integer string conversion\n"
+        )
+
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch, state_files):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_curve", boom)
+        assert main(["curve", state_files["mixed"]]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: boom\n"
 
 
 class TestMajorize:

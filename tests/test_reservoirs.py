@@ -317,6 +317,26 @@ class TestVerifyEfficient:
                 res = Reservoir((F(1),), (F(i, 13),), (F(j, 17),))
                 assert not verify_efficient(t, res)
 
+    def test_swapped_final_weights_rejected_past_d0(self):
+        t = Transition(
+            make_state(("1/2", "1/2"), (2, 1)), make_state(("1/3", "2/3"), (2, 1))
+        )
+        res = general_efficient_reservoir(t)
+        fin = res.fin_weights
+        swapped = Reservoir(res.r, res.init_weights, (fin[1], fin[0]) + fin[2:])
+        assert fin[0] != fin[1]
+        assert sum(swapped.fin_weights) == sum(fin)  # D_0 of the final side is unchanged
+        assert verify_efficient(t, res)
+        assert not verify_efficient(t, swapped)
+
+    def test_same_slopes_and_d0_but_other_heights_rejected(self):
+        # Both curves have slopes 1/6, 1/12, 1/24 and sloped width 14; the
+        # heights at them are (1/3, 1/3, 1/3) and (1/2, 1/12, 5/12).
+        s = make_state(("1/6",) * 2 + ("1/12",) * 4 + ("1/24",) * 8, (1,) * 14)
+        s_prime = make_state(("1/6",) * 3 + ("1/12",) + ("1/24",) * 10, (1,) * 14)
+        res = Reservoir((F(1),), (F(1),), (F(1),))
+        assert not verify_efficient(Transition(s, s_prime), res)
+
     def test_trivial_reservoir_on_identity(self):
         s = make_state(("1/3", "2/3"), (1, 2))
         res = Reservoir((F(1),), (F(1),), (F(1),))
@@ -372,6 +392,28 @@ class TestJointStatesAgainstMonoid:
         verdict = verify_efficient(t, res)
         assert verdict == coincide(joint_i, joint_f)
         assert verdict is not tampered
+
+    @pytest.mark.parametrize("kind", ["generic", "palette", "lifted", "extraction"])
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_swapped_final_weights(self, kind, data):
+        """Swapping two unequal final weights keeps D_0, so the verdict
+        comes from comparing the joint measures."""
+        t, res = data.draw(transitions_with_reservoirs(kind))
+        fin = list(res.fin_weights)
+        pairs = [(i, j) for i in range(len(fin)) for j in range(i) if fin[i] != fin[j]]
+        assume(pairs)
+        i, j = data.draw(st.sampled_from(pairs))
+        fin[i], fin[j] = fin[j], fin[i]
+        swapped = Reservoir(res.r, res.init_weights, tuple(fin))
+        work = swapped.work_transition()
+        sys_i, sys_f = curve_of(t.initial), curve_of(t.final)
+        res_i, res_f = curve_of(work.initial), curve_of(work.final)
+        assert sys_i.sloped_width * res_i.sloped_width == sys_f.sloped_width * res_f.sloped_width
+        verdict = verify_efficient(t, swapped)
+        assert verdict == coincide(product(sys_i, res_i), product(sys_f, res_f))
+        ji, jf = joint_states(t, swapped)
+        assert verdict == coincide(curve_of(ji), curve_of(jf))
 
 
 def reference_general(t, anchor):
