@@ -3,9 +3,11 @@
 Catalytic thermal operations are governed by monotonicity of every real-order
 Renyi divergence, which no finite sample can certify; verdicts therefore carry
 an explicit grid-only caveat.  Rejection, by contrast, is sound: one violated
-grid point settles infeasibility.  In the zero-dissipation regime the
-all-alpha condition collapses to exact curve coincidence, where catalysts are
-provably useless; :func:`strip_catalyst` is that statement run as code.
+grid point settles infeasibility.  Every per-order comparison comes from
+``divergences._order_compare`` (exact at alpha = 0 and inf), so this module
+holds no order rule of its own.  In the zero-dissipation regime the all-alpha
+condition collapses to exact curve coincidence, where catalysts are provably
+useless; :func:`strip_catalyst` is that statement run as code.
 """
 
 from __future__ import annotations
@@ -16,24 +18,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .curves import coincide, curve_of
-from .divergences import (
-    DEFAULT_ALPHA_GRID,
-    d0_support_mass,
-    dinf_max_ratio,
-    renyi,
-)
+from .divergences import DEFAULT_ALPHA_GRID, _order_compare
 from .errors import (
     CatalystMarginalMismatch,
     CurvesDiffer,
     DimensionMismatch,
     NotProductState,
 )
-from .states import ThermoState, Transition, gibbs_of
-
-_ZERO = Fraction(0)
-
-#: Largest |D_alpha(a) - D_alpha(b)| that :func:`coincide_iff_alpha_equal` reads as equal.
-_ALPHA_EQUAL_TOL = 1e-12
+from .states import ThermoState, Transition, _exact_sum, gibbs_of, tensor
 
 
 @dataclass(frozen=True)
@@ -58,36 +50,20 @@ def cto_feasible(
     """Check D_alpha(initial || tau) >= D_alpha(final || tau) on a grid.
 
     ``nonnegative_only`` restricts to alpha >= 0, the regime where an
-    infinitesimal work investment is allowed.  The endpoints alpha = 0 and
-    alpha = inf are compared exactly through their inner rationals; interior
-    points use floats with a 1e-12 slack.
+    infinitesimal work investment is allowed.  Each order is compared by
+    ``divergences._order_compare``: exactly at alpha = 0 and alpha = inf
+    through their inner rationals, within ``_ORDER_TOL`` elsewhere.
     """
     tau = gibbs_of(t.initial)
     grid = tuple(float(a) for a in alpha_grid)
     if nonnegative_only:
         # Drop the negative reals only: nan and -inf go on to be refused.
         grid = tuple(a for a in grid if not -math.inf < a < 0)
-    witnessed = []
-    feasible = True
-    for alpha in grid:
-        d_init = renyi(alpha, t.initial, tau)
-        d_fin = renyi(alpha, t.final, tau)
-        witnessed.append((alpha, d_init, d_fin))
-        if alpha == 0:
-            # D_0 compares the tau-mass of supports, larger mass = smaller D.
-            if d0_support_mass(t.initial, tau) > d0_support_mass(t.final, tau):
-                feasible = False
-        elif math.isinf(alpha) and alpha > 0:
-            ratio_init = dinf_max_ratio(t.initial, tau)
-            ratio_fin = dinf_max_ratio(t.final, tau)
-            if ratio_init is not None and (ratio_fin is None or ratio_init < ratio_fin):
-                feasible = False
-        else:
-            if math.isinf(d_init):
-                continue
-            if math.isinf(d_fin) or d_fin > d_init + 1e-12:
-                feasible = False
-    return CtoVerdict(feasible, tuple(witnessed))
+    compared = [_order_compare(alpha, t.initial, t.final, tau) for alpha in grid]
+    return CtoVerdict(
+        all(sign >= 0 for _, _, sign in compared),
+        tuple((alpha, d_init, d_fin) for alpha, (d_init, d_fin, _) in zip(grid, compared)),
+    )
 
 
 def _factor_product(
@@ -95,45 +71,34 @@ def _factor_product(
 ) -> tuple[ThermoState, ThermoState]:
     """Split a system-major joint state into (system, catalyst) marginals.
 
-    Raises NotProductState unless both the probabilities and the weights
-    factor exactly; the weight split anchors the catalyst factor at the first
-    system level, which fixes the (physically irrelevant) scale.
+    Raises NotProductState unless the tensor product of the marginals rebuilds
+    the joint exactly, probabilities first, then weights; the weight split
+    anchors the catalyst factor at the first system level, which fixes the
+    (physically irrelevant) scale.
     """
-    n_total = state.dim
-    if catalyst_dim < 1 or n_total % catalyst_dim != 0:
+    n = catalyst_dim
+    if n < 1 or state.dim % n != 0:
         raise DimensionMismatch(
-            f"joint dimension {n_total} not divisible by catalyst dimension {catalyst_dim}"
+            f"joint dimension {state.dim} not divisible by catalyst dimension {n}"
         )
-    n_sys = n_total // catalyst_dim
-
-    def cell(s: int, k: int) -> int:
-        return s * catalyst_dim + k
-
-    sys_probs = tuple(
-        sum((state.probs[cell(s, k)] for k in range(catalyst_dim)), _ZERO)
-        for s in range(n_sys)
+    cat_weights = state.weights[:n]
+    anchor = Fraction(cat_weights[0])  # int weights divide exactly too
+    sys = ThermoState(
+        tuple(_exact_sum(state.probs[s : s + n]) for s in range(0, state.dim, n)),
+        tuple(w / anchor for w in state.weights[::n]),
     )
-    cat_probs = tuple(
-        sum((state.probs[cell(s, k)] for s in range(n_sys)), _ZERO)
-        for k in range(catalyst_dim)
-    )
-    for s in range(n_sys):
-        for k in range(catalyst_dim):
-            if state.probs[cell(s, k)] != sys_probs[s] * cat_probs[k]:
+    cat = ThermoState(tuple(_exact_sum(state.probs[k::n]) for k in range(n)), cat_weights)
+    joint = tensor(sys, cat)
+    for name, got, want in (
+        ("probability", state.probs, joint.probs),
+        ("weight", state.weights, joint.weights),
+    ):
+        for i, (x, y) in enumerate(zip(got, want)):
+            if x != y:
                 raise NotProductState(
-                    f"probability at joint level ({s}, {k}) does not factor"
+                    f"{name} at joint level {divmod(i, n)} does not factor"
                 )
-    cat_weights = tuple(state.weights[cell(0, k)] for k in range(catalyst_dim))
-    sys_weights = tuple(
-        state.weights[cell(s, 0)] / cat_weights[0] for s in range(n_sys)
-    )
-    for s in range(n_sys):
-        for k in range(catalyst_dim):
-            if state.weights[cell(s, k)] != sys_weights[s] * cat_weights[k]:
-                raise NotProductState(
-                    f"weight at joint level ({s}, {k}) does not factor"
-                )
-    return ThermoState(sys_probs, sys_weights), ThermoState(cat_probs, cat_weights)
+    return sys, cat
 
 
 def strip_catalyst(
@@ -173,13 +138,7 @@ def coincide_iff_alpha_equal(a: ThermoState, b: ThermoState) -> tuple[bool, bool
         raise DimensionMismatch("states must share the same weights")
     tau = gibbs_of(a)
     curves_equal = coincide(curve_of(a), curve_of(b))
-    alphas_equal = True
-    for alpha in DEFAULT_ALPHA_GRID:
-        da = renyi(alpha, a, tau)
-        db = renyi(alpha, b, tau)
-        if math.isinf(da) and math.isinf(db):
-            continue
-        if math.isinf(da) or math.isinf(db) or abs(da - db) > _ALPHA_EQUAL_TOL:
-            alphas_equal = False
-            break
+    alphas_equal = all(
+        _order_compare(alpha, a, b, tau)[2] == 0 for alpha in DEFAULT_ALPHA_GRID
+    )
     return curves_equal, alphas_equal

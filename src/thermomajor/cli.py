@@ -41,6 +41,7 @@ from .reservoirs import (
 )
 from .states import (
     Transition,
+    _decode,
     as_rat,
     clock_lift,
     make_state,
@@ -72,11 +73,7 @@ def _load(path: str, parse: Callable[[object], _T]) -> _T:
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        return parse(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError(f"{path}: JSON nested too deeply") from exc
+        return parse(_decode(text))
     except ThermomajorError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -7,11 +7,16 @@ logs throughout.
 
 One private kernel holds every order's rules, and :func:`renyi` (two states)
 and :func:`curve_alpha_divergence` (a curve against its equilibrium) only
-supply its inputs.  Conventions at zeros: 0*ln(0) = 0; for alpha >= 1 a
-probability outside the reference support gives +inf; for alpha < 0 a
-reference level that carries no probability gives +inf (the formula's
-negative power diverges).  A curve's flat tail carries no segment, so the
-curve form has no such level and stays finite at negative orders.
+supply its inputs.  Beside it, one private comparison decides which of two
+states has the larger D_alpha against a reference: exactly at alpha = 0 and
+infinity, within ``_ORDER_TOL`` at every other order.  The catalytic checks
+take every order verdict from it.
+
+Conventions at zeros: 0*ln(0) = 0; for alpha >= 1 a probability outside the
+reference support gives +inf; for alpha < 0 a reference level that carries
+no probability gives +inf (the formula's negative power diverges).  A
+curve's flat tail carries no segment, so the curve form has no such level
+and stays finite at negative orders.
 
 Negative orders use the sign-flipped variant sgn(alpha)/(alpha-1) * ln(sum),
 the member of the extended free-energy family that is nonnegative and
@@ -59,6 +64,10 @@ DEFAULT_ALPHA_GRID: tuple[float, ...] = (
     4.0,
     math.inf,
 )
+
+#: Absolute slack within which :func:`_order_compare` reads two D_alpha values
+#: as equal, at every order other than 0 and inf.
+_ORDER_TOL = 1e-12
 
 #: Absolute slack on each order's log ratio in :func:`jarzynski_ratio_check`.
 _RATIO_TOL = 1e-9
@@ -146,6 +155,28 @@ def renyi(alpha: float, p: ThermoState, q: ThermoState) -> float:
     )
 
 
+def _order_compare(
+    alpha: float, p: ThermoState, q: ThermoState, tau: ThermoState
+) -> tuple[float, float, int]:
+    """D_alpha(p || tau), D_alpha(q || tau) and the sign of their difference.
+
+    The sign is exact at alpha = 0, where a larger tau-mass of the support
+    means a smaller D_0, and at alpha = inf, from the max ratio (None is
+    +inf).  At every other order a value must exceed the other by more than
+    ``_ORDER_TOL`` to count as larger, so two infinities are equal.
+    """
+    d_p, d_q = renyi(alpha, p, tau), renyi(alpha, q, tau)
+    if alpha == 0:
+        mass_p, mass_q = d0_support_mass(p, tau), d0_support_mass(q, tau)
+        return d_p, d_q, (mass_p < mass_q) - (mass_p > mass_q)
+    if alpha == math.inf:
+        ratio_p, ratio_q = dinf_max_ratio(p, tau), dinf_max_ratio(q, tau)
+        if ratio_p is None or ratio_q is None:
+            return d_p, d_q, (ratio_p is None) - (ratio_q is None)
+        return d_p, d_q, (ratio_p > ratio_q) - (ratio_p < ratio_q)
+    return d_p, d_q, (d_p > d_q + _ORDER_TOL) - (d_q > d_p + _ORDER_TOL)
+
+
 def entropy_production(t: Transition) -> float:
     """D_1(initial || tau) - D_1(final || tau) for the shared Gibbs state.
 
@@ -205,7 +236,7 @@ def curve_alpha_divergence(curve: Curve, alpha: float) -> float:
 def jarzynski_ratio_check(
     res,
     sys: ThermoState,
-    alphas: Sequence[float] = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, math.inf),
+    alphas: Sequence[float] = tuple(a for a in DEFAULT_ALPHA_GRID if a >= 0),
 ) -> bool:
     """Check the fluctuation-style ratio identity for formation/extraction reservoirs.
 

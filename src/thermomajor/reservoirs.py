@@ -153,6 +153,7 @@ def minimal_extraction_reservoir(p: ThermoState, c: Fraction = _ONE) -> Reservoi
     slope pattern scaled by c Z.  ``c`` is a free gauge; energies shift by a
     constant under rescaling.
     """
+    _check_rationals((c,))
     c = Fraction(c)
     if c <= 0:
         raise NonPositiveWeight(f"gauge constant c={c} must be positive")
@@ -182,6 +183,7 @@ def general_efficient_reservoir(
     initial weight equals it exactly.  Equal endpoints yield the trivial
     two-level reservoir.
     """
+    _check_rationals((anchor_weight,))
     anchor_weight = Fraction(anchor_weight)
     if anchor_weight <= 0:
         raise NonPositiveWeight(f"anchor weight {anchor_weight} must be positive")

@@ -241,9 +241,15 @@ def state_to_json(state: ThermoState) -> str:
     return json.dumps(state_to_dict(state), sort_keys=True)
 
 
-def state_from_json(text: str) -> ThermoState:
+def _decode(text: str) -> object:
+    """``json.loads`` whose every failure, deep nesting included, is a ParseError."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return state_from_dict(data)
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
+
+
+def state_from_json(text: str) -> ThermoState:
+    return state_from_dict(_decode(text))

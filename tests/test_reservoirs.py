@@ -71,6 +71,12 @@ def transitions_with_reservoirs(draw, kind):
     return t, general_efficient_reservoir(t)
 
 
+#: Gauge constants that are not rationals, with how the error shows them.
+NON_RATIONAL_GAUGES = pytest.mark.parametrize(
+    "gauge, shown", [(0.1, "0.1"), (True, "True"), ("3", "'3'")], ids=["float", "bool", "str"]
+)
+
+
 class TestReservoirValidation:
     @pytest.mark.parametrize(
         "r, init_weights, fin_weights, bad",
@@ -137,6 +143,12 @@ class TestMinimalReservoir:
         res3 = minimal_extraction_reservoir(p, F(3))
         assert tuple(w * 3 for w in res3.init_weights) == res1.init_weights
         assert tuple(w * 3 for w in res3.fin_weights) == res1.fin_weights
+
+    @NON_RATIONAL_GAUGES
+    def test_gauge_constant_must_be_rational(self, gauge, shown):
+        with pytest.raises(ParseError) as excinfo:
+            minimal_extraction_reservoir(make_state(("2/3", "1/3"), (1, 2)), gauge)
+        assert str(excinfo.value) == f"not a rational: {shown}"
 
     def test_randomized_verification(self):
         rng = seeded(31)
@@ -219,6 +231,13 @@ class TestGeneralReservoir:
         res = general_efficient_reservoir(t, anchor_weight=F(5, 7))
         assert res.init_weights[0] == F(5, 7)
         assert verify_efficient(t, res)
+
+    @NON_RATIONAL_GAUGES
+    def test_anchor_weight_must_be_rational(self, gauge, shown):
+        t = Transition(make_state(("1/2", "1/2"), (2, 1)), make_state(("1/3", "2/3"), (2, 1)))
+        with pytest.raises(ParseError) as excinfo:
+            general_efficient_reservoir(t, gauge)
+        assert str(excinfo.value) == f"not a rational: {shown}"
 
     def test_single_sided_zeros_handled_directly(self):
         t = Transition(

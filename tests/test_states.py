@@ -199,6 +199,10 @@ class TestJson:
         with pytest.raises(ParseError):
             state_from_json('{"probs": ["1/0", "1"], "weights": [1, 1]}')
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^JSON nested too deeply$"):
+            state_from_json("[" * 100000)
+
     def test_deterministic_output(self):
         s = make_state(("1/3", "2/3"), (1, 1))
         assert state_to_json(s) == state_to_json(s)
