@@ -69,8 +69,8 @@ def _load(path: str, parse: Callable[[object], _T]) -> _T:
     says which one is bad.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         return parse(_decode(text))

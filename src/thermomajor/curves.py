@@ -14,26 +14,26 @@ the unique quotient off a product when one exists.
 
 :func:`canonical_curve`, :func:`product` and :func:`divide` share one
 integer kernel.  A canonical curve is a finite measure on slopes (a height
-at each slope); its slopes are scaled to integers over the lcm of their
-denominators, and so are its heights, giving a dict from slope numerator to
-height numerator.  A product slope is then the integer x*y over d_a*d_b and
-a product height h*k over e_a*e_b, and equal slopes merge in that dict.
-:func:`product` sorts the keys as integers and builds one Fraction per
-output segment.  Two curves of equal width coincide exactly when their
-measures are equal, so :func:`divide`'s multiply-back check and
-``reservoirs.verify_efficient`` compare the dicts over common denominators
-and build no product curve.  ``Curve`` validation reads signs and order
-from numerators and cross products and sums heights and widths in one
-exact integer sum, so every check stays exact.
+at each slope).  ``_measure`` scales (height, slope) pairs to integers over
+the lcm of each side's denominators and merges equal slopes in a dict from
+slope numerator to height numerator; a product slope is then x*y over
+d_a*d_b and a product height h*k over e_a*e_b.  Two curves of equal width
+coincide exactly when their measures are equal, so :func:`divide`'s
+multiply-back check and ``reservoirs.verify_efficient``, which reads its
+factors straight from the levels, compare measures and build no product
+curve.  ``Curve`` validation reads signs and order from numerators and
+cross products and sums heights and widths in one exact integer sum, so
+every check stays exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
 from .states import ThermoState, _ONE, _ZERO, _check_rationals, _exact_sum, _scaled
@@ -122,17 +122,37 @@ class _Measure(NamedTuple):
     slope_den: int
 
 
-def _measure(curve: Curve) -> _Measure:
-    """The measure of a canonical curve: its scaled slopes and heights."""
-    heights, height_den = _scaled([seg.height for seg in curve.segments])
-    slopes, slope_den = _scaled([seg.slope for seg in curve.segments])
-    return _Measure(dict(zip(slopes, heights)), height_den, slope_den)
+def _measure(pairs: Sequence[tuple[Fraction, Fraction]]) -> _Measure:
+    """The measure of (height, slope) pairs: heights and slopes scaled to
+    integers over the lcm of their denominators, zero heights dropped and
+    equal slopes merged."""
+    heights, height_den = _scaled([height for height, _ in pairs])
+    slopes, slope_den = _scaled([slope for _, slope in pairs])
+    merged: dict[int, int] = {}
+    for height, slope in zip(heights, slopes):
+        if height:
+            merged[slope] = merged.get(slope, 0) + height
+    return _Measure(merged, height_den, slope_den)
 
 
-def _product_measure(a: Curve, b: Curve) -> _Measure:
-    """The measure of ``product(a, b)``: height h*k at slope x*y for every
-    pair of segments, summed where slopes coincide."""
-    ma, mb = _measure(a), _measure(b)
+def _segment_pairs(curve: Curve) -> list[tuple[Fraction, Fraction]]:
+    return [(seg.height, seg.slope) for seg in curve.segments]
+
+
+def _level_pairs(
+    probs: Sequence[Fraction], weights: Sequence[Fraction]
+) -> list[tuple[Fraction, Fraction]]:
+    """The (height, slope) pair (p_i, p_i / g_i) of every level on the support."""
+    return [
+        (p, Fraction(p.numerator * w.denominator, p.denominator * w.numerator))
+        for p, w in zip(probs, weights)
+        if p
+    ]
+
+
+def _product_measure(ma: _Measure, mb: _Measure) -> _Measure:
+    """The measure of the product: height h*k at slope x*y for every pair of
+    entries, summed where slopes coincide."""
     rows = list(mb.heights.items())
     merged: dict[int, int] = {}
     for x, h in ma.heights.items():
@@ -160,12 +180,12 @@ def _same_measure(m: _Measure, n: _Measure) -> bool:
     return _rescaled(m, height_den, slope_den) == _rescaled(n, height_den, slope_den)
 
 
-def _products_coincide(a: Curve, b: Curve, c: Curve, d: Curve) -> bool:
-    """Whether ``product(a, b)`` and ``product(c, d)`` coincide, decided from
-    their total widths and measures without building either curve."""
-    if a.total_width * b.total_width != c.total_width * d.total_width:
-        return False
-    return _same_measure(_product_measure(a, b), _product_measure(c, d))
+def _products_coincide(*factors: tuple[Sequence[Fraction], Sequence[Fraction]]) -> bool:
+    """Whether the curves of a (x) b and c (x) d have equal measures, for the
+    four factors a, b, c, d given as (probs, weights) levels of valid states.
+    Widths are not compared: callers pass factors whose products share one."""
+    ma, mb, mc, md = (_measure(_level_pairs(*levels)) for levels in factors)
+    return _same_measure(_product_measure(ma, mb), _product_measure(mc, md))
 
 
 def _curve(m: _Measure, total_width: Fraction) -> Curve:
@@ -188,23 +208,12 @@ def canonical_curve(pairs: Iterable[tuple[Fraction, Fraction]], total_width: Fra
     """
     pairs = list(pairs)
     _check_rationals(x for pair in pairs for x in pair)
-    heights, height_den = _scaled([height for height, _ in pairs])
-    slopes, slope_den = _scaled([slope for _, slope in pairs])
-    merged: dict[int, int] = {}
-    for height, slope in zip(heights, slopes):
-        if height:
-            merged[slope] = merged.get(slope, 0) + height
-    return _curve(_Measure(merged, height_den, slope_den), total_width)
+    return _curve(_measure(pairs), total_width)
 
 
 def curve_of(state: ThermoState) -> Curve:
     """Canonical curve of a state: slopes are p_i / g_i on the support."""
-    pairs = [
-        (p, Fraction(p.numerator * w.denominator, p.denominator * w.numerator))
-        for p, w in zip(state.probs, state.weights)
-        if p
-    ]
-    return canonical_curve(pairs, state.z)
+    return canonical_curve(_level_pairs(state.probs, state.weights), state.z)
 
 
 def identity_curve() -> Curve:
@@ -235,15 +244,8 @@ def evaluate(curve: Curve, x: Fraction) -> Fraction:
     """Exact value of the curve at ``x`` in [0, Z]."""
     if x < 0 or x > curve.total_width:
         raise OutsideDomain(f"x={x} outside [0, {curve.total_width}]")
-    y = _ZERO
-    remaining = x
-    for seg in curve.segments:
-        width = seg.height / seg.slope
-        if remaining <= width:
-            return y + remaining * seg.slope
-        y += seg.height
-        remaining -= width
-    return _ONE
+    points = breakpoints(curve)
+    return _height_at(points, bisect_left(points, x, key=lambda point: point[0]), x)
 
 
 def _height_at(points: list[tuple[Fraction, Fraction]], i: int, x: Fraction) -> Fraction:
@@ -290,7 +292,8 @@ def coincide(a: Curve, b: Curve) -> bool:
 
 def product(a: Curve, b: Curve) -> Curve:
     """Monoid product: pairwise (height*height, slope*slope), widths multiply."""
-    return _curve(_product_measure(a, b), a.total_width * b.total_width)
+    measure = _product_measure(_measure(_segment_pairs(a)), _measure(_segment_pairs(b)))
+    return _curve(measure, a.total_width * b.total_width)
 
 
 def divide(l: Curve, a: Curve) -> Optional[Curve]:
@@ -340,7 +343,8 @@ def divide(l: Curve, a: Curve) -> Optional[Curve]:
         return None
     # product(a, q) has width a.total_width * width == l.total_width by
     # construction, so the measures decide the multiply-back check.
-    if not _same_measure(_product_measure(a, q), _measure(l)):
+    product_measure = _product_measure(_measure(_segment_pairs(a)), _measure(quotient))
+    if not _same_measure(product_measure, _measure(_segment_pairs(l))):
         return None
     return q
 

@@ -8,14 +8,12 @@ joint initial and final thermomajorization curves coincide, which is decided
 exactly by :func:`verify_efficient`.  The constructions here never
 self-certify; tests always go through the verifier.
 
-Verification runs through the curve monoid: the curve of system (x)
-reservoir is ``product(curve_of(system), curve_of(reservoir))``, so no joint
-state is built.  Sloped width (the D_0 rational) is multiplicative under
-that product, which gives an exact O(n) rejection before any product is
-formed.  Past it, the two joint curves are compared as integer slope
-measures (height at each slope, over common denominators), so neither
-product curve is built either.  :func:`joint_states` keeps the materialised
-tensor product as an independent cross-check.
+Verification runs through the curve monoid: a joint curve of system (x)
+reservoir is the product of its factor curves, and the two joint widths
+agree by construction, so :func:`verify_efficient` compares the two product
+slope measures, read straight from the levels, as integers; it builds no
+curve, clock lift or joint state.  :func:`joint_states` keeps the
+materialised tensor product as an independent cross-check.
 
 Synthesis routes.  Each level of a reservoir carries one cell of a coupling
 between the initial and final system distributions, weighted by the one
@@ -241,27 +239,22 @@ def joint_states(t: Transition, res: Reservoir) -> tuple[ThermoState, ThermoStat
 def verify_efficient(t: Transition, res: Reservoir) -> bool:
     """Exact zero-dissipation check: do the joint curves coincide?
 
-    The joint curves are the monoid products
-    ``product(curve_of(t.initial), curve_of(work.initial))`` and
-    ``product(curve_of(t.final), curve_of(work.final))`` for ``work =
-    res.work_transition()``.  Each factor curve is built and validated.
-    Before any product, one necessary condition is checked in O(n), since
-    the product multiplies it: the sloped widths (D_0) of the two sides must
-    agree.  Then the joint curves coincide exactly when their total widths
-    and their slope measures are equal (a canonical curve is its width and
-    its measure).  The measures are integer dicts from slope to summed
-    height, compared over common denominators, so no product curve,
-    Fraction per segment or sort is needed.  Every comparison is exact.
+    The joint curves are the system's curves times the reservoir's work
+    curves, ``r`` on ``init_weights`` and on ``fin_weights`` (the clock
+    lift's zero padding adds no segment).  Both have width Z times the sum
+    of all 2d reservoir weights, so they coincide exactly when their slope
+    measures are equal.  Those are read directly from the levels and
+    compared as integers over common denominators, with no curve or state.
 
     This is the single source of truth for efficiency; every construction in
     this module is expected to pass it but none is trusted without it.
     """
-    sys_i, sys_f = curve_of(t.initial), curve_of(t.final)
-    work = res.work_transition()
-    res_i, res_f = curve_of(work.initial), curve_of(work.final)
-    if sys_i.sloped_width * res_i.sloped_width != sys_f.sloped_width * res_f.sloped_width:
-        return False
-    return _products_coincide(sys_i, res_i, sys_f, res_f)
+    return _products_coincide(
+        (t.initial.probs, t.weights),
+        (res.r, res.init_weights),
+        (t.final.probs, t.weights),
+        (res.r, res.fin_weights),
+    )
 
 
 def average_work(res: Reservoir) -> float:

@@ -1,10 +1,13 @@
 """Command-line front end: formats, exit codes, determinism."""
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermomajor import cli
 from thermomajor.cli import main
@@ -107,12 +110,19 @@ class TestCurve:
                 json.dumps({"probs": ["1/2", "1/2"], "weights": ["1", "1e999999999"]}),
                 "weights[1]: not a rational: '1e999999999' (decimal exponent beyond 4300)",
             ),
+            (
+                b"\xff\xfe{}",
+                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
         ],
-        ids=["deep-nesting", "huge-exponent"],
+        ids=["deep-nesting", "huge-exponent", "not-utf-8"],
     )
     def test_hostile_input_exits_2(self, tmp_path, text, message):
         path = tmp_path / "hostile.json"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         proc = run_python("-m", "thermomajor.cli", "curve", str(path), timeout=10)
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -431,3 +441,104 @@ class TestDeterminism:
         rebuilt = _load(str(res_path), _reservoir_from_dict)
         direct = minimal_extraction_reservoir(make_state(("3/4", "1/4"), (1, 1)))
         assert rebuilt == direct
+
+
+#: Rational-list entries: valid ints and fraction strings mixed with every
+#: kind of value the parser must refuse.
+ENTRIES = st.one_of(
+    st.integers(-2, 9),
+    st.sampled_from(["1/2", "1/3", "2/3", "-1/2", "0", "3/4", "1e4301", "1/0", "nan"]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+RANDOM_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=8,
+)
+
+
+@st.composite
+def rationals(draw, size, positive):
+    """``size`` valid entries, drawn as ints or fraction strings; with
+    ``positive`` false they are masses normalised to sum to one."""
+    nums = draw(st.lists(st.integers(1 if positive else 0, 6), min_size=size, max_size=size))
+    if positive:
+        return [draw(st.sampled_from([n, f"{n}/{draw(st.integers(1, 4))}"])) for n in nums]
+    total = sum(nums) or 1
+    return [f"{n}/{total}" for n in nums]
+
+
+@st.composite
+def entry_lists(draw, positive):
+    """A rational list that is valid or holds one hostile entry."""
+    values = draw(rationals(draw(st.integers(1, 3)), positive))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(ENTRIES)
+    return draw(st.sampled_from([values, values[:-1], draw(st.lists(ENTRIES, max_size=3))]))
+
+
+@st.composite
+def file_contents(draw):
+    """Random bytes, random JSON, or a state- or reservoir-shaped object."""
+    kind = draw(st.sampled_from(["bytes", "json", "state", "reservoir"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=12))
+    if kind == "json":
+        data = draw(RANDOM_JSON)
+    elif kind == "state":
+        data = {"probs": draw(entry_lists(False)), "weights": draw(entry_lists(True))}
+    else:
+        data = {
+            "r": draw(entry_lists(False)),
+            "init_weights": draw(entry_lists(True)),
+            "fin_weights": draw(entry_lists(True)),
+        }
+    return json.dumps(data).encode()
+
+
+#: Subcommand prefixes and how many input files each reads.
+FUZZ_COMMANDS = [
+    (["curve"], 1),
+    (["curve", "--format", "svg"], 1),
+    (["majorize"], 2),
+    (["divergence"], 1),
+    (["divergence", "--reference"], 2),
+    (["verify"], 3),
+    (["build-reservoir", "--method", "minimal"], 1),
+    (["build-reservoir", "--method", "general"], 2),
+    (["build-reservoir", "--method", "product"], 2),
+    (["catalytic-check"], 2),
+    (["catalytic-check", "--nonnegative-only"], 2),
+]
+GAUGES = st.sampled_from(["1", "5/7", "0", "-1", "x", "0.5", "1e4301", "1/0", "nan"])
+
+
+class TestFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_hostile_files_never_crash(self, tmp_path_factory, data):
+        """Every run exits 0, 1 or 2, and stderr holds neither an internal
+        error nor a traceback."""
+        directory = tmp_path_factory.mktemp("fuzz")
+        command, files = data.draw(st.sampled_from(FUZZ_COMMANDS))
+        argv = list(command)
+        if command[-1] == "minimal" and data.draw(st.booleans()):
+            argv += ["--c", data.draw(GAUGES)]
+        if command[-1] == "general" and data.draw(st.booleans()):
+            argv += ["--anchor", data.draw(GAUGES)]
+        contents = data.draw(st.lists(file_contents(), min_size=files, max_size=files))
+        for index, content in enumerate(contents):
+            path = directory / f"{index}.json"
+            path.write_bytes(content)
+            argv.append(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), err.getvalue()
+        assert "internal error" not in err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -54,9 +54,18 @@ def transitions_with_reservoirs(draw, kind):
     """A transition of at most 8 levels and the reservoir built for it.
 
     ``generic`` and ``palette`` are plain transitions of one family; the
-    clock-lifted and extraction kinds draw their family.
+    clock-lifted, extraction and product kinds draw their family.  Product
+    transitions have at most 4 equal-weight levels and no zero level.
     """
     palette = kind == "palette" or (kind != "generic" and draw(st.booleans()))
+    if kind == "product":
+        dim = draw(st.integers(1, 4))
+        weights = (draw(st.builds(F, st.integers(1, 9), st.integers(1, 9))),) * dim
+        t = Transition(
+            draw(family_states(dim, palette, weights)), draw(family_states(dim, palette, weights))
+        )
+        assume(all(t.initial.probs) and all(t.final.probs))
+        return t, alt_product_reservoir(t)
     if kind == "lifted":
         t = clock_lift(
             draw(family_states(draw(st.integers(1, 4)), palette)),
@@ -393,7 +402,7 @@ class TestVerifyEfficient:
 
 class TestJointStatesAgainstMonoid:
     @pytest.mark.parametrize("tampered", [False, True])
-    @pytest.mark.parametrize("kind", ["generic", "palette", "lifted", "extraction"])
+    @pytest.mark.parametrize("kind", ["generic", "palette", "lifted", "extraction", "product"])
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_verdicts_agree(self, kind, tampered, data):
@@ -412,7 +421,7 @@ class TestJointStatesAgainstMonoid:
         assert verdict == coincide(joint_i, joint_f)
         assert verdict is not tampered
 
-    @pytest.mark.parametrize("kind", ["generic", "palette", "lifted", "extraction"])
+    @pytest.mark.parametrize("kind", ["generic", "palette", "lifted", "extraction", "product"])
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_swapped_final_weights(self, kind, data):
@@ -548,13 +557,28 @@ class TestConstructorsMatchReference:
         ids=["pure", "mixed", "lifted", "single"],
     )
     def test_int_entries(self, t):
-        """Plain ints, accepted by ThermoState, build the same reservoirs."""
+        """Plain ints, accepted by ThermoState, build the same reservoirs,
+        and each verifies while a tamper of its largest-mass final weight
+        does not."""
+        built = []
         for anchor in (1, F(3, 7)):
-            assert general_efficient_reservoir(t, anchor) == reference_general(t, F(anchor))
+            res = general_efficient_reservoir(t, anchor)
+            assert res == reference_general(t, F(anchor))
+            built.append((t, res))
         if not is_gibbs(t.initial):
-            assert minimal_extraction_reservoir(t.initial) == reference_minimal(t.initial, F(1))
+            res = minimal_extraction_reservoir(t.initial)
+            assert res == reference_minimal(t.initial, F(1))
+            built.append((extraction_transition(t.initial), res))
         if len(set(t.weights)) == 1 and all(t.initial.probs) and all(t.final.probs):
-            assert alt_product_reservoir(t) == reference_product(t)
+            res = alt_product_reservoir(t)
+            assert res == reference_product(t)
+            built.append((t, res))
+        for transition, res in built:
+            assert verify_efficient(transition, res)
+            k = max(range(len(res.r)), key=res.r.__getitem__)
+            fin = list(res.fin_weights)
+            fin[k] *= F(10001, 10000)
+            assert not verify_efficient(transition, Reservoir(res.r, res.init_weights, tuple(fin)))
 
 
 class TestFormationFamily:
