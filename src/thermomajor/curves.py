@@ -16,13 +16,22 @@ the unique quotient off a product when one exists.
 integer kernel.  A canonical curve is a finite measure on slopes (a height
 at each slope).  ``_measure`` scales (height, slope) pairs to integers over
 the lcm of each side's denominators and merges equal slopes in a dict from
-slope numerator to height numerator; a product slope is then x*y over
-d_a*d_b and a product height h*k over e_a*e_b.  Two curves of equal width
-coincide exactly when their measures are equal, so :func:`divide`'s
-multiply-back check and ``reservoirs.verify_efficient``, which reads its
-factors straight from the levels, compare measures and build no product
-curve.  ``Curve`` validation reads signs and order from numerators and
-cross products and sums heights and widths in one exact integer sum, so
+slope numerator to height numerator; ``_level_measure`` reads a state's
+levels into the same form with one gcd per level and no Fraction.  A
+product slope is then x*y over d_a*d_b and a product height h*k over
+e_a*e_b.  Two curves of equal width coincide exactly when their measures
+are equal.
+
+``reservoirs.verify_efficient`` asks whether a (x) b = c (x) d for four
+level measures.  Write T_kappa m for m with every slope scaled by kappa.  A
+shift certificate comes first: b = T_kappa c and d = T_kappa a (the swap
+every slope-matched reservoir makes), or c = T_kappa a and b = T_kappa d.
+Either makes both products one shift of a common product, at the cost of a
+sort and with no product measure.  Otherwise a (x) b is built once and
+c (x) d subtracted from it in place; :func:`divide`'s multiply-back check
+is that subtraction with the identity as the fourth factor.  No product
+curve is built.  ``Curve`` validation reads signs and order from numerators
+and cross products and sums heights and widths in one exact integer sum, so
 every check stays exact.
 """
 
@@ -32,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
@@ -135,19 +144,33 @@ def _measure(pairs: Sequence[tuple[Fraction, Fraction]]) -> _Measure:
     return _Measure(merged, height_den, slope_den)
 
 
+def _level_measure(probs: Sequence[Fraction], weights: Sequence[Fraction]) -> _Measure:
+    """The measure of levels: height p_i at slope p_i / g_i on the support.
+
+    Each slope is reduced with one gcd and no Fraction is built; heights and
+    slopes then merge over the lcm of the reduced denominators.
+    """
+    levels = []
+    for p, w in zip(probs, weights):
+        if p:
+            num, den = p.numerator * w.denominator, p.denominator * w.numerator
+            common = gcd(num, den)
+            levels.append((p.numerator, p.denominator, num // common, den // common))
+    height_den = lcm(*[b for _, b, _, _ in levels])
+    slope_den = lcm(*[d for _, _, _, d in levels])
+    merged: dict[int, int] = {}
+    for a, b, x, d in levels:
+        slope = x * (slope_den // d)
+        merged[slope] = merged.get(slope, 0) + a * (height_den // b)
+    return _Measure(merged, height_den, slope_den)
+
+
 def _segment_pairs(curve: Curve) -> list[tuple[Fraction, Fraction]]:
     return [(seg.height, seg.slope) for seg in curve.segments]
 
 
-def _level_pairs(
-    probs: Sequence[Fraction], weights: Sequence[Fraction]
-) -> list[tuple[Fraction, Fraction]]:
-    """The (height, slope) pair (p_i, p_i / g_i) of every level on the support."""
-    return [
-        (p, Fraction(p.numerator * w.denominator, p.denominator * w.numerator))
-        for p, w in zip(probs, weights)
-        if p
-    ]
+#: The measure of the identity curve: height one at slope one.
+_IDENTITY = _Measure({1: 1}, 1, 1)
 
 
 def _product_measure(ma: _Measure, mb: _Measure) -> _Measure:
@@ -162,30 +185,75 @@ def _product_measure(ma: _Measure, mb: _Measure) -> _Measure:
     return _Measure(merged, ma.height_den * mb.height_den, ma.slope_den * mb.slope_den)
 
 
-def _rescaled(m: _Measure, height_den: int, slope_den: int) -> dict[int, int]:
-    """``m.heights`` over the given multiples of its denominators."""
-    height_factor, slope_factor = height_den // m.height_den, slope_den // m.slope_den
-    if height_factor == slope_factor == 1:
-        return m.heights
-    return {x * slope_factor: h * height_factor for x, h in m.heights.items()}
+def _shift(m: _Measure, n: _Measure) -> Optional[Fraction]:
+    """The kappa with n = T_kappa m, or None if n is no such shift.
 
-
-def _same_measure(m: _Measure, n: _Measure) -> bool:
-    """Whether two measures are equal, compared as integers over the lcm of
-    their slope denominators and the lcm of their height denominators."""
+    T_kappa m carries m's height at kappa times each of its slopes.  A shift
+    keeps the slope order, so the slope-sorted entries must pair up with
+    equal heights and proportional slopes.
+    """
     if len(m.heights) != len(n.heights):
-        return False
-    height_den = lcm(m.height_den, n.height_den)
-    slope_den = lcm(m.slope_den, n.slope_den)
-    return _rescaled(m, height_den, slope_den) == _rescaled(n, height_den, slope_den)
+        return None
+    entries_m, entries_n = sorted(m.heights.items()), sorted(n.heights.items())
+    x0, y0 = entries_m[0][0], entries_n[0][0]
+    for (x, h), (y, k) in zip(entries_m, entries_n):
+        if h * n.height_den != k * m.height_den or x * y0 != y * x0:
+            return None
+    return Fraction(y0 * m.slope_den, x0 * n.slope_den)
+
+
+def _same_products(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -> bool:
+    """Whether the measures a (x) b and c (x) d are equal, for four measures
+    of total height one.
+
+    a (x) b is built once over the common denominators and c (x) d is
+    subtracted from it in place, rejecting at the first slope it lacks or the
+    first negative remainder.  Both products hold the same total height, so
+    remainders that all stay nonnegative are all zero.
+    """
+    slope_den = lcm(ma.slope_den * mb.slope_den, mc.slope_den * md.slope_den)
+    height_den = lcm(ma.height_den * mb.height_den, mc.height_den * md.height_den)
+
+    def over_common(m: _Measure, partner: _Measure) -> _Measure:
+        # m over the denominators that put its product with partner over the
+        # common ones.
+        m_height_den = height_den // partner.height_den
+        m_slope_den = slope_den // partner.slope_den
+        height_factor, slope_factor = m_height_den // m.height_den, m_slope_den // m.slope_den
+        heights = {x * slope_factor: h * height_factor for x, h in m.heights.items()}
+        return _Measure(heights, m_height_den, m_slope_den)
+
+    remaining = _product_measure(over_common(ma, mb), mb).heights
+    rows = list(md.heights.items())
+    for x, h in over_common(mc, md).heights.items():
+        for y, k in rows:
+            slope = x * y
+            left = remaining.get(slope, 0) - h * k
+            if left < 0:
+                return False
+            remaining[slope] = left
+    return True
+
+
+def _one_shift(m: _Measure, n: _Measure, m2: _Measure, n2: _Measure) -> bool:
+    """Whether n = T_kappa m and n2 = T_kappa m2 for one kappa."""
+    kappa = _shift(m, n)
+    return kappa is not None and kappa == _shift(m2, n2)
 
 
 def _products_coincide(*factors: tuple[Sequence[Fraction], Sequence[Fraction]]) -> bool:
     """Whether the curves of a (x) b and c (x) d have equal measures, for the
     four factors a, b, c, d given as (probs, weights) levels of valid states.
-    Widths are not compared: callers pass factors whose products share one."""
-    ma, mb, mc, md = (_measure(_level_pairs(*levels)) for levels in factors)
-    return _same_measure(_product_measure(ma, mb), _product_measure(mc, md))
+    Widths are not compared: callers pass factors whose products share one.
+
+    The swap certificate (b = T_kappa c and d = T_kappa a, so both products
+    are T_kappa (a (x) c)) and the straight one (c = T_kappa a and
+    b = T_kappa d, so both are T_kappa (a (x) d)) come before the products.
+    """
+    ma, mb, mc, md = (_level_measure(*levels) for levels in factors)
+    if _one_shift(mc, mb, ma, md) or _one_shift(ma, mc, md, mb):
+        return True
+    return _same_products(ma, mb, mc, md)
 
 
 def _curve(m: _Measure, total_width: Fraction) -> Curve:
@@ -213,7 +281,7 @@ def canonical_curve(pairs: Iterable[tuple[Fraction, Fraction]], total_width: Fra
 
 def curve_of(state: ThermoState) -> Curve:
     """Canonical curve of a state: slopes are p_i / g_i on the support."""
-    return canonical_curve(_level_pairs(state.probs, state.weights), state.z)
+    return _curve(_level_measure(state.probs, state.weights), state.z)
 
 
 def identity_curve() -> Curve:
@@ -343,8 +411,8 @@ def divide(l: Curve, a: Curve) -> Optional[Curve]:
         return None
     # product(a, q) has width a.total_width * width == l.total_width by
     # construction, so the measures decide the multiply-back check.
-    product_measure = _product_measure(_measure(_segment_pairs(a)), _measure(quotient))
-    if not _same_measure(product_measure, _measure(_segment_pairs(l))):
+    ma, mq, ml = _measure(_segment_pairs(a)), _measure(quotient), _measure(_segment_pairs(l))
+    if not _same_products(ma, mq, ml, _IDENTITY):
         return None
     return q
 

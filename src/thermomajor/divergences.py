@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .curves import Curve, curve_of
 from .errors import DimensionMismatch, InvalidOrder, OutsideDomain
-from .states import ThermoState, Transition, gibbs_of
+from .states import ThermoState, Transition, _exact_sum, gibbs_of
 
 __all__ = [
     "DEFAULT_ALPHA_GRID",
@@ -80,6 +80,17 @@ def ln_frac(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def _ln_ratio(num: int, den: int) -> float:
+    """ln(num / den) for positive ints to within a few ulps: near 1 from
+    log1p of the exact (num - den) / den, within double range from the
+    correctly rounded quotient, and beyond it from the two logs."""
+    if den < 2 * num and num < 2 * den:
+        return math.log1p((num - den) / den)
+    if abs(num.bit_length() - den.bit_length()) < 1000:
+        return math.log(num / den)
+    return math.log(num) - math.log(den)
+
+
 def shannon_entropy(probs: Iterable[Fraction]) -> float:
     """Shannon entropy in nats, with 0*ln(0) = 0."""
     return -sum(float(p) * ln_frac(p) for p in probs if p > 0)
@@ -107,7 +118,7 @@ def dinf_max_ratio(p: ThermoState, q: ThermoState) -> Optional[Fraction]:
 
 def _divergence(
     alpha: float,
-    terms: Iterable[tuple[Fraction, float]],
+    terms: Iterable[tuple[Fraction, int, int]],
     support_mass: Callable[[], Fraction],
     max_ratio: Callable[[], Fraction],
     escapes: bool,
@@ -115,12 +126,18 @@ def _divergence(
 ) -> float:
     """D_alpha(p || q) in nats, the one place that knows the order's rules.
 
-    ``terms`` yields (p_i, ln(p_i / q_i)) where both are positive;
+    ``terms`` yields (p_i, a, b) with a / b = p_i / q_i where both are
+    positive;
     ``support_mass`` and ``max_ratio`` give the exact rationals inside D_0 and
     D_inf.  Each is evaluated only at the orders that read it.  ``escapes``:
     p has mass where q has none; ``misses``: q has mass where p has none.
-    The sum runs in log-sum-exp form, so tiny weights do not overflow.
     Orders are real numbers or +inf; nan and -inf raise InvalidOrder.
+
+    The sum S = sum_i p_i r_i^(alpha-1) is read as 1 + (S - 1), with S - 1
+    summed from the exact mass and expm1 terms, and its log taken by log1p,
+    so D_alpha stays accurate as alpha nears 1 (where S - 1 ~ alpha - 1).
+    When a term overflows, or S is near 0 and log1p would lose it, the sum
+    runs in max-shifted log-sum-exp form instead, which tiny weights need.
     """
     if math.isnan(alpha) or alpha == -math.inf:
         raise InvalidOrder(f"alpha must be a real number or inf, got {alpha}")
@@ -131,14 +148,26 @@ def _divergence(
         return -ln_frac(mass) + 0.0 if mass else math.inf  # + 0.0: no -0.0
     if alpha == math.inf:
         return ln_frac(max_ratio())
+    terms = [(h, _ln_ratio(num, den)) for h, num, den in terms]
     if alpha == 1:
         return sum(float(h) * ln_r for h, ln_r in terms)
-    logs = [ln_frac(h) + (alpha - 1.0) * ln_r for h, ln_r in terms]
-    if not logs:
+    if not terms:
         return math.inf
-    top = max(logs)
-    total = top + math.log(sum(math.exp(x - top) for x in logs))
-    return (-total if alpha < 0 else total) / (alpha - 1.0)
+    # The terms carry all of p's mass unless p escapes q's support.
+    deficit = float(_exact_sum(h for h, _ in terms) - 1) if escapes else 0.0
+    try:
+        excess = deficit + math.fsum(
+            float(h) * math.expm1((alpha - 1.0) * ln_r) for h, ln_r in terms
+        )
+    except OverflowError:
+        excess = math.inf
+    if -0.5 < excess < math.inf:
+        total = math.log1p(excess)
+    else:
+        logs = [ln_frac(h) + (alpha - 1.0) * ln_r for h, ln_r in terms]
+        top = max(logs)
+        total = top + math.log(sum(math.exp(x - top) for x in logs))
+    return (-total if alpha < 0 else total) / (alpha - 1.0) + 0.0  # + 0.0: no -0.0
 
 
 def renyi(alpha: float, p: ThermoState, q: ThermoState) -> float:
@@ -147,7 +176,11 @@ def renyi(alpha: float, p: ThermoState, q: ThermoState) -> float:
     pairs = tuple(zip(p.probs, q.probs))
     return _divergence(
         alpha,
-        ((pi, ln_frac(pi) - ln_frac(qi)) for pi, qi in pairs if pi and qi),
+        (
+            (pi, pi.numerator * qi.denominator, pi.denominator * qi.numerator)
+            for pi, qi in pairs
+            if pi and qi
+        ),
         lambda: d0_support_mass(p, q),
         lambda: dinf_max_ratio(p, q),
         escapes=any(pi and not qi for pi, qi in pairs),
@@ -222,10 +255,12 @@ def curve_alpha_divergence(curve: Curve, alpha: float) -> float:
     for every real alpha, including negative orders.
     """
     z = curve.total_width
-    lnz = ln_frac(z)
     return _divergence(
         alpha,
-        ((s.height, ln_frac(s.slope) + lnz) for s in curve.segments),
+        (
+            (s.height, s.slope.numerator * z.numerator, s.slope.denominator * z.denominator)
+            for s in curve.segments
+        ),
         lambda: curve.sloped_width / z,
         lambda: curve.segments[0].slope * z,
         escapes=False,

@@ -10,10 +10,14 @@ self-certify; tests always go through the verifier.
 
 Verification runs through the curve monoid: a joint curve of system (x)
 reservoir is the product of its factor curves, and the two joint widths
-agree by construction, so :func:`verify_efficient` compares the two product
-slope measures, read straight from the levels, as integers; it builds no
-curve, clock lift or joint state.  :func:`joint_states` keeps the
-materialised tensor product as an independent cross-check.
+agree by construction, so :func:`verify_efficient` decides on the four
+factor slope measures, read straight from the levels as integers.  A
+slope-matched reservoir's work measures are the system's final and initial
+measures shifted by one slope factor, and that swap certificate settles the
+verdict without forming a product; any other reservoir has its two product
+measures compared.  It builds no curve, clock lift or joint state.
+:func:`joint_states` keeps the materialised tensor product as an
+independent cross-check.
 
 Synthesis routes.  Each level of a reservoir carries one cell of a coupling
 between the initial and final system distributions, weighted by the one
@@ -31,12 +35,13 @@ slope-matching rule :func:`_slope_matched`; the routes differ in the cells:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .curves import Curve, _products_coincide, coincide, curve_of, divide, num_distinct_slopes
-from .divergences import ln_frac, renyi
+from .divergences import renyi
 from .errors import (
     DimensionMismatch,
     GibbsInput,
@@ -127,8 +132,6 @@ def two_level_extraction_bound(p: ThermoState) -> float:
 
 def two_level_formation_bound(p: ThermoState) -> float:
     """Deterministic work a two-level reservoir needs to form p: D_inf(p || tau)."""
-    import math
-
     return renyi(math.inf, p, gibbs_of(p))
 
 
@@ -243,8 +246,15 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     curves, ``r`` on ``init_weights`` and on ``fin_weights`` (the clock
     lift's zero padding adds no segment).  Both have width Z times the sum
     of all 2d reservoir weights, so they coincide exactly when their slope
-    measures are equal.  Those are read directly from the levels and
-    compared as integers over common denominators, with no curve or state.
+    measures are equal.  The four factor measures are read directly from the
+    levels as integers, with no curve or state.  First comes the swap
+    certificate: the initial work measure is the final system measure
+    shifted by a slope factor kappa, and the final work measure is the
+    initial system measure shifted by the same kappa; then both joint
+    measures are the system pair's product shifted by kappa.  Every
+    slope-matched reservoir passes it at O(n log n), and the trivial
+    reservoir of an identity transition passes its mirror image.  Otherwise
+    one product measure is built and the other subtracted from it, exactly.
 
     This is the single source of truth for efficiency; every construction in
     this module is expected to pass it but none is trusted without it.
@@ -261,9 +271,13 @@ def average_work(res: Reservoir) -> float:
     """Expected energy released by the reservoir, sum_i r_i (e'_i - e_i) in nats.
 
     Energies are -ln(weight), so each term is ln(init_weight / fin_weight).
+    Weights are positive (``Reservoir`` validates them), so the logs need no
+    domain check.
     """
+    log = math.log
     return sum(
-        float(x) * (ln_frac(wi) - ln_frac(wf))
+        float(x)
+        * ((log(wi.numerator) - log(wi.denominator)) - (log(wf.numerator) - log(wf.denominator)))
         for x, wi, wf in zip(res.r, res.init_weights, res.fin_weights)
     )
 

@@ -515,6 +515,48 @@ FUZZ_COMMANDS = [
 GAUGES = st.sampled_from(["1", "5/7", "0", "-1", "x", "0.5", "1e4301", "1/0", "nan"])
 
 
+#: Hostile numbers for the float, int and alpha-grid options.
+FLOAT_TOKENS = [
+    "nan", "inf", "-inf", "0", "-0", "1", "2", "-1", "1e308", "-1e308", "1e-300", "5e-324",
+    "0.5", "x", "",
+]
+INT_TOKENS = ["-3", "-1", "0", "1", "2", "3", "9", "x", "1.5", "", str(2**70), str(-(2**70))]
+TRIAL_TOKENS = ["-1", "0", "1", "2", "3", "x", "1e3", ""]
+ALPHA_TOKENS = [
+    "0", "1", "0.9999999999999999", "1.0000000000000002", "1e-320", "-1e-320", "0.5", "-0.5",
+    "2", "-2", "inf", "-inf", "nan", "1e308", "-1e308", "x", "",
+]
+REPRODUCE_TARGETS = ["table1", "example1", "example2", "engine", "nope", ""]
+
+
+#: State pairs for the alpha-grid commands: mixed to Gibbs, Gibbs to mixed,
+#: pure to mixed, and a state with a 10^-200 weight.
+GRID_STATE_PAIRS = [
+    (make_state(("1/2", "1/2"), (1, 2)), make_state(("1/3", "2/3"), (1, 2))),
+    (make_state(("1/3", "2/3"), (1, 2)), make_state(("1/2", "1/2"), (1, 2))),
+    (make_state((1, 0), (1, 1)), make_state(("1/3", "2/3"), (1, 1))),
+    (make_state(("1/2", "1/2"), (1, Fraction(1, 10**200))), make_state((1, 0), (1, 1))),
+]
+
+
+def run_quietly(argv):
+    """``main(argv)`` in process: its exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    """Exit 0, 1 or 2, with neither an internal error nor a traceback."""
+    assert code in (0, 1, 2), err
+    assert "internal error" not in err
+    assert "Traceback" not in err
+
+
 class TestFuzz:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -533,12 +575,47 @@ class TestFuzz:
             path = directory / f"{index}.json"
             path.write_bytes(content)
             argv.append(str(path))
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 1, 2), err.getvalue()
-        assert "internal error" not in err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        assert_clean_exit(*run_quietly(argv))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_hostile_argv_never_crash(self, tmp_path_factory, data):
+        """``engine``, ``oracle-check`` (at most 3 trials of at most 8
+        levels), ``reproduce`` and ``--alpha-grid`` on valid files, with
+        hostile numbers: every run exits 0, 1 or 2, cleanly."""
+        command = data.draw(st.sampled_from(["engine", "oracle", "reproduce", "grid"]))
+        if command == "engine":
+            argv = ["engine"] + [
+                f"{flag}={data.draw(st.sampled_from(FLOAT_TOKENS))}"
+                for flag in ("--epsilon", "--t-hot", "--t-cold")
+            ]
+        elif command == "oracle":
+            dims = data.draw(st.lists(st.sampled_from(INT_TOKENS), min_size=1, max_size=3))
+            argv = [
+                "oracle-check",
+                f"--trials={data.draw(st.sampled_from(TRIAL_TOKENS))}",
+                f"--dims={','.join(dims)}",
+                f"--seed={data.draw(st.sampled_from(INT_TOKENS))}",
+            ]
+        elif command == "reproduce":
+            argv = ["reproduce", data.draw(st.sampled_from(REPRODUCE_TARGETS))]
+        else:
+            grid = data.draw(st.lists(st.sampled_from(ALPHA_TOKENS), min_size=1, max_size=4))
+            directory = tmp_path_factory.mktemp("argv")
+            files = []
+            for index, state in enumerate(data.draw(st.sampled_from(GRID_STATE_PAIRS))):
+                path = directory / f"{index}.json"
+                path.write_text(state_to_json(state))
+                files.append(str(path))
+            command_argv = data.draw(
+                st.sampled_from(
+                    [
+                        ["divergence", files[0]],
+                        ["divergence", files[0], "--reference", files[1]],
+                        ["catalytic-check", *files],
+                        ["catalytic-check", *files, "--nonnegative-only"],
+                    ]
+                )
+            )
+            argv = command_argv + [f"--alpha-grid={','.join(grid)}"]
+        assert_clean_exit(*run_quietly(argv))

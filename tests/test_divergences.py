@@ -1,9 +1,11 @@
 """Renyi divergences, entropy production, free energies, and the ratio identity."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermomajor.curves import curve_of
 from thermomajor.divergences import (
@@ -24,7 +26,7 @@ from thermomajor.oracle import random_transition
 from thermomajor.reservoirs import Reservoir, minimal_extraction_reservoir
 from thermomajor.states import Transition, gibbs_of, make_state, tensor
 
-from conftest import random_full_support_state, random_state, seeded
+from conftest import family_states, random_full_support_state, random_state, seeded
 
 F = Fraction
 NONNEG_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, math.inf)
@@ -143,6 +145,67 @@ class TestRenyi:
             with pytest.raises(InvalidOrder, match="alpha must be a real number or inf"):
                 call()
         assert issubclass(InvalidOrder, ThermomajorError)
+
+
+#: Orders just off 1, where D_alpha divides a sum's log by alpha - 1.
+NEAR_ONE = (1 - 2**-53, 1 - 2**-52, 1 + 2**-52, 1 - 1e-9, 1 + 1e-9, 1 - 1e-6, 1 + 1e-6)
+
+
+def decimal_renyi(alpha, p, q):
+    """D_alpha(p || q), for q positive on p's support and alpha not 0, 1 or
+    inf, from 50-digit decimal logs and exps."""
+
+    def ln(x):
+        return (Decimal(x.numerator) / Decimal(x.denominator)).ln()
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(alpha)
+        total = sum(
+            ((a * ln(pi) + (1 - a) * ln(qi)).exp() for pi, qi in zip(p.probs, q.probs) if pi),
+            Decimal(0),
+        )
+        value = total.ln() / (a - 1)
+        return float(-value if alpha < 0 else value)
+
+
+class TestNearOrderOne:
+    """D_alpha near alpha = 1 sums p_i r_i^(alpha-1) - 1 with expm1 terms,
+    so it neither cancels to noise nor loses the sign of a tiny value."""
+
+    q = make_state(("1/2", "1/2"), (1, 2))
+    tau = gibbs_of(q)
+
+    @pytest.mark.parametrize("alpha", NEAR_ONE)
+    def test_gibbs_state_vanishes(self, alpha):
+        assert renyi(alpha, self.tau, self.tau) == 0.0
+        assert curve_alpha_divergence(curve_of(self.tau), alpha) == 0.0
+
+    @pytest.mark.parametrize("alpha", NEAR_ONE[:3])
+    def test_continuous_at_one(self, alpha):
+        d1 = renyi(1.0, self.q, self.tau)
+        assert abs(renyi(alpha, self.q, self.tau) - d1) <= 1e-12
+        assert abs(curve_alpha_divergence(curve_of(self.q), alpha) - d1) <= 1e-12
+
+    def test_gibbs_target_not_falsely_rejected(self):
+        assert cto_feasible(Transition(self.q, self.tau), (1 - 2**-53,)).feasible
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_decimal_reference(self, data):
+        """Within 1e-14 relative where D_alpha >= 1e-2.  Nearer the
+        reference the sum cancels to second order, so a value below 1e-2 is
+        held to 1e-16 absolute."""
+        p = data.draw(family_states(data.draw(st.integers(1, 6)), False))
+        gibbs = data.draw(st.booleans())
+        q = gibbs_of(p) if gibbs else data.draw(family_states(p.dim, False, p.weights))
+        alpha = data.draw(st.sampled_from(NEAR_ONE + (-2.0, -1.0, -0.5, 0.25, 0.5, 2.0, 4.0)))
+        expected = decimal_renyi(alpha, p, q)
+        values = [renyi(alpha, p, q)]
+        if gibbs:
+            values.append(curve_alpha_divergence(curve_of(p), alpha))
+        for value in values:
+            assert abs(value - expected) <= 1e-14 * max(abs(expected), 1e-2)
 
 
 class TestEntropyProduction:

@@ -4,10 +4,12 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from thermomajor import curves
 from thermomajor.curves import coincide, curve_of, product
 from thermomajor.divergences import renyi, shannon_entropy
 from thermomajor.errors import (
@@ -38,6 +40,7 @@ from thermomajor.states import (
     gibbs_of,
     is_gibbs,
     make_state,
+    tensor,
 )
 
 from conftest import family_states, random_full_support_state, random_state, seeded
@@ -49,6 +52,20 @@ def extraction_transition(p):
     return Transition(p, gibbs_of(p))
 
 
+def padded(res, e):
+    """``res`` tensored in both weight blocks with the state ``e``: still
+    efficient, but its work measures are in general no shifts of the
+    system's, so the products are compared."""
+    initial = tensor(ThermoState(res.r, res.init_weights), e)
+    final = tensor(ThermoState(res.r, res.fin_weights), e)
+    return Reservoir(initial.probs, initial.weights, final.weights)
+
+
+#: The kinds of :func:`transitions_with_reservoirs` whose reservoir a
+#: library constructor builds.
+BUILT_KINDS = ["generic", "palette", "lifted", "extraction", "product"]
+
+
 @st.composite
 def transitions_with_reservoirs(draw, kind):
     """A transition of at most 8 levels and the reservoir built for it.
@@ -56,8 +73,15 @@ def transitions_with_reservoirs(draw, kind):
     ``generic`` and ``palette`` are plain transitions of one family; the
     clock-lifted, extraction and product kinds draw their family.  Product
     transitions have at most 4 equal-weight levels and no zero level.
+    ``padded`` takes a reservoir of another kind and pads it with a 2-4
+    level non-Gibbs state of full support.
     """
     palette = kind == "palette" or (kind != "generic" and draw(st.booleans()))
+    if kind == "padded":
+        t, res = draw(transitions_with_reservoirs(draw(st.sampled_from(BUILT_KINDS))))
+        e = draw(family_states(draw(st.integers(2, 4)), palette))
+        assume(all(e.probs) and not is_gibbs(e))
+        return t, padded(res, e)
     if kind == "product":
         dim = draw(st.integers(1, 4))
         weights = (draw(st.builds(F, st.integers(1, 9), st.integers(1, 9))),) * dim
@@ -365,10 +389,27 @@ class TestVerifyEfficient:
         res = Reservoir((F(1),), (F(1),), (F(1),))
         assert not verify_efficient(Transition(s, s_prime), res)
 
+    def test_shifted_slopes_with_other_heights_rejected(self):
+        # Both work measures are s's measure (kappa = 1), so each has the
+        # slopes of s_prime's as well, but not its heights.
+        s = make_state(("1/6",) * 2 + ("1/12",) * 4 + ("1/24",) * 8, (1,) * 14)
+        s_prime = make_state(("1/6",) * 3 + ("1/12",) + ("1/24",) * 10, (1,) * 14)
+        weights = (F(2), F(4), F(8))
+        res = Reservoir((F(1, 3),) * 3, weights, weights)
+        t = Transition(s, s_prime)
+        assert not verify_efficient(t, res)
+        ji, jf = joint_states(t, res)
+        assert not coincide(curve_of(ji), curve_of(jf))
+
     def test_trivial_reservoir_on_identity(self):
         s = make_state(("1/3", "2/3"), (1, 2))
         res = Reservoir((F(1),), (F(1),), (F(1),))
         assert verify_efficient(Transition(s, s), res)
+
+    def test_moved_trivial_reservoir_on_identity_rejected(self):
+        s = make_state(("1/3", "2/3"), (1, 2))
+        for fin in (F(2), F(1, 2)):
+            assert not verify_efficient(Transition(s, s), Reservoir((F(1),), (F(1),), (fin,)))
 
     def test_translation_symmetry(self):
         rng = seeded(34)
@@ -402,7 +443,7 @@ class TestVerifyEfficient:
 
 class TestJointStatesAgainstMonoid:
     @pytest.mark.parametrize("tampered", [False, True])
-    @pytest.mark.parametrize("kind", ["generic", "palette", "lifted", "extraction", "product"])
+    @pytest.mark.parametrize("kind", BUILT_KINDS + ["padded"])
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_verdicts_agree(self, kind, tampered, data):
@@ -421,7 +462,33 @@ class TestJointStatesAgainstMonoid:
         assert verdict == coincide(joint_i, joint_f)
         assert verdict is not tampered
 
-    @pytest.mark.parametrize("kind", ["generic", "palette", "lifted", "extraction", "product"])
+    @pytest.mark.parametrize("kind", BUILT_KINDS + ["padded"])
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_rescaled_final_weights(self, kind, data):
+        """Doubling every final weight keeps each built reservoir's work
+        measures shifts of the system's, by two different factors, so the
+        certificate must compare them."""
+        t, res = data.draw(transitions_with_reservoirs(kind))
+        rescaled = Reservoir(res.r, res.init_weights, tuple(2 * w for w in res.fin_weights))
+        verdict = verify_efficient(t, rescaled)
+        ji, jf = joint_states(t, rescaled)
+        assert verdict == coincide(curve_of(ji), curve_of(jf))
+        assert not verdict
+
+    @pytest.mark.parametrize("kind", BUILT_KINDS)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_built_reservoirs_need_no_product_measure(self, kind, data):
+        """Every constructor's reservoir passes a shift certificate (the
+        swap; the straight one for the trivial reservoir of an identity
+        transition), so verifying it never reaches the product comparison."""
+        t, res = data.draw(transitions_with_reservoirs(kind))
+        refuse = AssertionError("a product measure was formed")
+        with mock.patch.object(curves, "_same_products", side_effect=refuse):
+            assert verify_efficient(t, res)
+
+    @pytest.mark.parametrize("kind", BUILT_KINDS + ["padded"])
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_swapped_final_weights(self, kind, data):
