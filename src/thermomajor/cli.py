@@ -341,7 +341,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def cmd_engine(args: argparse.Namespace) -> int:
     spec = engine_mod.EngineSpec.from_temperatures(args.epsilon, args.t_hot, args.t_cold)
-    _emit(args, _dump(asdict(engine_mod.run_carnot(spec))))
+    report = _dump(asdict(engine_mod.run_carnot(spec)))
+    # The stage curves go first, so a run that cannot write them emits nothing.
     if args.curves_dir:
         out = Path(args.curves_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -353,6 +354,7 @@ def cmd_engine(args: argparse.Namespace) -> int:
         )
         for name, state in zip(names, engine_mod.stage_states(spec)):
             (out / name).write_text(breakpoints_csv(curve_of(state)))
+    _emit(args, report)
     return 0
 
 

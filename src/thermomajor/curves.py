@@ -28,9 +28,9 @@ shift certificate comes first: b = T_kappa c and d = T_kappa a (the swap
 every slope-matched reservoir makes), or c = T_kappa a and b = T_kappa d.
 Either makes both products one shift of a common product, at the cost of a
 sort and with no product measure.  Otherwise a (x) b is built once and
-c (x) d subtracted from it in place; :func:`divide`'s multiply-back check
-is that subtraction with the identity as the fourth factor.  No product
-curve is built.  ``Curve`` validation reads signs and order from numerators
+c (x) d subtracted from it in place, one entry of c at a time;
+:func:`divide`'s peel is the same row subtraction.  No product curve is
+built.  ``Curve`` validation reads signs and order from numerators
 and cross products and sums heights and widths in one exact integer sum, so
 every check stays exact.
 """
@@ -169,10 +169,6 @@ def _segment_pairs(curve: Curve) -> list[tuple[Fraction, Fraction]]:
     return [(seg.height, seg.slope) for seg in curve.segments]
 
 
-#: The measure of the identity curve: height one at slope one.
-_IDENTITY = _Measure({1: 1}, 1, 1)
-
-
 def _product_measure(ma: _Measure, mb: _Measure) -> _Measure:
     """The measure of the product: height h*k at slope x*y for every pair of
     entries, summed where slopes coincide."""
@@ -202,6 +198,19 @@ def _shift(m: _Measure, n: _Measure) -> Optional[Fraction]:
     return Fraction(y0 * m.slope_den, x0 * n.slope_den)
 
 
+def _subtract_row(remaining: dict[int, Fraction], rows: list, y: int, k: Fraction) -> bool:
+    """Subtract height h*k at slope x*y from ``remaining`` for each (x, h) in
+    ``rows``, stopping with False at the first negative remainder.  A slope
+    missing from ``remaining`` reads as 0."""
+    for x, h in rows:
+        slope = x * y
+        left = remaining.get(slope, 0) - h * k
+        if left < 0:
+            return False
+        remaining[slope] = left
+    return True
+
+
 def _same_products(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -> bool:
     """Whether the measures a (x) b and c (x) d are equal, for four measures
     of total height one.
@@ -225,14 +234,8 @@ def _same_products(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -> bo
 
     remaining = _product_measure(over_common(ma, mb), mb).heights
     rows = list(md.heights.items())
-    for x, h in over_common(mc, md).heights.items():
-        for y, k in rows:
-            slope = x * y
-            left = remaining.get(slope, 0) - h * k
-            if left < 0:
-                return False
-            remaining[slope] = left
-    return True
+    entries = over_common(mc, md).heights.items()
+    return all(_subtract_row(remaining, rows, x, h) for x, h in entries)
 
 
 def _one_shift(m: _Measure, n: _Measure, m2: _Measure, n2: _Measure) -> bool:
@@ -367,54 +370,40 @@ def product(a: Curve, b: Curve) -> Curve:
 def divide(l: Curve, a: Curve) -> Optional[Curve]:
     """The unique ``q`` with ``product(a, q) == l``, or None if no such curve.
 
-    Peels greedily: the steepest remaining slope of ``l`` must be the product
-    of ``a``'s steepest slope with the quotient's next slope, which forces the
-    quotient segment by segment (this is the cancellation argument run as an
-    algorithm).  The candidate is checked by multiplying back, so a returned
-    curve is always a genuine quotient; that check compares the integer
-    measure of ``a`` (x) ``q`` with ``l``'s and builds no product curve.
+    A greedy peel over the integer measures of ``l`` and ``a``, with the row
+    subtraction of ``_same_products``.  Scale l's slope numerators by a's top
+    slope numerator X.  Then q's slope numerators are l's own, and a (x) q
+    carries a's entry (x, h) at slope x*y for each entry (y, k) of q: the
+    plain products that subtraction makes.  Visit l's slopes y steepest
+    first and skip those already emptied.  a's top entry must empty slope
+    X*y, which forces k, and the step touches only slopes no steeper than
+    X*y.  So a pass that never goes negative (a missing slope reads as 0)
+    leaves nothing behind: l = a (x) q as measures, q's slopes strictly
+    decrease, and its heights sum to 1 as l's and a's do.  Only the width
+    can still fail: q's sloped width exceeds l.Z / a.Z when a has a flat
+    tail that l lacks, and ``Curve`` validation rejects that.  No product
+    measure is built.
     """
     width = l.total_width / a.total_width
-    a_top = a.segments[0]
-    # l's unpeeled height per slope.  Emptied slopes are deleted and no key
-    # is added, so insertion order keeps the steepest remaining slope first.
-    remaining: dict[Fraction, Fraction] = {seg.slope: seg.height for seg in l.segments}
-    quotient: list[tuple[Fraction, Fraction]] = []
-    height_total = _ZERO
-    while remaining:
-        if len(quotient) >= len(l.segments):
-            return None
-        top_slope = next(iter(remaining))
-        q_slope = top_slope / a_top.slope
-        q_height = remaining[top_slope] / a_top.height
-        quotient.append((q_height, q_slope))
-        height_total += q_height
-        if height_total > 1:
-            return None
-        for seg in a.segments:
-            want_slope = seg.slope * q_slope
-            left = remaining.get(want_slope)
-            if left is None:
+    ma, ml = _measure(_segment_pairs(a)), _measure(_segment_pairs(l))
+    rows = list(ma.heights.items())
+    top_slope, top_height = rows[0]
+    remaining: dict[int, Fraction] = {y * top_slope: h for y, h in ml.heights.items()}
+    # q's height is k * height_unit: k is in l's height units per a's.
+    height_unit = Fraction(ma.height_den, ml.height_den)
+    slope_den = ml.slope_den * top_slope
+    segments = []
+    for y in ml.heights:
+        left = remaining[y * top_slope]
+        if left:
+            k = Fraction(left, top_height)
+            if not _subtract_row(remaining, rows, y, k):
                 return None
-            left -= seg.height * q_height
-            if left < 0:
-                return None
-            if left:
-                remaining[want_slope] = left
-            else:
-                del remaining[want_slope]
-    if height_total != _ONE:
-        return None
+            segments.append(Segment(k * height_unit, Fraction(y * ma.slope_den, slope_den)))
     try:
-        q = canonical_curve(quotient, width)
-    except ValueError:
+        return Curve(tuple(segments), width)
+    except InvalidCurve:
         return None
-    # product(a, q) has width a.total_width * width == l.total_width by
-    # construction, so the measures decide the multiply-back check.
-    ma, mq, ml = _measure(_segment_pairs(a)), _measure(quotient), _measure(_segment_pairs(l))
-    if not _same_products(ma, mq, ml, _IDENTITY):
-        return None
-    return q
 
 
 def realize_state(curve: Curve) -> ThermoState:

@@ -401,6 +401,20 @@ class TestEngine:
             "stage4_hot_populations_cold_bath.csv",
         ]
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
+    def test_unwritable_curves_dir_emits_nothing(self, capsys, tmp_path, to_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        report = tmp_path / "report.json"
+        argv = ["engine", "--epsilon", "1", "--t-hot", "2", "--t-cold", "1"]
+        argv += ["--curves-dir", str(blocker)] + (["-o", str(report)] if to_file else [])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("io error: ")
+        assert not report.exists()
+
     def test_boltzmann_factor_below_the_cap_exits_2(self, capsys):
         # e^-1000 rounds to 0 at the 10^6 denominator cap.
         code = main(["engine", "--epsilon", "1", "--t-hot", "1e-3", "--t-cold", "1e-4"])
@@ -619,3 +633,50 @@ class TestFuzz:
             )
             argv = command_argv + [f"--alpha-grid={','.join(grid)}"]
         assert_clean_exit(*run_quietly(argv))
+
+
+class TestFuzzInSubprocess:
+    """A few hostile runs, each in a fresh interpreter with a timeout, so a
+    hang fails the test instead of stalling the suite."""
+
+    @settings(max_examples=4, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_hostile_files_end_in_time(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("subprocess-files")
+        command, files = data.draw(st.sampled_from(FUZZ_COMMANDS))
+        argv = list(command)
+        contents = data.draw(st.lists(file_contents(), min_size=files, max_size=files))
+        for index, content in enumerate(contents):
+            path = directory / f"{index}.json"
+            path.write_bytes(content)
+            argv.append(str(path))
+        proc = run_python("-m", "thermomajor.cli", *argv, timeout=10)
+        assert_clean_exit(proc.returncode, proc.stderr)
+
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_hostile_argv_end_in_time(self, tmp_path_factory, data):
+        """``engine`` with hostile numbers and a ``--curves-dir`` that is a
+        file, lies under a file or is new, and ``oracle-check`` with hostile
+        counts."""
+        directory = tmp_path_factory.mktemp("subprocess-argv")
+        blocker = directory / "blocker"
+        blocker.write_text("")
+        if data.draw(st.booleans()):
+            target = data.draw(st.sampled_from([blocker, blocker / "curves", directory / "new"]))
+            hostile = st.tuples(*[st.sampled_from(FLOAT_TOKENS)] * 3)
+            numbers = data.draw(st.sampled_from([("1", "2", "1"), ("0.5", "3", "2")]) | hostile)
+            argv = ["engine", f"--curves-dir={target}"] + [
+                f"{flag}={number}"
+                for flag, number in zip(("--epsilon", "--t-hot", "--t-cold"), numbers)
+            ]
+        else:
+            dims = data.draw(st.lists(st.sampled_from(INT_TOKENS), min_size=1, max_size=3))
+            argv = [
+                "oracle-check",
+                f"--trials={data.draw(st.sampled_from(TRIAL_TOKENS))}",
+                f"--dims={','.join(dims)}",
+            ]
+        proc = run_python("-m", "thermomajor.cli", *argv, timeout=10)
+        assert_clean_exit(proc.returncode, proc.stderr)
+        assert proc.returncode != 2 or proc.stdout == ""

@@ -2,10 +2,12 @@
 
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from thermomajor import curves
 from thermomajor.curves import (
     Curve,
     Segment,
@@ -93,6 +95,68 @@ def fraction_product(a, b):
 def fraction_curve_of(s):
     pairs = [(p, p / w) for p, w in zip(s.probs, s.weights) if p > 0]
     return fraction_canonical_curve(pairs, sum(s.weights, F(0)))
+
+
+def fraction_divide(l, a):
+    """The Fraction peel ``divide`` replaced, which multiplied its candidate
+    back to check it."""
+    a_top = a.segments[0]
+    remaining = {seg.slope: seg.height for seg in l.segments}
+    quotient = []
+    height_total = F(0)
+    while remaining:
+        if len(quotient) >= len(l.segments):
+            return None
+        top_slope = next(iter(remaining))
+        q_slope = top_slope / a_top.slope
+        q_height = remaining[top_slope] / a_top.height
+        quotient.append((q_height, q_slope))
+        height_total += q_height
+        if height_total > 1:
+            return None
+        for seg in a.segments:
+            want_slope = seg.slope * q_slope
+            left = remaining.get(want_slope)
+            if left is None:
+                return None
+            left -= seg.height * q_height
+            if left < 0:
+                return None
+            if left:
+                remaining[want_slope] = left
+            else:
+                del remaining[want_slope]
+    if height_total != 1:
+        return None
+    try:
+        q = fraction_canonical_curve(quotient, l.total_width / a.total_width)
+    except ValueError:
+        return None
+    return q if fraction_product(a, q) == l else None
+
+
+@st.composite
+def division_cases(draw, palette):
+    """(l, a) for ``divide``: an exact product a (x) q, one with height moved
+    from a flatter segment to a steeper one, one with its flat tail cut or
+    widened, or two unrelated curves."""
+    a = curve_of(draw(family_states(draw(st.integers(1, 8)), palette)))
+    q = curve_of(draw(family_states(draw(st.integers(1, 8)), palette)))
+    left = product(a, q)
+    kind = draw(st.sampled_from(["exact", "moved", "tail", "unrelated"]))
+    if kind == "moved" and len(left.segments) > 1:
+        segs = list(left.segments)
+        i, j = sorted(draw(st.permutations(range(len(segs))))[:2])
+        moved = segs[j].height * draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]))
+        segs[i] = Segment(segs[i].height + moved, segs[i].slope)
+        segs[j] = Segment(segs[j].height - moved, segs[j].slope)
+        left = Curve(tuple(segs), left.total_width)
+    elif kind == "tail":
+        cut, half = left.sloped_width, (left.sloped_width + left.total_width) / 2
+        left = Curve(left.segments, draw(st.sampled_from([cut, half, 2 * left.total_width])))
+    elif kind == "unrelated":
+        left = q
+    return left, a
 
 
 def all_fractions(curve):
@@ -426,6 +490,55 @@ class TestDivide:
             left = product(a, x)
             recovered = divide(left, a)
             assert recovered == x
+
+
+    @pytest.mark.parametrize("palette", [True, False], ids=["palette", "generic"])
+    @HYPO
+    @given(data=st.data())
+    def test_matches_fraction_peel(self, palette, data):
+        left, a = data.draw(division_cases(palette))
+        q = divide(left, a)
+        assert q == fraction_divide(left, a)
+        assert q is None or all_fractions(q)
+
+    def test_flat_tail_of_the_divisor_missing_from_the_product(self):
+        """The peel succeeds on the sloped parts, but the quotient's sloped
+        width exceeds l.Z / a.Z, so no quotient exists."""
+        a = curve_of(make_state(("1/2", "1/2", 0), (1, 2, 3)))
+        q = curve_of(make_state(("1/3", "2/3"), (1, 1)))
+        full = product(a, q)
+        assert divide(full, a) == q
+        left = Curve(full.segments, full.sloped_width)
+        assert divide(left, a) is None
+        assert fraction_divide(left, a) is None
+
+    def test_builds_no_product_measure(self):
+        """The peel subtracts a's entries from l's measure, so neither a
+        product nor a multiply-back is formed."""
+        rng = seeded(8)
+        pairs = [(random_curve(rng), random_curve(rng)) for _ in range(50)]
+        exact = [(product(a, b), a, b) for a, b in pairs]
+        c = random_curve(seeded(9))
+        line = curve_of(gibbs_of(make_state((1, 0), (1, 1))))
+        two = curve_of(make_state(("1/3", "2/3"), (1, 1)))
+        tailed = curve_of(make_state(("1/2", "1/2", 0), (1, 2, 3)))
+        cut = product(tailed, two)
+        cut = Curve(cut.segments, cut.sloped_width)
+        moved = product(two, two)
+        segs = list(moved.segments)
+        segs[0], segs[-1] = (
+            Segment(segs[0].height + segs[-1].height / 2, segs[0].slope),
+            Segment(segs[-1].height / 2, segs[-1].slope),
+        )
+        moved = Curve(tuple(segs), moved.total_width)
+        refuse = AssertionError("a product measure was formed")
+        with mock.patch.object(curves, "_product_measure", side_effect=refuse):
+            for left, a, b in exact:
+                assert divide(left, a) == b
+            assert divide(c, c) == identity_curve()
+            assert divide(line, two) is None
+            assert divide(cut, tailed) is None
+            assert divide(moved, two) is None
 
 
 class TestRealizeState:
