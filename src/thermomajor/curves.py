@@ -112,13 +112,13 @@ class Curve:
 
     @cached_property
     def sloped_width(self) -> Fraction:
-        return _exact_sum(
-            Fraction(
-                seg.height.numerator * seg.slope.denominator,
-                seg.height.denominator * seg.slope.numerator,
-            )
-            for seg in self.segments
-        )
+        return _exact_sum(_ratio(seg.height, seg.slope) for seg in self.segments)
+
+
+def _ratio(a: Fraction, b: Fraction) -> Fraction:
+    """a / b built from numerators and denominators, so ints divide exactly
+    too."""
+    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
 
 
 class _Measure(NamedTuple):
@@ -298,16 +298,19 @@ def num_distinct_slopes(curve: Curve) -> int:
 
 
 def breakpoints(curve: Curve) -> list[tuple[Fraction, Fraction]]:
-    """Elbow points from (0, 0) to (Z, 1), including the flat-tail endpoint."""
+    """Elbow points from (0, 0) to (Z, 1), including the flat-tail endpoint.
+
+    Every coordinate is a Fraction, also for a curve with int entries.
+    """
     points = [(_ZERO, _ZERO)]
     x = _ZERO
     y = _ZERO
     for seg in curve.segments:
-        x += seg.height / seg.slope
+        x += _ratio(seg.height, seg.slope)
         y += seg.height
         points.append((x, y))
     if x < curve.total_width:
-        points.append((curve.total_width, _ONE))
+        points.append((Fraction(curve.total_width), _ONE))
     return points
 
 
@@ -384,7 +387,7 @@ def divide(l: Curve, a: Curve) -> Optional[Curve]:
     tail that l lacks, and ``Curve`` validation rejects that.  No product
     measure is built.
     """
-    width = l.total_width / a.total_width
+    width = _ratio(l.total_width, a.total_width)
     ma, ml = _measure(_segment_pairs(a)), _measure(_segment_pairs(l))
     rows = list(ma.heights.items())
     top_slope, top_height = rows[0]
@@ -413,7 +416,7 @@ def realize_state(curve: Curve) -> ThermoState:
     the flat tail has width, a single zero-probability level carrying it.
     """
     probs = [seg.height for seg in curve.segments]
-    weights = [seg.height / seg.slope for seg in curve.segments]
+    weights = [_ratio(seg.height, seg.slope) for seg in curve.segments]
     tail = curve.total_width - curve.sloped_width
     if tail > 0:
         probs.append(_ZERO)

@@ -41,7 +41,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .curves import Curve, _products_coincide, coincide, curve_of, divide, num_distinct_slopes
-from .divergences import renyi
 from .errors import (
     DimensionMismatch,
     GibbsInput,
@@ -127,11 +126,15 @@ def _slope_matched(
 
 def two_level_extraction_bound(p: ThermoState) -> float:
     """Best deterministic work a two-level reservoir can extract: D_0(p || tau)."""
+    from .divergences import renyi  # loaded on use: verify and build never need it
+
     return renyi(0.0, p, gibbs_of(p))
 
 
 def two_level_formation_bound(p: ThermoState) -> float:
     """Deterministic work a two-level reservoir needs to form p: D_inf(p || tau)."""
+    from .divergences import renyi
+
     return renyi(math.inf, p, gibbs_of(p))
 
 

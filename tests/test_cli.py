@@ -1,5 +1,6 @@
 """Command-line front end: formats, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 import math
@@ -432,6 +433,24 @@ class TestReproduce:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert all(check["ok"] for check in payload["checks"])
+
+    def test_efficiency_from_perturbed_heats_fails(self, capsys, monkeypatch):
+        # Moving 1e-11 from the work to the hot heat conserves energy and keeps
+        # the entropy balance within its tolerance; only the efficiency sees it.
+        from thermomajor import engine
+
+        run_carnot = engine.run_carnot
+
+        def perturbed(spec):
+            report = run_carnot(spec)
+            return dataclasses.replace(report, w=report.w - 1e-11, q_h=report.q_h + 1e-11)
+
+        monkeypatch.setattr(engine, "run_carnot", perturbed)
+        code, out = run(capsys, ["reproduce", "engine"])
+        assert code == 3
+        assert [check["name"] for check in json.loads(out)["checks"] if not check["ok"]] == [
+            "carnot_efficiency_exact"
+        ]
 
 
 class TestDeterminism:

@@ -547,3 +547,41 @@ class TestRealizeState:
     def test_realization_reproduces_curve(self, s):
         c = curve_of(s)
         assert curve_of(realize_state(c)) == c
+
+
+class TestIntEntries:
+    """A curve with int entries, which ``Curve`` allows, gives the exact
+    Fractions its Fraction twin gives: no value passes through a float."""
+
+    ONE_THIRD = Curve((Segment(1, 3),), 1)
+    TWIN = Curve((Segment(F(1), F(3)),), F(1))
+    TAILED = Curve((Segment(1, 1),), 2)
+
+    def test_breakpoints(self):
+        assert breakpoints(self.ONE_THIRD) == [(0, 0), (F(1, 3), 1), (1, 1)]
+        points = breakpoints(self.TAILED)
+        assert points == [(0, 0), (1, 1), (2, 1)]
+        assert all(type(v) is Fraction for point in points for v in point)
+
+    def test_evaluate(self):
+        for curve, x, y in ((self.ONE_THIRD, F(1, 6), F(1, 2)), (self.TAILED, F(3, 2), F(1))):
+            value = evaluate(curve, x)
+            assert value == y and type(value) is Fraction
+
+    def test_majorizes(self):
+        assert majorizes(self.TWIN, self.ONE_THIRD) and majorizes(self.ONE_THIRD, self.TWIN)
+        # Both reach height 1 at x = 1/19; a float 1/19 read the steeper curve
+        # as below the straight one there.
+        straight = Curve((Segment(1, 19),), 1)
+        steeper = Curve((Segment(F(3, 10), F(32)), Segment(F(7, 10), F(4256, 263))), F(1))
+        assert majorizes(steeper, straight) and not majorizes(straight, steeper)
+
+    def test_realize_state(self):
+        state = realize_state(self.TAILED)
+        assert state.weights == (1, 1) and curve_of(state) == self.TAILED
+        assert curve_of(realize_state(self.ONE_THIRD)) == self.TWIN
+
+    def test_divide(self):
+        assert divide(self.TAILED, self.TAILED) == identity_curve()
+        assert divide(self.ONE_THIRD, self.ONE_THIRD) == identity_curve()
+        assert divide(product(self.TAILED, self.ONE_THIRD), self.TAILED) == self.TWIN

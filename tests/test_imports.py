@@ -1,0 +1,140 @@
+"""The lazy package and what each CLI subcommand imports."""
+
+import importlib
+import json
+import sys
+import types
+
+import pytest
+
+import thermomajor
+from thermomajor.cli import main
+from thermomajor.states import gibbs_of, make_state, state_to_json
+
+from conftest import run_python
+
+# The public API as the package exported it when it imported every module up
+# front; loading on first use must keep every name.
+PUBLIC = [
+    "AlphaProfile", "CatalystMarginalMismatch", "CtoVerdict", "Curve", "CurvesDiffer",
+    "DEFAULT_ALPHA_GRID", "DimensionCapExceeded", "DimensionMismatch", "EngineReport",
+    "EngineSpec", "GibbsInput", "InvalidCurve", "InvalidOrder", "InvalidTemperatures", "LevelRow",
+    "NegativeProbability", "NonPositiveWeight", "NontrivialHamiltonian", "NotProductState",
+    "OutsideDomain", "ParseError", "ProbSumNotOne", "Rat", "ReproductionMismatch", "Reservoir",
+    "Segment", "ThermoState", "ThermomajorError", "Transition", "WidthMismatch",
+    "ZeroProbability", "alpha_free_energy", "alpha_profile", "alt_product_reservoir", "as_rat",
+    "average_work", "breakpoints", "canonical_curve", "characterize_formation_family",
+    "clock_lift", "coincide", "coincide_iff_alpha_equal", "cto_feasible",
+    "curve_alpha_divergence", "curve_of", "dimension_lower_bound", "divide",
+    "entropy_production", "evaluate", "general_efficient_reservoir", "gibbs_of",
+    "identity_curve", "is_gibbs", "jarzynski_ratio_check", "joint_states", "lp_feasible",
+    "majorizes", "make_state", "minimal_extraction_reservoir", "num_distinct_slopes", "product",
+    "random_rational_gibbs_matrix", "realize_state", "recovery_map", "renyi",
+    "reservoir_level_table", "run_carnot", "shannon_entropy", "state_from_json",
+    "state_to_json", "strip_catalyst", "tensor", "two_level_extraction_bound",
+    "two_level_formation_bound", "verify_efficient",
+]
+
+
+class TestLazyPackage:
+    def test_all_is_the_public_api(self):
+        assert sorted(thermomajor.__all__) == PUBLIC
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from thermomajor import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+
+    def test_each_name_is_its_modules_object(self):
+        for name in PUBLIC:
+            short = thermomajor._MODULE_OF[name]
+            value = getattr(thermomajor, name)
+            assert value is getattr(importlib.import_module(f"thermomajor.{short}"), name), name
+            # Classes and functions say where they are defined (Rat is Fraction).
+            if getattr(value, "__module__", "").startswith("thermomajor."):
+                assert value.__module__ == f"thermomajor.{short}", name
+
+    def test_dir_lists_every_name(self):
+        assert set(PUBLIC) <= set(dir(thermomajor))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            thermomajor.no_such_name
+
+    def test_from_import_of_a_submodule(self):
+        from thermomajor import curves
+
+        assert isinstance(curves, types.ModuleType)
+        assert curves is sys.modules["thermomajor.curves"]
+
+
+# Runs the CLI as ``python -m thermomajor.cli`` does (runpy imports the
+# package first), exits with its code, and prints the thermomajor modules
+# loaded as the last line of stderr.
+PROBE = """
+import json, runpy, sys
+try:
+    runpy.run_module("thermomajor.cli", run_name="__main__", alter_sys=True)
+finally:
+    loaded = sorted(m[len("thermomajor."):] for m in sys.modules if m.startswith("thermomajor."))
+    print(json.dumps(loaded), file=sys.stderr)
+"""
+
+_ALL = {
+    "catalysis", "curves", "divergences", "engine", "errors", "oracle", "reproduce", "reservoirs",
+    "states",
+}
+_CURVES_ONLY = _ALL - {"errors", "states", "curves"}
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    initial = make_state(("1/2", "1/3", "1/6"), (1, 2, "1/2"))
+    paths = {"initial": tmp_path / "initial.json", "final": tmp_path / "final.json"}
+    paths["initial"].write_text(state_to_json(initial))
+    paths["final"].write_text(state_to_json(gibbs_of(initial)))
+    paths["reservoir"] = tmp_path / "reservoir.json"
+    argv = ["build-reservoir", "--method", "general", str(paths["initial"]), str(paths["final"])]
+    assert main([*argv, "-o", str(paths["reservoir"])]) == 0
+    return {name: str(path) for name, path in paths.items()}
+
+
+class TestImportFootprint:
+    """Each subcommand, in its own process, loads only the modules it runs."""
+
+    @pytest.mark.parametrize(
+        "argv, forbidden",
+        [
+            (["curve", "{initial}"], _CURVES_ONLY),
+            (["majorize", "{initial}", "{final}"], _CURVES_ONLY),
+            (["divergence", "{initial}"], _CURVES_ONLY - {"divergences"}),
+            (
+                ["build-reservoir", "--method", "general", "{initial}", "{final}"],
+                {"divergences", "catalysis", "oracle", "engine", "reproduce"},
+            ),
+            (
+                ["verify", "{initial}", "{final}", "{reservoir}"],
+                {"divergences", "catalysis", "oracle", "engine", "reproduce"},
+            ),
+            (
+                ["catalytic-check", "{initial}", "{final}"],
+                {"reservoirs", "oracle", "engine", "reproduce"},
+            ),
+            (["oracle-check", "--trials", "3"], {"reservoirs", "catalysis", "engine", "reproduce"}),
+            (["reproduce", "table1"], {"divergences", "catalysis", "oracle", "engine"}),
+        ],
+        ids=["curve", "majorize", "divergence", "build-reservoir", "verify", "catalytic-check",
+             "oracle-check", "reproduce"],
+    )
+    def test_subcommand_loads_only_what_it_runs(self, cli_files, argv, forbidden):
+        proc = run_python("-c", PROBE, *(arg.format(**cli_files) for arg in argv), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert {"errors", "states"} <= loaded
+        assert not loaded & forbidden
+
+    def test_bare_import_loads_no_submodule(self):
+        code = "import sys, thermomajor; print(sorted(m for m in sys.modules if 'thermo' in m))"
+        proc = run_python("-c", code, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['thermomajor']"
