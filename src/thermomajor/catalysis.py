@@ -3,11 +3,11 @@
 Catalytic thermal operations are governed by monotonicity of every real-order
 Renyi divergence, which no finite sample can certify; verdicts therefore carry
 an explicit grid-only caveat.  Rejection, by contrast, is sound: one violated
-grid point settles infeasibility.  Every per-order comparison comes from
-``divergences._order_compare`` (exact at alpha = 0 and inf), so this module
-holds no order rule of its own.  In the zero-dissipation regime the all-alpha
-condition collapses to exact curve coincidence, where catalysts are provably
-useless; :func:`strip_catalyst` is that statement run as code.
+grid point settles infeasibility.  Each state is read once into a term list
+and every order comparison comes from ``divergences._order_compare`` on two
+lists (exact at alpha = 0 and inf).  In the zero-dissipation regime the
+all-alpha condition collapses to exact curve coincidence, where catalysts are
+provably useless; :func:`strip_catalyst` is that statement run as code.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .curves import coincide, curve_of
-from .divergences import DEFAULT_ALPHA_GRID, _order_compare
+from .divergences import DEFAULT_ALPHA_GRID, _order_compare, _Terms
 from .errors import (
     CatalystMarginalMismatch,
     CurvesDiffer,
@@ -49,17 +49,18 @@ def cto_feasible(
 ) -> CtoVerdict:
     """Check D_alpha(initial || tau) >= D_alpha(final || tau) on a grid.
 
-    ``nonnegative_only`` restricts to alpha >= 0, the regime where an
-    infinitesimal work investment is allowed.  Each order is compared by
-    ``divergences._order_compare``: exactly at alpha = 0 and alpha = inf
-    through their inner rationals, within ``_ORDER_TOL`` elsewhere.
+    ``nonnegative_only`` restricts to alpha >= 0, where an infinitesimal
+    work investment is allowed.  Each order is compared from the states'
+    term lists by ``divergences._order_compare``: exactly at alpha = 0 and
+    inf through their inner rationals, within ``_ORDER_TOL`` elsewhere.
     """
     tau = gibbs_of(t.initial)
     grid = tuple(float(a) for a in alpha_grid)
     if nonnegative_only:
         # Drop the negative reals only: nan and -inf go on to be refused.
         grid = tuple(a for a in grid if not -math.inf < a < 0)
-    compared = [_order_compare(alpha, t.initial, t.final, tau) for alpha in grid]
+    pairs = _Terms(t.initial, tau), _Terms(t.final, tau)
+    compared = [_order_compare(alpha, *pairs) for alpha in grid]
     return CtoVerdict(
         all(sign >= 0 for _, _, sign in compared),
         tuple((alpha, d_init, d_fin) for alpha, (d_init, d_fin, _) in zip(grid, compared)),
@@ -138,7 +139,6 @@ def coincide_iff_alpha_equal(a: ThermoState, b: ThermoState) -> tuple[bool, bool
         raise DimensionMismatch("states must share the same weights")
     tau = gibbs_of(a)
     curves_equal = coincide(curve_of(a), curve_of(b))
-    alphas_equal = all(
-        _order_compare(alpha, a, b, tau)[2] == 0 for alpha in DEFAULT_ALPHA_GRID
-    )
+    pairs = _Terms(a, tau), _Terms(b, tau)
+    alphas_equal = all(_order_compare(alpha, *pairs)[2] == 0 for alpha in DEFAULT_ALPHA_GRID)
     return curves_equal, alphas_equal

@@ -315,7 +315,8 @@ def breakpoints(curve: Curve) -> list[tuple[Fraction, Fraction]]:
 
 
 def evaluate(curve: Curve, x: Fraction) -> Fraction:
-    """Exact value of the curve at ``x`` in [0, Z]."""
+    """Exact value of the curve at ``x`` in [0, Z], an int or a Fraction."""
+    _check_rationals((x,))
     if x < 0 or x > curve.total_width:
         raise OutsideDomain(f"x={x} outside [0, {curve.total_width}]")
     points = breakpoints(curve)

@@ -5,12 +5,12 @@ side of the alpha = 0 and alpha = infinity endpoints (the rational inside the
 log) is exposed separately for callers that need exact comparisons.  Natural
 logs throughout.
 
-One private kernel holds every order's rules, and :func:`renyi` (two states)
-and :func:`curve_alpha_divergence` (a curve against its equilibrium) only
-supply its inputs.  Beside it, one private comparison decides which of two
-states has the larger D_alpha against a reference: exactly at alpha = 0 and
-infinity, within ``_ORDER_TOL`` at every other order.  The catalytic checks
-take every order verdict from it.
+A pair (p, q), or a curve against its equilibrium, is read once into one
+private term list (log-ratios, the exact D_0 mass and D_inf ratio, support
+flags; each built on first use).  One kernel evaluates any order from a list
+and one comparison decides from two lists which D_alpha is larger (exactly
+at alpha = 0 and infinity, within ``_ORDER_TOL`` elsewhere); a caller that
+reads many orders, the catalytic checks among them, builds one list per state.
 
 Conventions at zeros: 0*ln(0) = 0; for alpha >= 1 a probability outside the
 reference support gives +inf; for alpha < 0 a reference level that carries
@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 from .curves import Curve, curve_of
 from .errors import DimensionMismatch, InvalidOrder, OutsideDomain
@@ -74,10 +75,10 @@ _RATIO_TOL = 1e-9
 
 
 def ln_frac(x: Fraction) -> float:
-    """Natural log of a positive rational, safe for huge numerators."""
+    """Natural log of a positive rational to a few ulps, near 1 and for huge ones."""
     if x <= 0:
         raise OutsideDomain(f"ln of non-positive rational {x}")
-    return math.log(x.numerator) - math.log(x.denominator)
+    return _ln_ratio(x.numerator, x.denominator)
 
 
 def _ln_ratio(num: int, den: int) -> float:
@@ -93,68 +94,98 @@ def _ln_ratio(num: int, den: int) -> float:
 
 def shannon_entropy(probs: Iterable[Fraction]) -> float:
     """Shannon entropy in nats, with 0*ln(0) = 0."""
-    return -sum(float(p) * ln_frac(p) for p in probs if p > 0)
+    return -sum(float(p) * ln_frac(p) for p in probs if p > 0) + 0.0  # + 0.0: no -0.0
 
 
-def _check_dims(p: ThermoState, q: ThermoState) -> None:
-    if p.dim != q.dim:
-        raise DimensionMismatch(f"dimensions differ: {p.dim} vs {q.dim}")
+class _Terms:
+    """A pair (p, q) read once for every order: ``logs`` (p_i, ln(p_i / q_i))
+    where both are positive, the ratio kept as ints until its log is taken;
+    ``mass``, the exact q-mass of p's support (D_0), and ``ratio``, the exact
+    max p_i / q_i (D_inf; None if p escapes q's support), each built on first
+    use; ``escapes`` / ``misses``: p / q has mass where the other has none."""
+
+    def __init__(self, p: ThermoState, q: ThermoState) -> None:
+        if p.dim != q.dim:
+            raise DimensionMismatch(f"dimensions differ: {p.dim} vs {q.dim}")
+        self.pairs = pairs = tuple(zip(p.probs, q.probs))
+        self.escapes = any(pi and not qi for pi, qi in pairs)
+        self.misses = any(qi and not pi for pi, qi in pairs)
+        self.ratios = (
+            (pi, pi.numerator * qi.denominator, pi.denominator * qi.numerator)
+            for pi, qi in pairs if pi and qi
+        )
+
+    @cached_property
+    def logs(self) -> list[tuple[Fraction, float]]:
+        return [(h, _ln_ratio(a, b)) for h, a, b in self.ratios]
+
+    @cached_property
+    def mass(self) -> Fraction:
+        return sum((qi for pi, qi in self.pairs if pi), Fraction(0))
+
+    @cached_property
+    def ratio(self) -> Optional[Fraction]:
+        return None if self.escapes else max(pi / qi for pi, qi in self.pairs if pi)
+
+
+class _CurveTerms(_Terms):
+    """A curve against its equilibrium: one term per segment, p_i / q_i = k_i Z,
+    and no level outside either support (the flat tail carries no segment)."""
+
+    escapes = misses = False
+
+    def __init__(self, curve: Curve) -> None:
+        self.curve, z = curve, curve.total_width
+        zn, zd = z.numerator, z.denominator  # Fraction properties: read once, not per segment
+        self.ratios = (
+            (s.height, s.slope.numerator * zn, s.slope.denominator * zd) for s in curve.segments
+        )
+
+    @cached_property
+    def mass(self) -> Fraction:
+        return self.curve.sloped_width / self.curve.total_width
+
+    @cached_property
+    def ratio(self) -> Fraction:
+        return self.curve.segments[0].slope * self.curve.total_width
 
 
 def d0_support_mass(p: ThermoState, q: ThermoState) -> Fraction:
     """Exact inner argument of D_0: the q-mass of p's support."""
-    _check_dims(p, q)
-    return sum((qi for pi, qi in zip(p.probs, q.probs) if pi > 0), Fraction(0))
+    return _Terms(p, q).mass
 
 
 def dinf_max_ratio(p: ThermoState, q: ThermoState) -> Optional[Fraction]:
     """Exact inner argument of D_inf: max p_i/q_i on p's support, None if infinite."""
-    _check_dims(p, q)
-    pairs = tuple(zip(p.probs, q.probs))
-    if any(pi and not qi for pi, qi in pairs):
-        return None
-    return max(pi / qi for pi, qi in pairs if pi)
+    return _Terms(p, q).ratio
 
 
-def _divergence(
-    alpha: float,
-    terms: Iterable[tuple[Fraction, int, int]],
-    support_mass: Callable[[], Fraction],
-    max_ratio: Callable[[], Fraction],
-    escapes: bool,
-    misses: bool,
-) -> float:
-    """D_alpha(p || q) in nats, the one place that knows the order's rules.
+def _divergence(alpha: float, pair: _Terms) -> float:
+    """D_alpha(p || q) in nats from the pair's term list, the one place that
+    knows the order's rules; nan and -inf orders raise InvalidOrder.
 
-    ``terms`` yields (p_i, a, b) with a / b = p_i / q_i where both are
-    positive;
-    ``support_mass`` and ``max_ratio`` give the exact rationals inside D_0 and
-    D_inf.  Each is evaluated only at the orders that read it.  ``escapes``:
-    p has mass where q has none; ``misses``: q has mass where p has none.
-    Orders are real numbers or +inf; nan and -inf raise InvalidOrder.
-
-    The sum S = sum_i p_i r_i^(alpha-1) is read as 1 + (S - 1), with S - 1
-    summed from the exact mass and expm1 terms, and its log taken by log1p,
-    so D_alpha stays accurate as alpha nears 1 (where S - 1 ~ alpha - 1).
-    When a term overflows, or S is near 0 and log1p would lose it, the sum
-    runs in max-shifted log-sum-exp form instead, which tiny weights need.
+    S = sum_i p_i r_i^(alpha-1) over the ratios r_i is read as 1 + (S - 1),
+    S - 1 summed from the exact mass p has outside q's support and expm1
+    terms and its log taken by log1p, so D_alpha stays accurate as alpha
+    nears 1.  Where a term overflows, or S is near 0 and log1p would lose
+    it, the sum runs in max-shifted log-sum-exp form, which tiny weights need.
     """
     if math.isnan(alpha) or alpha == -math.inf:
         raise InvalidOrder(f"alpha must be a real number or inf, got {alpha}")
-    if (escapes and alpha >= 1) or (misses and alpha < 0):
+    if (pair.escapes and alpha >= 1) or (pair.misses and alpha < 0):
         return math.inf
     if alpha == 0:
-        mass = support_mass()
+        mass = pair.mass
         return -ln_frac(mass) + 0.0 if mass else math.inf  # + 0.0: no -0.0
     if alpha == math.inf:
-        return ln_frac(max_ratio())
-    terms = [(h, _ln_ratio(num, den)) for h, num, den in terms]
+        return ln_frac(pair.ratio)
+    terms = pair.logs
     if alpha == 1:
         return sum(float(h) * ln_r for h, ln_r in terms)
     if not terms:
         return math.inf
     # The terms carry all of p's mass unless p escapes q's support.
-    deficit = float(_exact_sum(h for h, _ in terms) - 1) if escapes else 0.0
+    deficit = float(_exact_sum(h for h, _ in terms) - 1) if pair.escapes else 0.0
     try:
         excess = deficit + math.fsum(
             float(h) * math.expm1((alpha - 1.0) * ln_r) for h, ln_r in terms
@@ -172,41 +203,22 @@ def _divergence(
 
 def renyi(alpha: float, p: ThermoState, q: ThermoState) -> float:
     """Classical Renyi divergence D_alpha(p || q) in nats (may be +inf)."""
-    _check_dims(p, q)
-    pairs = tuple(zip(p.probs, q.probs))
-    return _divergence(
-        alpha,
-        (
-            (pi, pi.numerator * qi.denominator, pi.denominator * qi.numerator)
-            for pi, qi in pairs
-            if pi and qi
-        ),
-        lambda: d0_support_mass(p, q),
-        lambda: dinf_max_ratio(p, q),
-        escapes=any(pi and not qi for pi, qi in pairs),
-        misses=any(qi and not pi for pi, qi in pairs),
-    )
+    return _divergence(alpha, _Terms(p, q))
 
 
-def _order_compare(
-    alpha: float, p: ThermoState, q: ThermoState, tau: ThermoState
-) -> tuple[float, float, int]:
-    """D_alpha(p || tau), D_alpha(q || tau) and the sign of their difference.
-
-    The sign is exact at alpha = 0, where a larger tau-mass of the support
-    means a smaller D_0, and at alpha = inf, from the max ratio (None is
-    +inf).  At every other order a value must exceed the other by more than
-    ``_ORDER_TOL`` to count as larger, so two infinities are equal.
-    """
-    d_p, d_q = renyi(alpha, p, tau), renyi(alpha, q, tau)
+def _order_compare(alpha: float, p: _Terms, q: _Terms) -> tuple[float, float, int]:
+    """D_alpha of two term lists against one reference and the sign of their
+    difference: exact at alpha = 0 (the larger support mass has the smaller
+    D_0) and at alpha = inf (from the max ratio; None is +inf).  Elsewhere a
+    value must exceed the other by more than ``_ORDER_TOL`` to count as
+    larger, so two infinities are equal."""
+    d_p, d_q = _divergence(alpha, p), _divergence(alpha, q)
     if alpha == 0:
-        mass_p, mass_q = d0_support_mass(p, tau), d0_support_mass(q, tau)
-        return d_p, d_q, (mass_p < mass_q) - (mass_p > mass_q)
+        return d_p, d_q, (p.mass < q.mass) - (p.mass > q.mass)
     if alpha == math.inf:
-        ratio_p, ratio_q = dinf_max_ratio(p, tau), dinf_max_ratio(q, tau)
-        if ratio_p is None or ratio_q is None:
-            return d_p, d_q, (ratio_p is None) - (ratio_q is None)
-        return d_p, d_q, (ratio_p > ratio_q) - (ratio_p < ratio_q)
+        if p.ratio is None or q.ratio is None:
+            return d_p, d_q, (p.ratio is None) - (q.ratio is None)
+        return d_p, d_q, (p.ratio > q.ratio) - (p.ratio < q.ratio)
     return d_p, d_q, (d_p > d_q + _ORDER_TOL) - (d_q > d_p + _ORDER_TOL)
 
 
@@ -240,9 +252,9 @@ def alpha_profile(
     alphas: Sequence[float] = DEFAULT_ALPHA_GRID,
 ) -> AlphaProfile:
     """Evaluate D_alpha(p || q) over a grid; q defaults to p's Gibbs state."""
-    reference = gibbs_of(p) if q is None else q
+    pair = _Terms(p, gibbs_of(p) if q is None else q)
     grid = tuple(float(a) for a in alphas)
-    return AlphaProfile(grid, tuple(renyi(a, p, reference) for a in grid))
+    return AlphaProfile(grid, tuple(_divergence(a, pair) for a in grid))
 
 
 def curve_alpha_divergence(curve: Curve, alpha: float) -> float:
@@ -254,18 +266,7 @@ def curve_alpha_divergence(curve: Curve, alpha: float) -> float:
     segment, this is the analytic continuation that the curve algebra obeys
     for every real alpha, including negative orders.
     """
-    z = curve.total_width
-    return _divergence(
-        alpha,
-        (
-            (s.height, s.slope.numerator * z.numerator, s.slope.denominator * z.denominator)
-            for s in curve.segments
-        ),
-        lambda: curve.sloped_width / z,
-        lambda: curve.segments[0].slope * z,
-        escapes=False,
-        misses=False,
-    )
+    return _divergence(alpha, _CurveTerms(curve))
 
 
 def jarzynski_ratio_check(
@@ -284,16 +285,12 @@ def jarzynski_ratio_check(
     the reciprocal, so either orientation is accepted.  Free energies here are
     curve-based (elbow data only), which is what the identity constrains.
     """
-    sys_curve = curve_of(sys)
     work = res.work_transition()
-    curve_init, curve_fin = curve_of(work.initial), curve_of(work.final)
+    system, init, fin = (_CurveTerms(curve_of(s)) for s in (sys, work.initial, work.final))
     # The log of the right-hand side is -D_alpha(sys || tau) from the curve,
     # at every order and in both sign conventions.
     sides = [
-        (
-            curve_alpha_divergence(curve_fin, alpha) - curve_alpha_divergence(curve_init, alpha),
-            -curve_alpha_divergence(sys_curve, alpha),
-        )
+        (_divergence(alpha, fin) - _divergence(alpha, init), -_divergence(alpha, system))
         for alpha in alphas
     ]
     return any(

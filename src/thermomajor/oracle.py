@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionCapExceeded, DimensionMismatch, NonPositiveWeight
-from .states import ThermoState, Transition
+from .states import ThermoState, Transition, _check_rationals
 
 __all__ = [
     "lp_feasible",
@@ -119,8 +119,10 @@ def recovery_map(matrix: Sequence[Sequence[Fraction]], weights: Sequence[Fractio
 
     R fixes the Gibbs distribution whenever G does; when the forward
     transition produced no entropy, R carries the forward image back to the
-    original distribution.
+    original distribution.  Entries and weights are ints or Fractions.
     """
+    _check_rationals(x for row in matrix for x in row)
+    _check_rationals(weights)
     g = [Fraction(w) for w in weights]
     if any(w <= 0 for w in g):
         raise NonPositiveWeight("weights must be strictly positive")

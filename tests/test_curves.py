@@ -236,6 +236,13 @@ class TestCurveValidation:
         assert c.sloped_width < 1
         assert Curve((Segment(F(1), F(1, 2)),), F(2)).sloped_width == 2
 
+    @pytest.mark.parametrize("x", [0.1, True, float("nan"), "1/2"], ids=repr)
+    def test_evaluate_rejects_non_rational_abscissa(self, x):
+        c = Curve((Segment(F(1, 2), F(2)), Segment(F(1, 2), F(1, 2))), F(2))
+        with pytest.raises(ParseError, match=f"^not a rational: {re.escape(repr(x))}$"):
+            evaluate(c, x)
+        assert evaluate(c, F(1, 10)) == F(1, 5) and evaluate(c, 1) == F(7, 8)
+
     def test_errors_are_library_value_errors(self):
         assert issubclass(InvalidCurve, ThermomajorError) and issubclass(InvalidCurve, ValueError)
         c = curve_of(make_state(("1/3", "2/3"), (1, 1)))

@@ -20,7 +20,8 @@ from thermomajor.divergences import (
     renyi,
     shannon_entropy,
 )
-from thermomajor.catalysis import cto_feasible
+from thermomajor import divergences
+from thermomajor.catalysis import coincide_iff_alpha_equal, cto_feasible
 from thermomajor.errors import DimensionMismatch, InvalidOrder, OutsideDomain, ThermomajorError
 from thermomajor.oracle import random_transition
 from thermomajor.reservoirs import Reservoir, minimal_extraction_reservoir
@@ -330,6 +331,9 @@ class TestHelpers:
         assert abs(shannon_entropy((F(1, 2), F(1, 2))) - math.log(2)) <= 1e-15
         assert shannon_entropy((F(1), F(0))) == 0.0
 
+    def test_pure_state_entropy_is_positive_zero(self):
+        assert math.copysign(1.0, shannon_entropy((F(1), F(0)))) == 1.0
+
     def test_ln_frac_rejects_non_positive(self):
         with pytest.raises(OutsideDomain, match="ln of non-positive rational 0"):
             ln_frac(F(0))
@@ -345,3 +349,138 @@ class TestHelpers:
         tau = gibbs_of(p)
         assert d0_support_mass(p, tau) == F(2, 3)
         assert abs(renyi(0.0, p, tau) + math.log(2 / 3)) <= 1e-15
+
+
+def decimal_ln(x):
+    """ln of a positive rational from 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (Decimal(x.numerator) / Decimal(x.denominator)).ln()
+
+
+class TestLnNearOne:
+    """ln_frac of a rational near 1 is taken from log1p of the exact
+    difference, so the quantities read through it keep their relative
+    accuracy where log(num) - log(den) cancels."""
+
+    @staticmethod
+    def assert_close(value, expected):
+        assert abs(Decimal(value) - expected) <= Decimal(1e-15) * abs(expected)
+
+    def test_dinf_of_a_nudged_gibbs_state(self):
+        nudge = F(1, 10**9)
+        p = make_state((F(1, 6) + nudge, F(1, 3) - nudge, F(1, 2)), (1, 2, 3))
+        expected = decimal_ln(1 + 6 * nudge)
+        self.assert_close(renyi(math.inf, p, gibbs_of(p)), expected)
+        self.assert_close(curve_alpha_divergence(curve_of(p), math.inf), expected)
+
+    def test_d0_with_a_tiny_unoccupied_weight(self):
+        p = make_state((1, 0), (1, F(1, 10**12)))
+        expected = decimal_ln(1 + F(1, 10**12))
+        self.assert_close(renyi(0.0, p, gibbs_of(p)), expected)
+        self.assert_close(curve_alpha_divergence(curve_of(p), 0.0), expected)
+
+    def test_entropy_of_a_nearly_pure_state(self):
+        tiny = F(1, 10**12)
+        probs = (1 - tiny, tiny)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            expected = -sum(
+                (Decimal(x.numerator) / Decimal(x.denominator)) * decimal_ln(x) for x in probs
+            )
+        self.assert_close(shannon_entropy(probs), expected)
+
+    def test_free_energy_with_a_partition_function_near_one(self):
+        s = gibbs_of(make_state((1, 0), (1, F(1, 10**12))))
+        expected = -decimal_ln(1 + F(1, 10**12))
+        for alpha in DEFAULT_ALPHA_GRID:
+            self.assert_close(alpha_free_energy(alpha, s), expected)
+
+
+class TestOneTermListPerPair:
+    """Each multi-order caller reads its pair (or curve) once into one term
+    list: no per-order entry point runs, and each term's log is taken once."""
+
+    @staticmethod
+    def transitions():
+        rng = seeded(61)
+        huge = make_state(("1/2", "1/2"), (1, F(1, 10**200)))
+        out = [random_transition(rng, rng.randint(1, 6)) for _ in range(30)]
+        return out + [Transition(huge, gibbs_of(huge))]
+
+    @staticmethod
+    def results(t):
+        return (
+            cto_feasible(t),
+            cto_feasible(t, nonnegative_only=True),
+            coincide_iff_alpha_equal(t.initial, t.final),
+            alpha_profile(t.initial),
+            alpha_profile(t.initial, t.final),
+        )
+
+    @staticmethod
+    def logged(monkeypatch):
+        """The (num, den) of every ``_ln_ratio`` call from here on."""
+        calls = []
+        ln_ratio = divergences._ln_ratio
+
+        def counted(num, den):
+            calls.append((num, den))
+            return ln_ratio(num, den)
+
+        monkeypatch.setattr(divergences, "_ln_ratio", counted)
+        return calls
+
+    def test_no_per_order_function_is_called(self, monkeypatch):
+        expected = [self.results(t) for t in self.transitions()]
+
+        def refuse(*args):
+            raise AssertionError("a multi-order caller read its pair per order")
+
+        for name in ("renyi", "d0_support_mass", "dinf_max_ratio"):
+            monkeypatch.setattr(divergences, name, refuse)
+        assert [self.results(t) for t in self.transitions()] == expected
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_each_term_is_logged_once(self, monkeypatch, n):
+        rng = seeded(62 + n)
+        p = random_full_support_state(rng, n)
+        q = make_state(random_full_support_state(rng, n).probs, p.weights)
+        t = Transition(p, q)
+        calls = self.logged(monkeypatch)
+        # Every term of both lists once, and one log per exact rational at
+        # alpha = 0 and inf (coincide stops at the first unequal order, so it
+        # compares p with itself to run the whole grid).
+        for check, expected in (
+            (lambda: cto_feasible(t), 2 * n + 4),
+            (lambda: cto_feasible(t, nonnegative_only=True), 2 * n + 4),
+            (lambda: coincide_iff_alpha_equal(p, p), 2 * n + 4),
+            (lambda: alpha_profile(p), n + 2),
+        ):
+            calls.clear()
+            check()
+            assert len(calls) == expected
+
+    def test_one_term_list_per_state(self, monkeypatch):
+        t = self.transitions()[0]
+        built = []
+        init = divergences._Terms.__init__
+
+        def counted(self, p, q):
+            built.append((p, q))
+            init(self, p, q)
+
+        monkeypatch.setattr(divergences._Terms, "__init__", counted)
+        cto_feasible(t)
+        assert built == [(t.initial, gibbs_of(t.initial)), (t.final, gibbs_of(t.initial))]
+
+    def test_each_curve_term_is_logged_once(self, monkeypatch):
+        p = make_state(("1/2", "1/3", "1/6"), (1, 2, 3))
+        res = minimal_extraction_reservoir(p)
+        work = res.work_transition()
+        segments = sum(len(curve_of(s).segments) for s in (p, work.initial, work.final))
+        calls = self.logged(monkeypatch)
+        assert jarzynski_ratio_check(res, p)
+        # Three curves, one log per segment, and one per exact rational at
+        # alpha = 0 and inf for each curve.
+        assert len(calls) == segments + 6

@@ -1,12 +1,13 @@
 """LP feasibility oracle vs the exact curve criterion."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from thermomajor.curves import coincide, curve_of, majorizes
 from thermomajor.divergences import entropy_production
-from thermomajor.errors import DimensionCapExceeded, DimensionMismatch
+from thermomajor.errors import DimensionCapExceeded, DimensionMismatch, ParseError
 from thermomajor.oracle import (
     lp_feasible,
     random_rational_gibbs_matrix,
@@ -62,6 +63,25 @@ class TestRecoveryMap:
     def test_identity_maps_to_identity(self):
         identity = tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3))
         assert recovery_map(identity, (F(5), F(3), F(2))) == identity
+
+    @pytest.mark.parametrize(
+        "matrix, weights, bad",
+        [
+            (((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))), (0.1, 0.2), "0.1"),
+            (((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))), (True, 2), "True"),
+            (((0.5, 0.5), (0.5, 0.5)), (1, 2), "0.5"),
+            (((1, 0), ("1", 1)), (1, 2), "'1'"),
+        ],
+        ids=["float-weights", "bool-weight", "float-entries", "string-entry"],
+    )
+    def test_rejects_non_rational_entries(self, matrix, weights, bad):
+        with pytest.raises(ParseError, match=f"^not a rational: {re.escape(bad)}$"):
+            recovery_map(matrix, weights)
+
+    def test_int_entries_stay_exact(self):
+        swap = ((0, 1), (1, 0))
+        assert recovery_map(swap, (1, 2)) == ((0, F(1, 2)), (2, 0))
+        assert all(type(x) is F for row in recovery_map(swap, (1, 2)) for x in row)
 
     def test_preserves_gibbs_distribution(self):
         rng = seeded(53)
