@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .curves import Curve, curve_of
+from .curves import Curve, _ratio, curve_of
 from .errors import DimensionMismatch, InvalidOrder, OutsideDomain
 from .states import ThermoState, Transition, _exact_sum, gibbs_of
 
@@ -125,7 +125,7 @@ class _Terms:
 
     @cached_property
     def ratio(self) -> Optional[Fraction]:
-        return None if self.escapes else max(pi / qi for pi, qi in self.pairs if pi)
+        return None if self.escapes else max(_ratio(pi, qi) for pi, qi in self.pairs if pi)
 
 
 class _CurveTerms(_Terms):

@@ -21,14 +21,22 @@ independent cross-check.
 
 Synthesis routes.  Each level of a reservoir carries one cell of a coupling
 between the initial and final system distributions, weighted by the one
-slope-matching rule :func:`_slope_matched`; the routes differ in the cells:
+slope-matching rule :func:`_slope_matched`.  Only slopes matter to the joint
+curves, so the coupling is taken between *slope classes*: each side's
+occupied levels merged by their slope p_i / g_i, with integer masses over
+one denominator and slopes as reduced integer pairs.  The north-west-corner
+walk over m initial and m' final classes makes at most m + m' - 1 cells; the
+routes differ in the classes they feed it:
 
-* :func:`minimal_extraction_reservoir` couples p's curve segments with tau's
-  single slope: the unique 2m-level reservoir for extraction from a state
-  whose curve has m distinct slopes (run it backwards for formation).
-* :func:`general_efficient_reservoir` takes the north-west-corner coupling
-  of an arbitrary shared-weights transition.
-* :func:`alt_product_reservoir` takes the product coupling: a larger
+* :func:`minimal_extraction_reservoir` walks p's classes, steepest first,
+  against tau's single slope 1/Z (m' = 1): the unique 2m-level reservoir
+  for extraction from a state whose curve has m distinct slopes (run it
+  backwards for formation).
+* :func:`general_efficient_reservoir` walks both sides' classes in order of
+  first occurrence, for an arbitrary shared-weights transition.  When every
+  slope is distinct a class is a level, and the walk is the north-west
+  corner of the levels themselves.
+* :func:`alt_product_reservoir` takes the product coupling instead: a larger
   2n^2-level alternative for equal level weights, showing efficiency does
   not pin the reservoir down.
 """
@@ -38,7 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence
 
 from .curves import Curve, _products_coincide, coincide, curve_of, divide, num_distinct_slopes
 from .errors import (
@@ -58,7 +67,6 @@ from .states import (
     _scaled,
     clock_lift,
     gibbs_of,
-    is_gibbs,
     tensor,
 )
 
@@ -101,26 +109,69 @@ class Reservoir:
         )
 
 
+#: A slope as a reduced integer pair (numerator, denominator).
+_Slope = tuple[int, int]
+
+
+def _slope_classes(
+    masses: Sequence[int], probs: Sequence[Fraction], weights: Sequence[Fraction]
+) -> dict[_Slope, int]:
+    """One side's occupied levels merged by slope, in order of first occurrence.
+
+    ``masses`` are the levels' probabilities as integers over one
+    denominator; each slope p_i / g_i is an integer pair reduced with one gcd.
+    """
+    classes: dict[_Slope, int] = {}
+    for m, p, w in zip(masses, probs, weights):
+        if m:
+            num, den = p.numerator * w.denominator, p.denominator * w.numerator
+            common = gcd(num, den)
+            slope = (num // common, den // common)
+            classes[slope] = classes.get(slope, 0) + m
+    return classes
+
+
+def _north_west(
+    initials: Iterable[tuple[_Slope, int]], finals: Iterable[tuple[_Slope, int]]
+) -> Iterator[tuple[int, _Slope, _Slope]]:
+    """The north-west-corner coupling of two (slope, mass) lists of equal total
+    mass: each cell (m, s, s') takes what is left of the current initial and
+    final class, so the walk makes at most len(initials) + len(finals) - 1."""
+    finals = iter(finals)
+    s_prime, left_prime = next(finals)
+    for s, left in initials:
+        while left:
+            if not left_prime:
+                s_prime, left_prime = next(finals)
+            m = min(left, left_prime)
+            yield m, s, s_prime
+            left -= m
+            left_prime -= m
+
+
 def _slope_matched(
-    cells: Iterable[tuple[Fraction, Fraction, Fraction]], kappa: Fraction
+    cells: Iterable[tuple[int, _Slope, _Slope]], den: int, kappa: tuple[int, int]
 ) -> Reservoir:
     """The reservoir with one level per cell (m, s, s') of a coupling.
 
-    A cell of mass m leaves an initial system level of slope s = p_j / g_j and
-    reaches a final level of slope s' = p'_i / g_i.  It gets initial weight
-    m / (kappa s') and final weight m / (kappa s).  When the cells' masses
-    aggregate back to p through their initial levels and to p' through their
-    final levels, both joint curves carry mass p_a p'_b at slope
-    kappa s_a s'_b for every pair of levels (a, b), so they coincide.
-    ``kappa`` is the translation gauge.
+    A cell of mass m / den leaves an initial slope class s = p_j / g_j and
+    reaches a final class s' = p'_i / g_i; masses are integers over ``den``,
+    slopes and the translation gauge ``kappa`` integer pairs.  The cell gets
+    initial weight m / (den kappa s') and final weight m / (den kappa s);
+    its mass and its two weights are the only Fractions built.  When the
+    cells' masses aggregate back to p's slope classes through their initial
+    classes and to those of p' through their final ones, both joint curves
+    carry mass p_a p'_b at slope kappa s_a s'_b for every pair of classes
+    (a, b), so they coincide.
     """
+    kappa_num, kappa_den = kappa
+    scale = den * kappa_num
     r, init_weights, fin_weights = [], [], []
-    for m, s, s_prime in cells:
-        # One normalisation per weight: m / kappa over the slope, in integers.
-        num, den = m.numerator * kappa.denominator, m.denominator * kappa.numerator
-        r.append(m)
-        init_weights.append(Fraction(num * s_prime.denominator, den * s_prime.numerator))
-        fin_weights.append(Fraction(num * s.denominator, den * s.numerator))
+    for m, (x, d), (x_prime, d_prime) in cells:
+        num = m * kappa_den
+        r.append(Fraction(m, den))
+        init_weights.append(Fraction(num * d_prime, scale * x_prime))
+        fin_weights.append(Fraction(num * d, scale * x))
     return Reservoir(tuple(r), tuple(init_weights), tuple(fin_weights))
 
 
@@ -151,22 +202,31 @@ def dimension_lower_bound(p: ThermoState) -> int:
 def minimal_extraction_reservoir(p: ThermoState, c: Fraction = _ONE) -> Reservoir:
     """The unique minimal-dimension efficient reservoir for extraction p -> tau.
 
-    With curve segments (r_i, a_i), the occupied initial levels get weights
-    r_i / c (one shared slope c, a straight initial work curve) and the final
-    levels r_i / (c Z a_i), so the final work curve copies the system curve's
-    slope pattern scaled by c Z.  ``c`` is a free gauge; energies shift by a
+    With p's slope classes (its curve segments) (r_i, a_i), steepest first,
+    the occupied initial levels get weights r_i / c (one shared slope c, a
+    straight initial work curve) and the final levels r_i / (c Z a_i), so
+    the final work curve copies the system curve's slope pattern scaled by
+    c Z.  These are the class walk's cells against tau's one class, slope
+    1/Z, with gauge kappa = c Z.  ``c`` is a free gauge; energies shift by a
     constant under rescaling.
     """
     _check_rationals((c,))
     c = Fraction(c)
     if c <= 0:
         raise NonPositiveWeight(f"gauge constant c={c} must be positive")
-    if is_gibbs(p):
+    masses, den = _scaled(p.probs)
+    classes = _slope_classes(masses, p.probs, p.weights)
+    # One slope on the full support makes p_i = g_i / Z.
+    if len(classes) == 1 and all(masses):
         raise GibbsInput("state is already Gibbs; extraction reservoir is trivial")
+    slope_den = lcm(*[d for _, d in classes])
+    steepest_first = sorted(
+        classes.items(), key=lambda item: item[0][0] * (slope_den // item[0][1]), reverse=True
+    )
     z = p.z
-    tau_slope = 1 / z
-    cells = ((seg.height, seg.slope, tau_slope) for seg in curve_of(p).segments)
-    return _slope_matched(cells, c * z)
+    tau = ((z.denominator, z.numerator), den)
+    cells = _north_west(steepest_first, (tau,))
+    return _slope_matched(cells, den, (c.numerator * z.numerator, c.denominator * z.denominator))
 
 
 def general_efficient_reservoir(
@@ -174,18 +234,21 @@ def general_efficient_reservoir(
 ) -> Reservoir:
     """An efficient reservoir for an arbitrary shared-weights transition.
 
-    The cells are the north-west-corner coupling of p and p': one walk over
-    both distributions in level order, each cell taking what is left of the
-    current initial and final level, in exact integers over one common
-    denominator.  Each cell's weights then follow the slope-matching rule.
+    The cells are the north-west-corner coupling of the slope classes of p
+    and p': each side's occupied levels merged by slope, in order of first
+    occurrence, in exact integers over one common denominator.  The walk
+    makes at most m + m' - 1 cells for m and m' distinct slopes, and each
+    cell's weights follow the slope-matching rule.  When every slope of a
+    side is distinct its classes are its levels, and the reservoir is the
+    north-west corner of the levels themselves.
 
     Levels with zero probability on both sides get no cell; a zero on one
     side only is harmless because every cell has positive mass and therefore
-    lies inside a positive-probability level of each distribution.
+    lies inside a positive-probability class of each distribution.
 
-    ``anchor_weight`` fixes the translation gauge: the first occupied level's
-    initial weight equals it exactly.  Equal endpoints yield the trivial
-    two-level reservoir.
+    ``anchor_weight`` fixes the translation gauge: the first cell's initial
+    weight equals it exactly.  Equal endpoints yield the trivial two-level
+    reservoir.
     """
     _check_rationals((anchor_weight,))
     anchor_weight = Fraction(anchor_weight)
@@ -198,23 +261,15 @@ def general_efficient_reservoir(
         return Reservoir((_ONE,), (anchor_weight,), (anchor_weight,))
 
     masses, den = _scaled(p + q)
-    # North-west corner over the occupied levels: each cell takes what is
-    # left of the current initial and final level.  Both sides hold `den` in
-    # all, so the final levels run out exactly with the initial ones.
-    initials = ((m, Fraction(x, w)) for m, x, w in zip(masses, p, g) if m)
-    finals = ((m, Fraction(x, w)) for m, x, w in zip(masses[len(p):], q, g) if m)
-    left_prime, s_prime = next(finals)
-    cells = []
-    for left, s in initials:
-        while left:
-            if not left_prime:
-                left_prime, s_prime = next(finals)
-            m = min(left, left_prime)
-            cells.append((Fraction(m, den), s, s_prime))
-            left -= m
-            left_prime -= m
-    m0, _, s0_prime = cells[0]
-    return _slope_matched(cells, m0 / (s0_prime * anchor_weight))
+    # Both sides hold `den` in all, so the final classes run out exactly
+    # with the initial ones.
+    initials = _slope_classes(masses, p, g)
+    finals = _slope_classes(masses[len(p):], q, g)
+    cells = list(_north_west(initials.items(), finals.items()))
+    # kappa = m0 / (den s0' anchor) puts the anchor on the first cell.
+    m0, _, (x0, d0) = cells[0]
+    kappa = (m0 * d0 * anchor_weight.denominator, den * x0 * anchor_weight.numerator)
+    return _slope_matched(cells, den, kappa)
 
 
 def alt_product_reservoir(t: Transition) -> Reservoir:
@@ -232,8 +287,14 @@ def alt_product_reservoir(t: Transition) -> Reservoir:
         raise NontrivialHamiltonian("all level weights must be equal")
     if any(x == 0 for x in p) or any(x == 0 for x in q):
         raise ZeroProbability("both endpoint distributions must be strictly positive")
-    # Equal weights cancel from the rule: slopes p_i and p'_j with gauge 1.
-    return _slope_matched(((a * b, a, b) for a in p for b in q), _ONE)
+    # Equal weights cancel from the rule: the slopes are p_i and p'_j
+    # themselves, the masses p_i p'_j over d_p d_q, and the gauge is 1.
+    p_masses, p_den = _scaled(p)
+    q_masses, q_den = _scaled(q)
+    initials = [(a, (x.numerator, x.denominator)) for a, x in zip(p_masses, p)]
+    finals = [(b, (x.numerator, x.denominator)) for b, x in zip(q_masses, q)]
+    cells = ((a * b, s, s_prime) for a, s in initials for b, s_prime in finals)
+    return _slope_matched(cells, p_den * q_den, (1, 1))
 
 
 def joint_states(t: Transition, res: Reservoir) -> tuple[ThermoState, ThermoState]:

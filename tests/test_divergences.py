@@ -14,6 +14,7 @@ from thermomajor.divergences import (
     alpha_profile,
     curve_alpha_divergence,
     d0_support_mass,
+    dinf_max_ratio,
     entropy_production,
     jarzynski_ratio_check,
     ln_frac,
@@ -25,7 +26,7 @@ from thermomajor.catalysis import coincide_iff_alpha_equal, cto_feasible
 from thermomajor.errors import DimensionMismatch, InvalidOrder, OutsideDomain, ThermomajorError
 from thermomajor.oracle import random_transition
 from thermomajor.reservoirs import Reservoir, minimal_extraction_reservoir
-from thermomajor.states import Transition, gibbs_of, make_state, tensor
+from thermomajor.states import ThermoState, Transition, gibbs_of, make_state, tensor
 
 from conftest import family_states, random_full_support_state, random_state, seeded
 
@@ -349,6 +350,16 @@ class TestHelpers:
         tau = gibbs_of(p)
         assert d0_support_mass(p, tau) == F(2, 3)
         assert abs(renyi(0.0, p, tau) + math.log(2 / 3)) <= 1e-15
+
+    def test_int_entries_give_an_exact_max_ratio(self):
+        # Plain ints, which ThermoState accepts, divide exactly: no float ratio.
+        p = ThermoState((1, 0), (1, 1))
+        ratio = dinf_max_ratio(p, p)
+        assert ratio == 1 and type(ratio) is F
+
+    def test_int_entries_at_order_infinity(self):
+        p = ThermoState((1, 0), (1, 1))
+        assert renyi(math.inf, p, p) == 0.0
 
 
 def decimal_ln(x):

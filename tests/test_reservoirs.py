@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from thermomajor import curves
-from thermomajor.curves import coincide, curve_of, product
+from thermomajor.curves import coincide, curve_of, num_distinct_slopes, product
 from thermomajor.divergences import renyi, shannon_entropy
 from thermomajor.errors import (
     GibbsInput,
@@ -304,6 +304,43 @@ class TestGeneralReservoir:
             assert abs(average_work(res) - expected) <= 1e-10
 
 
+class TestSlopeClasses:
+    """The general walk couples slope classes, not levels."""
+
+    def test_collapsed_slopes_give_fewer_levels(self):
+        # p's first two levels share a slope: 3 cells where the level walk
+        # makes 4, and the smaller reservoir still verifies.
+        t = Transition(
+            make_state(("1/4", "1/4", "1/2"), (1, 1, 1)),
+            make_state(("1/2", "1/3", "1/6"), (1, 1, 1)),
+        )
+        res = general_efficient_reservoir(t)
+        assert res.r == (F(1, 2), F(1, 3), F(1, 6))
+        assert len(reference_general(t, F(1)).r) == 4
+        assert verify_efficient(t, res)
+
+    @pytest.mark.parametrize("kind", ["generic", "palette", "lifted"])
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_levels_bounded_by_distinct_slopes(self, kind, data):
+        t, res = data.draw(transitions_with_reservoirs(kind))
+        m = num_distinct_slopes(curve_of(t.initial))
+        m_prime = num_distinct_slopes(curve_of(t.final))
+        assert len(res.r) <= m + m_prime - 1
+        assert verify_efficient(t, res)
+
+    @pytest.mark.parametrize("palette", [False, True], ids=["generic", "palette"])
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_extraction_as_small_as_the_minimal_reservoir(self, palette, data):
+        p = data.draw(with_zeros(data.draw(family_states(data.draw(st.integers(1, 8)), palette))))
+        assume(not is_gibbs(p))
+        t = extraction_transition(p)
+        res = general_efficient_reservoir(t)
+        assert len(res.r) == len(minimal_extraction_reservoir(p).r)
+        assert verify_efficient(t, res)
+
+
 class TestAltProductReservoir:
     def test_entropy_difference_work(self):
         t = Transition(
@@ -530,6 +567,40 @@ def reference_general(t, anchor):
     )
 
 
+def reference_slope_classes(t, anchor):
+    """The north-west-corner walk over slope classes: each side's occupied
+    levels merged by their Fraction slope p_i / g_i, in order of first
+    occurrence, each cell taking what is left of the current initial and
+    final class."""
+    p, q, g = t.initial.probs, t.final.probs, t.weights
+    if p == q:
+        return Reservoir((F(1),), (anchor,), (anchor,))
+
+    def classes(probs):
+        out = {}
+        for x, w in zip(probs, g):
+            if x:
+                out[F(x) / w] = out.get(F(x) / w, F(0)) + x
+        return [[slope, mass] for slope, mass in out.items()]
+
+    initials, finals = classes(p), classes(q)
+    cells, j = [], 0
+    for s, left in initials:
+        while left:
+            if not finals[j][1]:
+                j += 1
+            m = min(left, finals[j][1])
+            cells.append((m, s, finals[j][0]))
+            left -= m
+            finals[j][1] -= m
+    kappa = cells[0][0] / (cells[0][2] * anchor)
+    return Reservoir(
+        tuple(m for m, _, _ in cells),
+        tuple(m / (kappa * s_prime) for m, _, s_prime in cells),
+        tuple(m / (kappa * s) for m, s, _ in cells),
+    )
+
+
 def reference_minimal(p, c):
     """Curve heights r_i with weights r_i / c and r_i / (c Z a_i)."""
     segments = curve_of(p).segments
@@ -605,7 +676,9 @@ class TestConstructorsMatchReference:
                 t = Transition(initial, draw(with_zeros(final)))
             anchor = draw(self.gauges)
             res = general_efficient_reservoir(t, anchor)
-            expected = reference_general(t, anchor)
+            # Palette slopes collapse, and the walk is over slope classes.
+            reference = reference_slope_classes if palette else reference_general
+            expected = reference(t, anchor)
         assert res == expected
         work = res.work_transition()
         assert (work.initial, work.final) == reference_work_states(expected)
