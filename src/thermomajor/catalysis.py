@@ -13,7 +13,6 @@ provably useless; :func:`strip_catalyst` is that statement run as code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,13 +22,13 @@ from .errors import (
     CatalystMarginalMismatch,
     CurvesDiffer,
     DimensionMismatch,
+    InvalidOrder,
     NotProductState,
 )
-from .states import ThermoState, Transition, _exact_sum, gibbs_of, tensor
+from .states import ThermoState, Transition, _Value, _exact_sum, gibbs_of, tensor
 
 
-@dataclass(frozen=True)
-class CtoVerdict:
+class CtoVerdict(_Value):
     """Outcome of a catalytic-feasibility check over an alpha grid.
 
     ``feasible=False`` is an exact rejection (some witnessed alpha violates
@@ -37,9 +36,17 @@ class CtoVerdict:
     ``grid_only`` stays True as a standing caveat.
     """
 
-    feasible: bool
-    witnessed: tuple[tuple[float, float, float], ...]
-    grid_only: bool = True
+    _fields = ("feasible", "witnessed", "grid_only")
+
+    def __init__(
+        self,
+        feasible: bool,
+        witnessed: tuple[tuple[float, float, float], ...],
+        grid_only: bool = True,
+    ) -> None:
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "witnessed", witnessed)
+        object.__setattr__(self, "grid_only", grid_only)
 
 
 def cto_feasible(
@@ -52,13 +59,19 @@ def cto_feasible(
     ``nonnegative_only`` restricts to alpha >= 0, where an infinitesimal
     work investment is allowed.  Each order is compared from the states'
     term lists by ``divergences._order_compare``: exactly at alpha = 0 and
-    inf through their inner rationals, within ``_ORDER_TOL`` elsewhere.
+    inf through their inner rationals, within ``_ORDER_TOL`` elsewhere.  An
+    empty grid, given or left by ``nonnegative_only``, raises InvalidOrder:
+    no order checked is no verdict.
     """
     tau = gibbs_of(t.initial)
     grid = tuple(float(a) for a in alpha_grid)
     if nonnegative_only:
         # Drop the negative reals only: nan and -inf go on to be refused.
         grid = tuple(a for a in grid if not -math.inf < a < 0)
+    if not grid:
+        raise InvalidOrder(
+            "alpha grid is empty" + (" after dropping negative orders" if nonnegative_only else "")
+        )
     pairs = _Terms(t.initial, tau), _Terms(t.final, tau)
     compared = [_order_compare(alpha, *pairs) for alpha in grid]
     return CtoVerdict(

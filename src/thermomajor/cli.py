@@ -27,7 +27,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
@@ -36,6 +35,7 @@ from .errors import ParseError, ReproductionMismatch, ThermomajorError
 from .states import (
     Transition,
     _decode,
+    _Value,
     as_rat,
     clock_lift,
     rational_list,
@@ -116,15 +116,18 @@ def _rational_str(x: Fraction) -> str:
         ) from exc
 
 
-def _rational_token(x: object) -> str:
-    """JSON hook: a Fraction becomes its "p/q" string; nothing else is encoded."""
+def _json_token(x: object) -> object:
+    """JSON hook: a Fraction becomes its "p/q" string and a value object the
+    dict of its fields; nothing else is encoded."""
     if isinstance(x, Fraction):
         return _rational_str(x)
+    if isinstance(x, _Value):
+        return x._asdict()
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _dump(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_rational_token) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_json_token) + "\n"
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -274,7 +277,7 @@ def cmd_build_reservoir(args: argparse.Namespace) -> int:
             res = general_efficient_reservoir(t, as_rat(args.anchor))
         else:
             res = alt_product_reservoir(t)
-    payload = asdict(res)
+    payload = res._asdict()
     payload["average_work"] = average_work(res)
     _emit(args, _dump(payload))
     return 0
@@ -370,7 +373,7 @@ def cmd_engine(args: argparse.Namespace) -> int:
     from .curves import curve_of
 
     spec = engine.EngineSpec.from_temperatures(args.epsilon, args.t_hot, args.t_cold)
-    report = _dump(asdict(engine.run_carnot(spec)))
+    report = _dump(engine.run_carnot(spec))
     # The stage curves go first, so a run that cannot write them emits nothing.
     if args.curves_dir:
         out = Path(args.curves_dir)

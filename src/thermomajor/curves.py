@@ -38,14 +38,13 @@ every check stays exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
-from .states import ThermoState, _ONE, _ZERO, _check_rationals, _exact_sum, _scaled
+from .states import ThermoState, _ONE, _ZERO, _Value, _check_rationals, _exact_sum, _scaled
 
 __all__ = [
     "Segment",
@@ -64,16 +63,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Value):
     """One sloped piece: a height (probability mass) and a positive slope."""
 
-    height: Fraction
-    slope: Fraction
+    _fields = ("height", "slope")
+
+    def __init__(self, height: Fraction, slope: Fraction) -> None:
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "slope", slope)
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(_Value):
     """Canonical thermomajorization curve.
 
     ``segments`` have strictly decreasing positive slopes and positive heights
@@ -82,10 +82,11 @@ class Curve:
     ``total_width`` are ints or Fractions.
     """
 
-    segments: tuple[Segment, ...]
-    total_width: Fraction
+    _fields = ("segments", "total_width")
 
-    def __post_init__(self) -> None:
+    def __init__(self, segments: tuple[Segment, ...], total_width: Fraction) -> None:
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "total_width", total_width)
         if not self.segments:
             raise InvalidCurve("curve needs at least one segment")
         _check_rationals((self.total_width,))

@@ -28,14 +28,13 @@ nondecreasing in alpha only on alpha >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .curves import Curve, _ratio, curve_of
 from .errors import DimensionMismatch, InvalidOrder, OutsideDomain
-from .states import ThermoState, Transition, _exact_sum, gibbs_of
+from .states import ThermoState, Transition, _Value, _exact_sum, gibbs_of
 
 __all__ = [
     "DEFAULT_ALPHA_GRID",
@@ -238,12 +237,14 @@ def alpha_free_energy(alpha: float, p: ThermoState) -> float:
     return -ln_frac(p.z) + renyi(alpha, p, gibbs_of(p))
 
 
-@dataclass(frozen=True)
-class AlphaProfile:
+class AlphaProfile(_Value):
     """Divergence values sampled over an alpha grid."""
 
-    alphas: tuple[float, ...]
-    values: tuple[float, ...]
+    _fields = ("alphas", "values")
+
+    def __init__(self, alphas: tuple[float, ...], values: tuple[float, ...]) -> None:
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "values", values)
 
 
 def alpha_profile(

@@ -15,32 +15,31 @@ the approximation gap reported alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidTemperatures
 from .reservoirs import Reservoir, minimal_extraction_reservoir, verify_efficient
-from .states import ThermoState, Transition, gibbs_of, make_state
+from .states import ThermoState, Transition, _Value, gibbs_of, make_state
 
 __all__ = ["EngineSpec", "LevelRow", "EngineReport", "reservoir_level_table", "run_carnot"]
 
 APPROX_DENOMINATOR = 10**6
 
 
-@dataclass(frozen=True)
-class EngineSpec:
+class EngineSpec(_Value):
     """Qubit gap and the two inverse temperatures (k_B = 1).
 
     Requires 0 < beta_h <= beta_c (the hot bath is at least as hot) and a
     positive gap.  Equal temperatures are legal and give a null cycle.
     """
 
-    epsilon: float
-    beta_h: float
-    beta_c: float
+    _fields = ("epsilon", "beta_h", "beta_c")
 
-    def __post_init__(self) -> None:
+    def __init__(self, epsilon: float, beta_h: float, beta_c: float) -> None:
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "beta_h", beta_h)
+        object.__setattr__(self, "beta_c", beta_c)
         if not (self.epsilon > 0):
             raise InvalidTemperatures(f"epsilon={self.epsilon} must be positive")
         if not (0 < self.beta_h <= self.beta_c):
@@ -55,32 +54,48 @@ class EngineSpec:
         return cls(epsilon, 1.0 / t_hot, 1.0 / t_cold)
 
 
-@dataclass(frozen=True)
-class LevelRow:
+class LevelRow(_Value):
     """One occupied probability with its energy in each reservoir stage."""
 
-    probability: float
-    energies: tuple[float, float, float]
+    _fields = ("probability", "energies")
+
+    def __init__(self, probability: float, energies: tuple[float, float, float]) -> None:
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "energies", energies)
 
 
-@dataclass(frozen=True)
-class EngineReport:
+class EngineReport(_Value):
     """Heats, work, efficiency, and the certified reservoirs for one cycle."""
 
-    p_c: float
-    p_h: float
-    s_c: float
-    s_h: float
-    q_h: float
-    q_c: float
-    w: float
-    eta: float
-    reservoir_levels: tuple[LevelRow, ...]
-    hot_reservoir: Optional[Reservoir]
-    cold_reservoir: Optional[Reservoir]
-    hot_step_certified: bool
-    cold_step_certified: bool
-    approximation_gap: float
+    _fields = (
+        "p_c", "p_h", "s_c", "s_h", "q_h", "q_c", "w", "eta", "reservoir_levels",
+        "hot_reservoir", "cold_reservoir", "hot_step_certified", "cold_step_certified",
+        "approximation_gap",
+    )
+
+    def __init__(
+        self,
+        p_c: float,
+        p_h: float,
+        s_c: float,
+        s_h: float,
+        q_h: float,
+        q_c: float,
+        w: float,
+        eta: float,
+        reservoir_levels: tuple[LevelRow, ...],
+        hot_reservoir: Optional[Reservoir],
+        cold_reservoir: Optional[Reservoir],
+        hot_step_certified: bool,
+        cold_step_certified: bool,
+        approximation_gap: float,
+    ) -> None:
+        values = (
+            p_c, p_h, s_c, s_h, q_h, q_c, w, eta, reservoir_levels, hot_reservoir,
+            cold_reservoir, hot_step_certified, cold_step_certified, approximation_gap,
+        )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
 
 def _binary_entropy(p: float) -> float:

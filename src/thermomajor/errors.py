@@ -62,7 +62,8 @@ class OutsideDomain(ThermomajorError, ValueError):
 
 
 class InvalidOrder(ThermomajorError, ValueError):
-    """A Renyi order is nan or -inf; valid orders are real numbers or +inf."""
+    """A Renyi order is nan or -inf (valid orders are real numbers or +inf),
+    or a grid of orders is empty."""
 
 
 class CurvesDiffer(ThermomajorError, ValueError):

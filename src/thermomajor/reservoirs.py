@@ -44,7 +44,6 @@ routes differ in the classes they feed it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -62,6 +61,7 @@ from .errors import (
 from .states import (
     ThermoState,
     Transition,
+    _Value,
     _check_rationals,
     _exact_sum,
     _scaled,
@@ -73,15 +73,20 @@ from .states import (
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Reservoir:
+class Reservoir(_Value):
     """A 2d-level work reservoir: distribution ``r`` shifted between level blocks."""
 
-    r: tuple[Fraction, ...]
-    init_weights: tuple[Fraction, ...]
-    fin_weights: tuple[Fraction, ...]
+    _fields = ("r", "init_weights", "fin_weights")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        r: tuple[Fraction, ...],
+        init_weights: tuple[Fraction, ...],
+        fin_weights: tuple[Fraction, ...],
+    ) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "init_weights", init_weights)
+        object.__setattr__(self, "fin_weights", fin_weights)
         if not (len(self.r) == len(self.init_weights) == len(self.fin_weights)):
             raise DimensionMismatch("r, init_weights, fin_weights must share a length")
         if len(self.r) < 1:

@@ -13,7 +13,6 @@ not, since they would encode an infinite energy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -87,8 +86,46 @@ def _check_rationals(values: Iterable[object]) -> None:
             raise ParseError(f"not a rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class ThermoState:
+class _Value:
+    """Base of the frozen value classes.
+
+    A subclass names its fields in ``_fields`` and sets each with
+    ``object.__setattr__`` in its own ``__init__`` (writing to ``__dict__``
+    instead would make CPython build the dict, and every later attribute read
+    slower).  Instances of one class are equal when their fields are, hash as
+    the tuple of their fields, and print as ``Name(field=value, ...)``;
+    assigning or deleting an attribute raises AttributeError.  ``__dict__``
+    stays, so ``cached_property`` still caches.
+    """
+
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ThermoState(_Value):
     """A probability vector paired with positive Gibbs weights of equal length.
 
     Invariants (enforced at construction): entries are ints or Fractions;
@@ -96,10 +133,11 @@ class ThermoState:
     strictly positive; lengths match and are at least one.
     """
 
-    probs: tuple[Fraction, ...]
-    weights: tuple[Fraction, ...]
+    _fields = ("probs", "weights")
 
-    def __post_init__(self) -> None:
+    def __init__(self, probs: tuple[Fraction, ...], weights: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "weights", weights)
         if len(self.probs) != len(self.weights):
             raise DimensionMismatch(
                 f"{len(self.probs)} probabilities vs {len(self.weights)} weights"
@@ -153,14 +191,14 @@ def is_gibbs(state: ThermoState) -> bool:
     return state.probs == state.gibbs_probs()
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(_Value):
     """An initial/final pair over one Hamiltonian (identical weight vectors)."""
 
-    initial: ThermoState
-    final: ThermoState
+    _fields = ("initial", "final")
 
-    def __post_init__(self) -> None:
+    def __init__(self, initial: ThermoState, final: ThermoState) -> None:
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "final", final)
         if self.initial.weights != self.final.weights:
             raise DimensionMismatch(
                 "transition endpoints must share the same Gibbs weights; "

@@ -17,6 +17,7 @@ from thermomajor.errors import (
     CatalystMarginalMismatch,
     CurvesDiffer,
     DimensionMismatch,
+    InvalidOrder,
     NotProductState,
     ThermomajorError,
 )
@@ -110,6 +111,16 @@ class TestCtoFeasible:
         s = make_state(("1/2", "1/2"), (1, 1))
         verdict = cto_feasible(Transition(s, s), nonnegative_only=True)
         assert all(alpha >= 0 for alpha, _, _ in verdict.witnessed)
+
+    @pytest.mark.parametrize(
+        "grid, nonnegative_only", [((), False), ((), True), ((-1.0, -2.0), True)]
+    )
+    def test_empty_grid_is_no_verdict(self, grid, nonnegative_only):
+        # Equilibrium to non-equilibrium: no catalytic operation does it, so a
+        # grid with no order left must not come back feasible.
+        s = make_state(("1/2", "1/4", "1/4"), (2, 1, 1))
+        with pytest.raises(InvalidOrder, match="alpha grid is empty"):
+            cto_feasible(Transition(gibbs_of(s), s), grid, nonnegative_only=nonnegative_only)
 
     def test_exact_d0_rejection_below_float_resolution(self):
         p, q = near_tie_pair()
@@ -254,6 +265,9 @@ def reference_cto(t, alpha_grid, nonnegative_only):
     grid = tuple(float(a) for a in alpha_grid)
     if nonnegative_only:
         grid = tuple(a for a in grid if not -math.inf < a < 0)
+    if not grid:
+        suffix = " after dropping negative orders" if nonnegative_only else ""
+        raise InvalidOrder("alpha grid is empty" + suffix)
     witnessed = []
     feasible = True
     for alpha in grid:

@@ -1,6 +1,5 @@
 """Command-line front end: formats, exit codes, determinism."""
 
-import dataclasses
 import io
 import json
 import math
@@ -339,6 +338,16 @@ class TestCatalyticCheck:
         assert code == 1
         assert json.loads(out)["feasible"] is False
 
+    def test_grid_emptied_by_nonnegative_only_exits_2(self, capsys, state_files, tmp_path):
+        gibbs_path = tmp_path / "gibbs.json"
+        gibbs_path.write_text(state_to_json(make_state(("1/2", "1/2"), (1, 1))))
+        argv = ["catalytic-check", "--nonnegative-only", "--alpha-grid=-1,-2"]
+        code = main([*argv, str(gibbs_path), state_files["mixed"]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "alpha grid is empty after dropping negative orders" in captured.err
+
 
 class TestOracleCheck:
     def test_small_run_agrees(self, capsys):
@@ -443,7 +452,9 @@ class TestReproduce:
 
         def perturbed(spec):
             report = run_carnot(spec)
-            return dataclasses.replace(report, w=report.w - 1e-11, q_h=report.q_h + 1e-11)
+            fields = report._asdict()
+            fields.update(w=report.w - 1e-11, q_h=report.q_h + 1e-11)
+            return engine.EngineReport(**fields)
 
         monkeypatch.setattr(engine, "run_carnot", perturbed)
         code, out = run(capsys, ["reproduce", "engine"])

@@ -69,22 +69,34 @@ class TestLazyPackage:
 
 
 # Runs the CLI as ``python -m thermomajor.cli`` does (runpy imports the
-# package first), exits with its code, and prints the thermomajor modules
-# loaded as the last line of stderr.
+# package first), exits with its code, and prints every module loaded as the
+# last line of stderr.
 PROBE = """
 import json, runpy, sys
 try:
     runpy.run_module("thermomajor.cli", run_name="__main__", alter_sys=True)
 finally:
-    loaded = sorted(m[len("thermomajor."):] for m in sys.modules if m.startswith("thermomajor."))
-    print(json.dumps(loaded), file=sys.stderr)
+    print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 """
+
+# Code generation and introspection no command needs; each would add several
+# milliseconds to every process.
+_STARTUP_HEAVY = {"dataclasses", "inspect"}
 
 _ALL = {
     "catalysis", "curves", "divergences", "engine", "errors", "oracle", "reproduce", "reservoirs",
     "states",
 }
 _CURVES_ONLY = _ALL - {"errors", "states", "curves"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules a bare interpreter loads in this environment (site included)."""
+    code = "import sys; m = sorted(sys.modules); import json; print(json.dumps(m))"
+    proc = run_python("-c", code, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
 
 
 @pytest.fixture
@@ -122,16 +134,23 @@ class TestImportFootprint:
             ),
             (["oracle-check", "--trials", "3"], {"reservoirs", "catalysis", "engine", "reproduce"}),
             (["reproduce", "table1"], {"divergences", "catalysis", "oracle", "engine"}),
+            (
+                ["engine", "--epsilon", "1", "--t-hot", "2", "--t-cold", "1"],
+                {"divergences", "catalysis", "oracle", "reproduce"},
+            ),
+            (["reproduce", "engine"], {"divergences", "catalysis", "oracle"}),
         ],
         ids=["curve", "majorize", "divergence", "build-reservoir", "verify", "catalytic-check",
-             "oracle-check", "reproduce"],
+             "oracle-check", "reproduce", "engine", "reproduce-engine"],
     )
-    def test_subcommand_loads_only_what_it_runs(self, cli_files, argv, forbidden):
+    def test_subcommand_loads_only_what_it_runs(self, cli_files, bare_modules, argv, forbidden):
         proc = run_python("-c", PROBE, *(arg.format(**cli_files) for arg in argv), timeout=10)
         assert proc.returncode == 0, proc.stderr
-        loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+        modules = set(json.loads(proc.stderr.splitlines()[-1]))
+        loaded = {m[len("thermomajor."):] for m in modules if m.startswith("thermomajor.")}
         assert {"errors", "states"} <= loaded
         assert not loaded & forbidden
+        assert not (modules - bare_modules) & _STARTUP_HEAVY
 
     def test_bare_import_loads_no_submodule(self):
         code = "import sys, thermomajor; print(sorted(m for m in sys.modules if 'thermo' in m))"

@@ -1,0 +1,149 @@
+"""The frozen value classes: equality, hashing, repr, immutability, construction."""
+
+from fractions import Fraction
+
+import pytest
+
+from thermomajor.catalysis import CtoVerdict
+from thermomajor.curves import Curve, Segment
+from thermomajor.divergences import AlphaProfile
+from thermomajor.engine import EngineReport, EngineSpec, LevelRow
+from thermomajor.reservoirs import Reservoir
+from thermomajor.states import ThermoState, Transition
+
+HALF = Fraction(1, 2)
+STATE = dict(probs=(HALF, HALF), weights=(Fraction(1), Fraction(2)))
+FINAL = dict(probs=(Fraction(1, 3), Fraction(2, 3)), weights=(Fraction(1), Fraction(2)))
+SEGMENT = dict(height=Fraction(1), slope=HALF)
+ROW = dict(probability=0.25, energies=(0.0, 1.5, -1.0))
+RESERVOIR = dict(r=(Fraction(1),), init_weights=(Fraction(2),), fin_weights=(Fraction(1, 3),))
+
+STATE_REPR = (
+    "ThermoState(probs=(Fraction(1, 2), Fraction(1, 2)), weights=(Fraction(1, 1), Fraction(2, 1)))"
+)
+SEGMENT_REPR = "Segment(height=Fraction(1, 1), slope=Fraction(1, 2))"
+ROW_REPR = "LevelRow(probability=0.25, energies=(0.0, 1.5, -1.0))"
+RESERVOIR_REPR = (
+    "Reservoir(r=(Fraction(1, 1),), init_weights=(Fraction(2, 1),), fin_weights=(Fraction(1, 3),))"
+)
+
+# Each class with keyword arguments in parameter order, and its repr.
+CASES = {
+    "ThermoState": (ThermoState, STATE, STATE_REPR),
+    "Transition": (
+        Transition,
+        dict(initial=ThermoState(**STATE), final=ThermoState(**FINAL)),
+        f"Transition(initial={STATE_REPR}, final=ThermoState(probs=(Fraction(1, 3), "
+        "Fraction(2, 3)), weights=(Fraction(1, 1), Fraction(2, 1))))",
+    ),
+    "Segment": (Segment, SEGMENT, SEGMENT_REPR),
+    "Curve": (
+        Curve,
+        dict(segments=(Segment(**SEGMENT),), total_width=Fraction(3)),
+        f"Curve(segments=({SEGMENT_REPR},), total_width=Fraction(3, 1))",
+    ),
+    "Reservoir": (Reservoir, RESERVOIR, RESERVOIR_REPR),
+    "AlphaProfile": (
+        AlphaProfile,
+        dict(alphas=(0.0, 1.0), values=(0.5, 0.125)),
+        "AlphaProfile(alphas=(0.0, 1.0), values=(0.5, 0.125))",
+    ),
+    "CtoVerdict": (
+        CtoVerdict,
+        dict(feasible=True, witnessed=((0.5, 0.25, 0.125),), grid_only=True),
+        "CtoVerdict(feasible=True, witnessed=((0.5, 0.25, 0.125),), grid_only=True)",
+    ),
+    "EngineSpec": (
+        EngineSpec,
+        dict(epsilon=1.0, beta_h=0.5, beta_c=1.0),
+        "EngineSpec(epsilon=1.0, beta_h=0.5, beta_c=1.0)",
+    ),
+    "LevelRow": (LevelRow, ROW, ROW_REPR),
+    "EngineReport": (
+        EngineReport,
+        dict(
+            p_c=0.25, p_h=0.375, s_c=0.5, s_h=0.625, q_h=0.125, q_c=-0.0625, w=0.0625, eta=0.5,
+            reservoir_levels=(LevelRow(**ROW),), hot_reservoir=Reservoir(**RESERVOIR),
+            cold_reservoir=None, hot_step_certified=True, cold_step_certified=False,
+            approximation_gap=0.0,
+        ),
+        "EngineReport(p_c=0.25, p_h=0.375, s_c=0.5, s_h=0.625, q_h=0.125, q_c=-0.0625, "
+        f"w=0.0625, eta=0.5, reservoir_levels=({ROW_REPR},), hot_reservoir={RESERVOIR_REPR}, "
+        "cold_reservoir=None, hot_step_certified=True, cold_step_certified=False, "
+        "approximation_gap=0.0)",
+    ),
+}
+
+# One field of each case set to another valid value.
+CHANGED = {
+    "ThermoState": ("probs", (Fraction(1), Fraction(0))),
+    "Transition": ("final", ThermoState(**STATE)),
+    "Segment": ("slope", Fraction(1)),
+    "Curve": ("total_width", Fraction(2)),
+    "Reservoir": ("fin_weights", (Fraction(1),)),
+    "AlphaProfile": ("values", (0.5, 0.25)),
+    "CtoVerdict": ("grid_only", False),
+    "EngineSpec": ("beta_c", 2.0),
+    "LevelRow": ("probability", 0.5),
+    "EngineReport": ("cold_reservoir", Reservoir(**RESERVOIR)),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+class TestValueClass:
+    def test_equal_instances_hash_alike(self, name):
+        cls, kwargs, _ = CASES[name]
+        a, b = cls(**kwargs), cls(*kwargs.values())
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_other_class_with_the_same_fields_differs(self, name):
+        cls, kwargs, _ = CASES[name]
+        twin = type("Twin", (cls,), {})(**kwargs)
+        assert cls(**kwargs) != twin
+        assert twin != cls(**kwargs)
+        assert cls(**kwargs) != tuple(kwargs.values())
+
+    def test_repr(self, name):
+        cls, kwargs, text = CASES[name]
+        assert repr(cls(**kwargs)) == text
+
+    def test_fields_are_read_only(self, name):
+        cls, kwargs, _ = CASES[name]
+        value = cls(**kwargs)
+        for field, given in kwargs.items():
+            assert getattr(value, field) is given
+            with pytest.raises(AttributeError):
+                setattr(value, field, given)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.unknown = 1
+        assert value == cls(**kwargs)
+
+    def test_a_changed_field_breaks_equality(self, name):
+        cls, kwargs, _ = CASES[name]
+        field, value = CHANGED[name]
+        assert cls(**{**kwargs, field: value}) != cls(**kwargs)
+
+
+def test_cto_verdict_grid_only_defaults_true():
+    verdict = CtoVerdict(feasible=False, witnessed=())
+    assert verdict.grid_only is True
+    assert verdict == CtoVerdict(False, (), True)
+
+
+def test_cached_properties_stay_cached():
+    state = ThermoState(**STATE)
+    assert "z" not in vars(state)
+    assert state.z == Fraction(3)
+    assert state.z is state.z
+    assert "z" in vars(state)
+    curve = Curve(segments=(Segment(**SEGMENT),), total_width=Fraction(3))
+    assert curve.sloped_width == Fraction(2)
+    assert curve.sloped_width is curve.sloped_width
+    assert "sloped_width" in vars(curve)
+    # A cached value takes no part in equality or hashing.
+    assert state == ThermoState(**STATE) and hash(state) == hash(ThermoState(**STATE))
