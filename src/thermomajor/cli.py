@@ -25,7 +25,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -332,6 +331,8 @@ def _parse_dims(text: str) -> list[int]:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    import random
+
     from . import oracle
     from .curves import curve_of, majorizes
 

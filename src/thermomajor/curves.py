@@ -16,14 +16,14 @@ the unique quotient off a product when one exists.
 integer kernel.  A canonical curve is a finite measure on slopes (a height
 at each slope).  ``_measure`` scales (height, slope) pairs to integers over
 the lcm of each side's denominators and merges equal slopes in a dict from
-slope numerator to height numerator; ``_level_measure`` reads a state's
-levels into the same form with one gcd per level and no Fraction.  A
-product slope is then x*y over d_a*d_b and a product height h*k over
-e_a*e_b.  Two curves of equal width coincide exactly when their measures
-are equal.
+slope numerator to height numerator; ``_measure_of`` puts a state's cached
+slope classes (``ThermoState._classes``: reduced slope pairs and integer
+masses) into the same form with no Fraction.  A product slope is then x*y
+over d_a*d_b and a product height h*k over e_a*e_b.  Two curves of equal
+width coincide exactly when their measures are equal.
 
 ``reservoirs.verify_efficient`` asks whether a (x) b = c (x) d for four
-level measures.  Write T_kappa m for m with every slope scaled by kappa.  A
+such measures.  Write T_kappa m for m with every slope scaled by kappa.  A
 shift certificate comes first: b = T_kappa c and d = T_kappa a (the swap
 every slope-matched reservoir makes), or c = T_kappa a and b = T_kappa d.
 Either makes both products one shift of a common product, at the cost of a
@@ -40,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
@@ -145,25 +145,12 @@ def _measure(pairs: Sequence[tuple[Fraction, Fraction]]) -> _Measure:
     return _Measure(merged, height_den, slope_den)
 
 
-def _level_measure(probs: Sequence[Fraction], weights: Sequence[Fraction]) -> _Measure:
-    """The measure of levels: height p_i at slope p_i / g_i on the support.
-
-    Each slope is reduced with one gcd and no Fraction is built; heights and
-    slopes then merge over the lcm of the reduced denominators.
-    """
-    levels = []
-    for p, w in zip(probs, weights):
-        if p:
-            num, den = p.numerator * w.denominator, p.denominator * w.numerator
-            common = gcd(num, den)
-            levels.append((p.numerator, p.denominator, num // common, den // common))
-    height_den = lcm(*[b for _, b, _, _ in levels])
-    slope_den = lcm(*[d for _, _, _, d in levels])
-    merged: dict[int, int] = {}
-    for a, b, x, d in levels:
-        slope = x * (slope_den // d)
-        merged[slope] = merged.get(slope, 0) + a * (height_den // b)
-    return _Measure(merged, height_den, slope_den)
+def _measure_of(classes: dict[tuple[int, int], int], den: int) -> _Measure:
+    """The measure of slope classes: each reduced slope pair (x, d) carries
+    its mass over ``den``; slopes go over the lcm of their denominators."""
+    slope_den = lcm(*[d for _, d in classes])
+    heights = {x * (slope_den // d): m for (x, d), m in classes.items()}
+    return _Measure(heights, den, slope_den)
 
 
 def _segment_pairs(curve: Curve) -> list[tuple[Fraction, Fraction]]:
@@ -245,16 +232,15 @@ def _one_shift(m: _Measure, n: _Measure, m2: _Measure, n2: _Measure) -> bool:
     return kappa is not None and kappa == _shift(m2, n2)
 
 
-def _products_coincide(*factors: tuple[Sequence[Fraction], Sequence[Fraction]]) -> bool:
-    """Whether the curves of a (x) b and c (x) d have equal measures, for the
-    four factors a, b, c, d given as (probs, weights) levels of valid states.
-    Widths are not compared: callers pass factors whose products share one.
+def _products_coincide(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -> bool:
+    """Whether the measures a (x) b and c (x) d are equal, for four measures
+    of total height one.  Widths are not compared: callers pass factors whose
+    products share one.
 
     The swap certificate (b = T_kappa c and d = T_kappa a, so both products
     are T_kappa (a (x) c)) and the straight one (c = T_kappa a and
     b = T_kappa d, so both are T_kappa (a (x) d)) come before the products.
     """
-    ma, mb, mc, md = (_level_measure(*levels) for levels in factors)
     if _one_shift(mc, mb, ma, md) or _one_shift(ma, mc, md, mb):
         return True
     return _same_products(ma, mb, mc, md)
@@ -285,7 +271,7 @@ def canonical_curve(pairs: Iterable[tuple[Fraction, Fraction]], total_width: Fra
 
 def curve_of(state: ThermoState) -> Curve:
     """Canonical curve of a state: slopes are p_i / g_i on the support."""
-    return _curve(_level_measure(state.probs, state.weights), state.z)
+    return _curve(_measure_of(state._classes, state._den), state.z)
 
 
 def identity_curve() -> Curve:

@@ -8,11 +8,18 @@ joint initial and final thermomajorization curves coincide, which is decided
 exactly by :func:`verify_efficient`.  The constructions here never
 self-certify; tests always go through the verifier.
 
+A reservoir keeps its levels in integers: masses over one denominator and
+each weight a reduced (numerator, denominator) pair.  The constructions
+here build it from integer cells, with every check of the public
+constructor done on the integers; the ``Fraction`` fields ``r``,
+``init_weights`` and ``fin_weights`` are made on first access.
+
 Verification runs through the curve monoid: a joint curve of system (x)
 reservoir is the product of its factor curves, and the two joint widths
 agree by construction, so :func:`verify_efficient` decides on the four
-factor slope measures, read straight from the levels as integers.  A
-slope-matched reservoir's work measures are the system's final and initial
+factor slope measures: the system's from each state's cached slope classes,
+the reservoir's read from its stored integers, never from the cells it was
+built from.  A slope-matched reservoir's work measures are the system's final and initial
 measures shifted by one slope factor, and that swap certificate settles the
 verdict without forming a product; any other reservoir has its two product
 measures compared.  It builds no curve, clock lift or joint state.
@@ -24,7 +31,8 @@ between the initial and final system distributions, weighted by the one
 slope-matching rule :func:`_slope_matched`.  Only slopes matter to the joint
 curves, so the coupling is taken between *slope classes*: each side's
 occupied levels merged by their slope p_i / g_i, with integer masses over
-one denominator and slopes as reduced integer pairs.  The north-west-corner
+one denominator and slopes as reduced integer pairs (the state's cached
+reading).  The north-west-corner
 walk over m initial and m' final classes makes at most m + m' - 1 cells; the
 routes differ in the classes they feed it:
 
@@ -45,10 +53,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .curves import Curve, _products_coincide, coincide, curve_of, divide, num_distinct_slopes
+from .curves import (
+    Curve,
+    _Measure,
+    _measure_of,
+    _products_coincide,
+    coincide,
+    curve_of,
+    divide,
+    num_distinct_slopes,
+)
 from .errors import (
     DimensionMismatch,
     GibbsInput,
@@ -63,7 +81,7 @@ from .states import (
     Transition,
     _Value,
     _check_rationals,
-    _exact_sum,
+    _read_levels,
     _scaled,
     clock_lift,
     gibbs_of,
@@ -73,8 +91,17 @@ from .states import (
 _ONE = Fraction(1)
 
 
+#: A positive rational as an integer pair (numerator, denominator).
+_Pair = tuple[int, int]
+
+
 class Reservoir(_Value):
-    """A 2d-level work reservoir: distribution ``r`` shifted between level blocks."""
+    """A 2d-level work reservoir: distribution ``r`` shifted between level blocks.
+
+    The levels are kept in integers: masses ``_masses`` over one ``_den``
+    and each weight a reduced pair.  A reservoir this module builds makes
+    its ``Fraction`` fields from them on first access.
+    """
 
     _fields = ("r", "init_weights", "fin_weights")
 
@@ -84,27 +111,59 @@ class Reservoir(_Value):
         init_weights: tuple[Fraction, ...],
         fin_weights: tuple[Fraction, ...],
     ) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "init_weights", init_weights)
-        object.__setattr__(self, "fin_weights", fin_weights)
-        if not (len(self.r) == len(self.init_weights) == len(self.fin_weights)):
+        if not (len(r) == len(init_weights) == len(fin_weights)):
             raise DimensionMismatch("r, init_weights, fin_weights must share a length")
-        if len(self.r) < 1:
+        _check_rationals(r + init_weights + fin_weights)
+        pairs = [[(w.numerator, w.denominator) for w in ws] for ws in (init_weights, fin_weights)]
+        self._store(*_scaled(r), *pairs)
+        for name, value in zip(self._fields, (r, init_weights, fin_weights)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_cells(cls, masses: list[int], den: int, init: list[_Pair], fin: list[_Pair]):
+        """The reservoir of integer levels: masses over ``den`` and weight
+        pairs with positive denominators, reduced here.  Every check of the
+        public constructor runs, on the integers."""
+        res = cls.__new__(cls)
+        res._store(masses, den, _reduced(init), _reduced(fin))
+        return res
+
+    def _store(self, masses: list[int], den: int, init: list[_Pair], fin: list[_Pair]) -> None:
+        if not (len(masses) == len(init) == len(fin)):
+            raise DimensionMismatch("r, init_weights, fin_weights must share a length")
+        if len(masses) < 1:
             raise DimensionMismatch("reservoir needs at least one occupied level")
-        _check_rationals(self.r + self.init_weights + self.fin_weights)
-        for x in self.r:
-            if x.numerator <= 0:
-                raise NegativeProbability(f"reservoir probability {x} must be positive")
-        total = _exact_sum(self.r)
-        if total != _ONE:
-            raise ProbSumNotOne(f"reservoir distribution sums to {total}")
-        for w in self.init_weights + self.fin_weights:
-            if w.numerator <= 0:
-                raise NonPositiveWeight(f"reservoir weight {w} must be positive")
+        for m in masses:
+            if m <= 0:
+                raise NegativeProbability(
+                    f"reservoir probability {Fraction(m, den)} must be positive"
+                )
+        total = sum(masses)
+        if total != den:
+            raise ProbSumNotOne(f"reservoir distribution sums to {Fraction(total, den)}")
+        for num, w_den in init + fin:
+            if num <= 0:
+                raise NonPositiveWeight(
+                    f"reservoir weight {Fraction(num, w_den)} must be positive"
+                )
+        for name, value in (("_masses", masses), ("_den", den), ("_init", init), ("_fin", fin)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def r(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(m, self._den) for m in self._masses])
+
+    @cached_property
+    def init_weights(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(*w) for w in self._init])
+
+    @cached_property
+    def fin_weights(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(*w) for w in self._fin])
 
     @property
     def dim(self) -> int:
-        return 2 * len(self.r)
+        return 2 * len(self._masses)
 
     def work_transition(self) -> Transition:
         """The reservoir's move as a transition over its 2d levels: ``r`` on
@@ -113,32 +172,26 @@ class Reservoir(_Value):
             ThermoState(self.r, self.init_weights), ThermoState(self.r, self.fin_weights)
         )
 
+    def _work_measure(self, weights: list[_Pair]) -> _Measure:
+        """The slope measure of ``r`` on one weight block, read from the
+        stored levels: r_i / w_i is m_i w_den / (den w_num)."""
+        den = self._den
+        slopes = [(m * w_den, den * num) for m, (num, w_den) in zip(self._masses, weights)]
+        return _measure_of(_read_levels(self._masses, slopes), den)
 
-#: A slope as a reduced integer pair (numerator, denominator).
-_Slope = tuple[int, int]
 
-
-def _slope_classes(
-    masses: Sequence[int], probs: Sequence[Fraction], weights: Sequence[Fraction]
-) -> dict[_Slope, int]:
-    """One side's occupied levels merged by slope, in order of first occurrence.
-
-    ``masses`` are the levels' probabilities as integers over one
-    denominator; each slope p_i / g_i is an integer pair reduced with one gcd.
-    """
-    classes: dict[_Slope, int] = {}
-    for m, p, w in zip(masses, probs, weights):
-        if m:
-            num, den = p.numerator * w.denominator, p.denominator * w.numerator
-            common = gcd(num, den)
-            slope = (num // common, den // common)
-            classes[slope] = classes.get(slope, 0) + m
-    return classes
+def _reduced(pairs: list[_Pair]) -> list[_Pair]:
+    """Each (numerator, denominator) pair divided by its gcd."""
+    out = []
+    for num, den in pairs:
+        common = gcd(num, den)
+        out.append((num // common, den // common))
+    return out
 
 
 def _north_west(
-    initials: Iterable[tuple[_Slope, int]], finals: Iterable[tuple[_Slope, int]]
-) -> Iterator[tuple[int, _Slope, _Slope]]:
+    initials: Iterable[tuple[_Pair, int]], finals: Iterable[tuple[_Pair, int]]
+) -> Iterator[tuple[int, _Pair, _Pair]]:
     """The north-west-corner coupling of two (slope, mass) lists of equal total
     mass: each cell (m, s, s') takes what is left of the current initial and
     final class, so the walk makes at most len(initials) + len(finals) - 1."""
@@ -155,29 +208,28 @@ def _north_west(
 
 
 def _slope_matched(
-    cells: Iterable[tuple[int, _Slope, _Slope]], den: int, kappa: tuple[int, int]
+    cells: Iterable[tuple[int, _Pair, _Pair]], den: int, kappa: _Pair
 ) -> Reservoir:
     """The reservoir with one level per cell (m, s, s') of a coupling.
 
     A cell of mass m / den leaves an initial slope class s = p_j / g_j and
     reaches a final class s' = p'_i / g_i; masses are integers over ``den``,
     slopes and the translation gauge ``kappa`` integer pairs.  The cell gets
-    initial weight m / (den kappa s') and final weight m / (den kappa s);
-    its mass and its two weights are the only Fractions built.  When the
-    cells' masses aggregate back to p's slope classes through their initial
-    classes and to those of p' through their final ones, both joint curves
-    carry mass p_a p'_b at slope kappa s_a s'_b for every pair of classes
-    (a, b), so they coincide.
+    initial weight m / (den kappa s') and final weight m / (den kappa s), as
+    integer pairs; no Fraction is built.  When the cells' masses aggregate
+    back to p's slope classes through their initial classes and to those of
+    p' through their final ones, both joint curves carry mass p_a p'_b at
+    slope kappa s_a s'_b for every pair of classes (a, b), so they coincide.
     """
     kappa_num, kappa_den = kappa
     scale = den * kappa_num
-    r, init_weights, fin_weights = [], [], []
+    masses, init_pairs, fin_pairs = [], [], []
     for m, (x, d), (x_prime, d_prime) in cells:
         num = m * kappa_den
-        r.append(Fraction(m, den))
-        init_weights.append(Fraction(num * d_prime, scale * x_prime))
-        fin_weights.append(Fraction(num * d, scale * x))
-    return Reservoir(tuple(r), tuple(init_weights), tuple(fin_weights))
+        masses.append(m)
+        init_pairs.append((num * d_prime, scale * x_prime))
+        fin_pairs.append((num * d, scale * x))
+    return Reservoir._from_cells(masses, den, init_pairs, fin_pairs)
 
 
 def two_level_extraction_bound(p: ThermoState) -> float:
@@ -219,10 +271,9 @@ def minimal_extraction_reservoir(p: ThermoState, c: Fraction = _ONE) -> Reservoi
     c = Fraction(c)
     if c <= 0:
         raise NonPositiveWeight(f"gauge constant c={c} must be positive")
-    masses, den = _scaled(p.probs)
-    classes = _slope_classes(masses, p.probs, p.weights)
+    classes, den = p._classes, p._den
     # One slope on the full support makes p_i = g_i / Z.
-    if len(classes) == 1 and all(masses):
+    if len(classes) == 1 and all(p._masses):
         raise GibbsInput("state is already Gibbs; extraction reservoir is trivial")
     slope_den = lcm(*[d for _, d in classes])
     steepest_first = sorted(
@@ -241,9 +292,10 @@ def general_efficient_reservoir(
 
     The cells are the north-west-corner coupling of the slope classes of p
     and p': each side's occupied levels merged by slope, in order of first
-    occurrence, in exact integers over one common denominator.  The walk
-    makes at most m + m' - 1 cells for m and m' distinct slopes, and each
-    cell's weights follow the slope-matching rule.  When every slope of a
+    occurrence, as each state caches them, with the two sides' integer
+    masses brought over one common denominator.  The walk makes at most
+    m + m' - 1 cells for m and m' distinct slopes, and each cell's weights
+    follow the slope-matching rule.  When every slope of a
     side is distinct its classes are its levels, and the reservoir is the
     north-west corner of the levels themselves.
 
@@ -259,21 +311,21 @@ def general_efficient_reservoir(
     anchor_weight = Fraction(anchor_weight)
     if anchor_weight <= 0:
         raise NonPositiveWeight(f"anchor weight {anchor_weight} must be positive")
-    p = t.initial.probs
-    q = t.final.probs
-    g = t.weights
-    if p == q:
-        return Reservoir((_ONE,), (anchor_weight,), (anchor_weight,))
+    p, q = t.initial, t.final
+    anchor = (anchor_weight.numerator, anchor_weight.denominator)
+    if p.probs == q.probs:
+        return Reservoir._from_cells([1], 1, [anchor], [anchor])
 
-    masses, den = _scaled(p + q)
-    # Both sides hold `den` in all, so the final classes run out exactly
-    # with the initial ones.
-    initials = _slope_classes(masses, p, g)
-    finals = _slope_classes(masses[len(p):], q, g)
-    cells = list(_north_west(initials.items(), finals.items()))
+    # Both sides' classes over one denominator: each holds `den` in all, so
+    # the final classes run out exactly with the initial ones.
+    den = lcm(p._den, q._den)
+    p_scale, q_scale = den // p._den, den // q._den
+    initials = [(s, m * p_scale) for s, m in p._classes.items()]
+    finals = [(s, m * q_scale) for s, m in q._classes.items()]
+    cells = list(_north_west(initials, finals))
     # kappa = m0 / (den s0' anchor) puts the anchor on the first cell.
     m0, _, (x0, d0) = cells[0]
-    kappa = (m0 * d0 * anchor_weight.denominator, den * x0 * anchor_weight.numerator)
+    kappa = (m0 * d0 * anchor[1], den * x0 * anchor[0])
     return _slope_matched(cells, den, kappa)
 
 
@@ -294,8 +346,8 @@ def alt_product_reservoir(t: Transition) -> Reservoir:
         raise ZeroProbability("both endpoint distributions must be strictly positive")
     # Equal weights cancel from the rule: the slopes are p_i and p'_j
     # themselves, the masses p_i p'_j over d_p d_q, and the gauge is 1.
-    p_masses, p_den = _scaled(p)
-    q_masses, q_den = _scaled(q)
+    p_masses, p_den = t.initial._masses, t.initial._den
+    q_masses, q_den = t.final._masses, t.final._den
     initials = [(a, (x.numerator, x.denominator)) for a, x in zip(p_masses, p)]
     finals = [(b, (x.numerator, x.denominator)) for b, x in zip(q_masses, q)]
     cells = ((a * b, s, s_prime) for a, s in initials for b, s_prime in finals)
@@ -315,8 +367,10 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     curves, ``r`` on ``init_weights`` and on ``fin_weights`` (the clock
     lift's zero padding adds no segment).  Both have width Z times the sum
     of all 2d reservoir weights, so they coincide exactly when their slope
-    measures are equal.  The four factor measures are read directly from the
-    levels as integers, with no curve or state.  First comes the swap
+    measures are equal.  The system measures come from the two states'
+    cached slope classes, and the work measures from the reservoir's stored
+    masses and weight pairs, one gcd per level and block; no curve or state
+    is built.  First comes the swap
     certificate: the initial work measure is the final system measure
     shifted by a slope factor kappa, and the final work measure is the
     initial system measure shifted by the same kappa; then both joint
@@ -328,26 +382,29 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     This is the single source of truth for efficiency; every construction in
     this module is expected to pass it but none is trusted without it.
     """
+    p, q = t.initial, t.final
     return _products_coincide(
-        (t.initial.probs, t.weights),
-        (res.r, res.init_weights),
-        (t.final.probs, t.weights),
-        (res.r, res.fin_weights),
+        _measure_of(p._classes, p._den),
+        res._work_measure(res._init),
+        _measure_of(q._classes, q._den),
+        res._work_measure(res._fin),
     )
 
 
 def average_work(res: Reservoir) -> float:
     """Expected energy released by the reservoir, sum_i r_i (e'_i - e_i) in nats.
 
-    Energies are -ln(weight), so each term is ln(init_weight / fin_weight).
-    Weights are positive (``Reservoir`` validates them), so the logs need no
-    domain check.
+    Energies are -ln(weight), so each term is ln(init_weight / fin_weight),
+    read from the reservoir's integers: r_i as m_i / den (int division
+    rounds correctly, so it is float(r_i)) and each weight as its reduced
+    pair.  Weights are positive (``Reservoir`` validates them), so the logs
+    need no domain check.
     """
     log = math.log
+    den = res._den
     return sum(
-        float(x)
-        * ((log(wi.numerator) - log(wi.denominator)) - (log(wf.numerator) - log(wf.denominator)))
-        for x, wi, wf in zip(res.r, res.init_weights, res.fin_weights)
+        m / den * ((log(ni) - log(di)) - (log(nf) - log(df)))
+        for m, (ni, di), (nf, df) in zip(res._masses, res._init, res._fin)
     )
 
 

@@ -8,6 +8,13 @@ in); the energy itself is ``-ln(g_i)``, a display-only float.
 
 Zero probabilities are legal (reservoir supports need them); zero weights are
 not, since they would encode an infinite energy.
+
+A state reads its levels into integers once.  Validation scales the
+probabilities to integer masses over the lcm of their denominators for the
+exact sum and keeps them; the slope classes, each reduced slope p_i / g_i
+mapped to its summed mass in order of first occurrence, are read from those
+masses on first use and cached.  Curves, reservoir synthesis and
+verification all start from that one reading (``_read_levels``).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -67,8 +74,9 @@ def as_rat(value: object) -> Fraction:
 
 def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``values`` as integer numerators over the lcm of their denominators."""
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 def _exact_sum(values: Iterable[Fraction]) -> Fraction:
@@ -78,11 +86,27 @@ def _exact_sum(values: Iterable[Fraction]) -> Fraction:
     return Fraction(sum(numerators), den)
 
 
+def _read_levels(
+    masses: Sequence[int], slopes: Iterable[tuple[int, int]]
+) -> dict[tuple[int, int], int]:
+    """The one reader of levels: occupied levels merged by slope, in order
+    of first occurrence.  ``masses`` are integers over one denominator and
+    each slope a pair of positive ints, reduced here with one gcd; every
+    reduced slope maps to its summed mass."""
+    classes: dict[tuple[int, int], int] = {}
+    for m, (num, den) in zip(masses, slopes):
+        if m:
+            common = gcd(num, den)
+            slope = (num // common, den // common)
+            classes[slope] = classes.get(slope, 0) + m
+    return classes
+
+
 def _check_rationals(values: Iterable[object]) -> None:
     """Reject any entry that is not an int (bools excluded) or a Fraction,
     the rule :func:`as_rat` applies to parsed input."""
     for x in values:
-        if type(x) is bool or not isinstance(x, (Fraction, int)):
+        if type(x) is not Fraction and (type(x) is bool or not isinstance(x, (Fraction, int))):
             raise ParseError(f"not a rational: {x!r}")
 
 
@@ -153,13 +177,28 @@ class ThermoState(_Value):
         for p in self.probs:
             if p.numerator < 0:
                 raise NegativeProbability(f"probability {p} is negative")
-        total = _exact_sum(self.probs)
-        if total != _ONE:
-            raise ProbSumNotOne(f"probabilities sum to {total}, not 1")
+        # The exact sum's integer reading is kept: ``_masses`` over ``_den``.
+        masses, den = _scaled(self.probs)
+        total = sum(masses)
+        if total != den:
+            raise ProbSumNotOne(f"probabilities sum to {Fraction(total, den)}, not 1")
+        object.__setattr__(self, "_masses", masses)
+        object.__setattr__(self, "_den", den)
 
     @property
     def dim(self) -> int:
         return len(self.probs)
+
+    @cached_property
+    def _classes(self) -> dict[tuple[int, int], int]:
+        """The occupied levels merged by slope p_i / g_i, each reduced slope
+        pair mapped to its mass over ``_den``, in order of first occurrence."""
+        # p_i / g_i = m_i g_den / (den g_num) for p_i = m_i / den.
+        den = self._den
+        return _read_levels(
+            self._masses,
+            [(m * w.denominator, den * w.numerator) for m, w in zip(self._masses, self.weights)],
+        )
 
     @cached_property
     def z(self) -> Fraction:

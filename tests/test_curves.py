@@ -548,6 +548,41 @@ class TestDivide:
             assert divide(moved, two) is None
 
 
+class TestProductsCoincide:
+    """The four-measure comparison that ``reservoirs.verify_efficient`` runs,
+    on measures no shift certificate relates, so the row subtraction
+    decides."""
+
+    @staticmethod
+    def measure(state):
+        return curves._measure_of(state._classes, state._den)
+
+    def verdict(self, a, b, c, d):
+        spy = mock.patch.object(curves, "_same_products", wraps=curves._same_products)
+        with spy as same_products:
+            verdict = curves._products_coincide(*(self.measure(s) for s in (a, b, c, d)))
+        assert same_products.called
+        return verdict
+
+    def test_same_slopes_other_heights(self):
+        # Slopes 2 and 1 on both factors: a (x) b carries heights 1/6, 1/2,
+        # 1/3 at slopes 4, 2, 1, and b (x) b carries 1/9, 4/9, 4/9 there.
+        a = make_state(("1/2", "1/2"), ("1/4", "1/2"))
+        b = make_state(("1/3", "2/3"), ("1/6", "2/3"))
+        left, right = product(curve_of(a), curve_of(b)), product(curve_of(b), curve_of(b))
+        assert [seg.slope for seg in left.segments] == [seg.slope for seg in right.segments]
+        assert left != right
+        assert not self.verdict(a, b, b, b)
+        assert not self.verdict(b, b, a, b)
+
+    def test_equal_products(self):
+        a = make_state(("1/2", "1/2"), ("1/4", "1/2"))
+        b = make_state(("1/3", "2/3"), ("1/6", "2/3"))
+        one = make_state((1,), (1,))
+        assert self.verdict(a, b, tensor(a, b), one)
+        assert self.verdict(tensor(b, a), one, a, b)
+
+
 class TestRealizeState:
     @HYPO
     @given(states())

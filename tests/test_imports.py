@@ -152,6 +152,18 @@ class TestImportFootprint:
         assert not loaded & forbidden
         assert not (modules - bare_modules) & _STARTUP_HEAVY
 
+    def test_only_oracle_check_loads_random(self, cli_files):
+        """``build-reservoir`` draws nothing at random, so it loads no
+        ``random``.  ``-S`` leaves ``site`` out: a ``.pth`` hook in an
+        installed package can import ``random`` into every interpreter,
+        which the bare-interpreter baseline would then hide."""
+        argv = ["build-reservoir", "--method", "general", cli_files["initial"], cli_files["final"]]
+        proc = run_python("-S", "-c", PROBE, *argv, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert "thermomajor.reservoirs" in modules
+        assert "random" not in modules
+
     def test_bare_import_loads_no_submodule(self):
         code = "import sys, thermomajor; print(sorted(m for m in sys.modules if 'thermo' in m))"
         proc = run_python("-c", code, timeout=10)

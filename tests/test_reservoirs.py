@@ -13,7 +13,10 @@ from thermomajor import curves
 from thermomajor.curves import coincide, curve_of, num_distinct_slopes, product
 from thermomajor.divergences import renyi, shannon_entropy
 from thermomajor.errors import (
+    DimensionMismatch,
     GibbsInput,
+    NegativeProbability,
+    NonPositiveWeight,
     NontrivialHamiltonian,
     ParseError,
     ProbSumNotOne,
@@ -747,3 +750,132 @@ class TestFormationFamily:
         x1, y1 = minimal_formation_pair(make_state(("3/4", "1/4"), (1, 1)))
         with pytest.raises(GibbsInput):
             characterize_formation_family(g, x1, y1)
+
+
+def large_denominator_state(rng, dim, weights=None, zeros=False):
+    """Weights p/q with p, q <= 10^6 (the engine's denominator cap) and
+    masses 1..999, some of them emptied when ``zeros`` is set."""
+    if weights is None:
+        weights = tuple(F(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(dim))
+    masses = [rng.randint(1, 999) * (not zeros or rng.random() < 0.7) for _ in weights]
+    masses[rng.randrange(dim)] = rng.randint(1, 999)
+    return ThermoState(tuple(F(m, sum(masses)) for m in masses), weights)
+
+
+def large_denominator_case(rng, kind):
+    """A transition of at most 16 levels with 10^6-scale weights and the
+    reservoir its constructor builds."""
+    if kind == "lifted":
+        t = clock_lift(
+            large_denominator_state(rng, rng.randint(1, 8)),
+            large_denominator_state(rng, rng.randint(1, 8), zeros=True),
+        )
+        return t, general_efficient_reservoir(t)
+    p = large_denominator_state(rng, rng.randint(2, 16), zeros=kind == "general")
+    if kind == "minimal":
+        return extraction_transition(p), minimal_extraction_reservoir(p)
+    t = Transition(p, large_denominator_state(rng, p.dim, p.weights, zeros=True))
+    return t, general_efficient_reservoir(t)
+
+
+class TestLargeDenominators:
+    """Weights at the 10^6 denominator scale of ``engine.APPROX_DENOMINATOR``,
+    where the integer readings grow to hundreds of bits."""
+
+    @pytest.mark.parametrize("kind", ["general", "lifted", "minimal"])
+    def test_verdicts_and_work(self, kind):
+        rng = seeded({"general": 61, "lifted": 62, "minimal": 63}[kind])
+        for _ in range(12):
+            t, res = large_denominator_case(rng, kind)
+            assert max(w.denominator for w in res.init_weights + res.fin_weights) > 10**6
+            ji, jf = joint_states(t, res)
+            assert verify_efficient(t, res)
+            assert coincide(curve_of(ji), curve_of(jf))
+            tau = gibbs_of(t.initial)
+            expected = renyi(1.0, t.initial, tau) - renyi(1.0, t.final, tau)
+            assert abs(average_work(res) - expected) <= 1e-10
+            k = max(range(len(res.r)), key=res.r.__getitem__)
+            fin = list(res.fin_weights)
+            fin[k] *= F(10001, 10000)
+            tampered = Reservoir(res.r, res.init_weights, tuple(fin))
+            ji, jf = joint_states(t, tampered)
+            assert not verify_efficient(t, tampered)
+            assert not coincide(curve_of(ji), curve_of(jf))
+
+
+class TestIntegerReservoir:
+    """A built reservoir keeps integer levels and makes its Fraction fields
+    on first access; as a value it is the reservoir of those fields."""
+
+    @pytest.mark.parametrize("kind", BUILT_KINDS)
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_same_value_as_the_public_constructor(self, kind, data):
+        t, res = data.draw(transitions_with_reservoirs(kind))
+        # A second build whose fields nothing has read yet.
+        fresh = {
+            "extraction": lambda: minimal_extraction_reservoir(t.initial),
+            "product": lambda: alt_product_reservoir(t),
+        }.get(kind, lambda: general_efficient_reservoir(t))()
+        public = Reservoir(res.r, res.init_weights, res.fin_weights)
+        assert hash(fresh) == hash(public)
+        assert repr(fresh) == repr(public)
+        assert fresh == public and public == fresh
+        assert fresh._asdict() == public._asdict()
+        assert (fresh._init, fresh._fin) == (public._init, public._fin)
+        assert all(type(x) is F for x in fresh.r + fresh.init_weights + fresh.fin_weights)
+
+    @pytest.mark.parametrize("kind", BUILT_KINDS + ["padded"])
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_average_work_is_the_fraction_formula_bit_for_bit(self, kind, data):
+        _, res = data.draw(transitions_with_reservoirs(kind))
+        work = average_work(res)
+        log = math.log
+        expected = sum(
+            float(x)
+            * ((log(wi.numerator) - log(wi.denominator))
+               - (log(wf.numerator) - log(wf.denominator)))
+            for x, wi, wf in zip(res.r, res.init_weights, res.fin_weights)
+        )
+        assert work.hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "masses, den, init_pairs, fin_pairs, error, message",
+        [
+            ([1, 2], 3, [(1, 1)], [(1, 1), (1, 1)], DimensionMismatch,
+             "r, init_weights, fin_weights must share a length"),
+            ([], 1, [], [], DimensionMismatch, "reservoir needs at least one occupied level"),
+            ([3, -1], 2, [(1, 1)] * 2, [(1, 1)] * 2, NegativeProbability,
+             "reservoir probability -1/2 must be positive"),
+            ([2, 0], 2, [(1, 1)] * 2, [(1, 1)] * 2, NegativeProbability,
+             "reservoir probability 0 must be positive"),
+            ([1, 1], 3, [(1, 1)] * 2, [(1, 1)] * 2, ProbSumNotOne,
+             "reservoir distribution sums to 2/3"),
+            ([2, 2], 4, [(1, 1), (0, 5)], [(1, 1)] * 2, NonPositiveWeight,
+             "reservoir weight 0 must be positive"),
+            ([2, 2], 4, [(1, 1)] * 2, [(1, 1), (-4, 6)], NonPositiveWeight,
+             "reservoir weight -2/3 must be positive"),
+        ],
+        ids=["lengths", "empty", "negative-mass", "zero-mass", "sum", "zero-weight",
+             "negative-weight"],
+    )
+    def test_integer_path_checks_like_the_public_one(
+        self, masses, den, init_pairs, fin_pairs, error, message
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            Reservoir._from_cells(masses, den, init_pairs, fin_pairs)
+        fields = (
+            tuple(F(m, den) for m in masses),
+            tuple(F(*w) for w in init_pairs),
+            tuple(F(*w) for w in fin_pairs),
+        )
+        with pytest.raises(error, match=f"^{message}$"):
+            Reservoir(*fields)
+
+    def test_weights_stored_reduced(self):
+        res = Reservoir._from_cells([2, 4], 6, [(4, 6), (3, 9)], [(10, 5), (7, 1)])
+        assert (res._init, res._fin) == ([(2, 3), (1, 3)], [(2, 1), (7, 1)])
+        assert res.r == (F(1, 3), F(2, 3))
+        assert res.init_weights == (F(2, 3), F(1, 3))
+        assert res.dim == 4
