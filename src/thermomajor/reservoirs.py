@@ -19,12 +19,12 @@ reservoir is the product of its factor curves, and the two joint widths
 agree by construction, so :func:`verify_efficient` decides on the four
 factor slope measures: the system's from each state's cached slope classes,
 the reservoir's read from its stored integers, never from the cells it was
-built from.  A slope-matched reservoir's work measures are the system's final and initial
-measures shifted by one slope factor, and that swap certificate settles the
-verdict without forming a product; any other reservoir has its two product
-measures compared.  It builds no curve, clock lift or joint state.
-:func:`joint_states` keeps the materialised tensor product as an
-independent cross-check.
+built from.  A slope-matched reservoir's work measures are the system's
+final and initial measures shifted by one slope factor, and that swap
+certificate settles the verdict without forming a product; any other
+reservoir has its two product measures compared.  It builds no curve,
+clock lift or joint state.  :func:`joint_states` keeps the materialised
+tensor product as an independent cross-check.
 
 Synthesis routes.  Each level of a reservoir carries one cell of a coupling
 between the initial and final system distributions, weighted by the one
