@@ -27,7 +27,11 @@ such measures.  Write T_kappa m for m with every slope scaled by kappa.  A
 shift certificate comes first: b = T_kappa c and d = T_kappa a (the swap
 every slope-matched reservoir makes), or c = T_kappa a and b = T_kappa d.
 Either makes both products one shift of a common product, at the cost of a
-sort and with no product measure.  Otherwise a (x) b is built once and
+sort and with no product measure.  Otherwise the first moments come next:
+chi_1(m), the sum of height times slope, is multiplicative under the
+product (for a state it is the Renyi inner sum at alpha = 2), so
+chi_1(a) chi_1(b) != chi_1(c) chi_1(d) proves the products differ in O(n)
+integer operations.  Only equal moments go on: a (x) b is built once and
 c (x) d subtracted from it in place, one entry of c at a time;
 :func:`divide`'s peel is the same row subtraction.  No product curve is
 built.  ``Curve`` validation reads signs and order from numerators
@@ -232,6 +236,12 @@ def _one_shift(m: _Measure, n: _Measure, m2: _Measure, n2: _Measure) -> bool:
     return kappa is not None and kappa == _shift(m2, n2)
 
 
+def _moment(m: _Measure) -> tuple[int, int]:
+    """The first moment chi_1(m), the sum of height times slope, as an
+    integer numerator over ``height_den * slope_den``."""
+    return sum([h * x for x, h in m.heights.items()]), m.height_den * m.slope_den
+
+
 def _products_coincide(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -> bool:
     """Whether the measures a (x) b and c (x) d are equal, for four measures
     of total height one.  Widths are not compared: callers pass factors whose
@@ -240,9 +250,16 @@ def _products_coincide(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -
     The swap certificate (b = T_kappa c and d = T_kappa a, so both products
     are T_kappa (a (x) c)) and the straight one (c = T_kappa a and
     b = T_kappa d, so both are T_kappa (a (x) d)) come before the products.
+    Then the first moments: chi_1 multiplies under the product, so
+    chi_1(a) chi_1(b) != chi_1(c) chi_1(d), compared exactly by
+    cross-multiplying, proves the products differ.  Equal moments prove
+    nothing, and the row subtraction decides.
     """
     if _one_shift(mc, mb, ma, md) or _one_shift(ma, mc, md, mb):
         return True
+    (na, da), (nb, db), (nc, dc), (nd, dd) = map(_moment, (ma, mb, mc, md))
+    if na * nb * dc * dd != nc * nd * da * db:
+        return False
     return _same_products(ma, mb, mc, md)
 
 

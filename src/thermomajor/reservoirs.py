@@ -22,9 +22,10 @@ the reservoir's read from its stored integers, never from the cells it was
 built from.  A slope-matched reservoir's work measures are the system's
 final and initial measures shifted by one slope factor, and that swap
 certificate settles the verdict without forming a product; any other
-reservoir has its two product measures compared.  It builds no curve,
-clock lift or joint state.  :func:`joint_states` keeps the materialised
-tensor product as an independent cross-check.
+reservoir has the first moments of its two sides compared, exactly and in
+linear time, and only when those agree its two product measures.  It
+builds no curve, clock lift or joint state.  :func:`joint_states` keeps the
+materialised tensor product as an independent cross-check.
 
 Synthesis routes.  Each level of a reservoir carries one cell of a coupling
 between the initial and final system distributions, weighted by the one
@@ -377,7 +378,11 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     measures are the system pair's product shifted by kappa.  Every
     slope-matched reservoir passes it at O(n log n), and the trivial
     reservoir of an identity transition passes its mirror image.  Otherwise
-    one product measure is built and the other subtracted from it, exactly.
+    the first moments (sum of height times slope, multiplicative under the
+    product) of the two sides are compared exactly in O(n): a mismatch
+    rejects with no product measure, as every single-weight tamper does.
+    Only equal moments have one product measure built and the other
+    subtracted from it, exactly.
 
     This is the single source of truth for efficiency; every construction in
     this module is expected to pass it but none is trusted without it.

@@ -14,7 +14,9 @@ probabilities to integer masses over the lcm of their denominators for the
 exact sum and keeps them; the slope classes, each reduced slope p_i / g_i
 mapped to its summed mass in order of first occurrence, are read from those
 masses on first use and cached.  Curves, reservoir synthesis and
-verification all start from that one reading (``_read_levels``).
+verification all start from that one reading (``_read_levels``).  The
+states :func:`clock_lift` and :func:`gibbs_of` derive from validated ones
+take their reading from them, with no second validation.
 """
 
 from __future__ import annotations
@@ -185,6 +187,22 @@ class ThermoState(_Value):
         object.__setattr__(self, "_masses", masses)
         object.__setattr__(self, "_den", den)
 
+    @classmethod
+    def _derived(
+        cls, probs: tuple, weights: tuple, masses: list[int], den: int, classes: dict | None = None
+    ) -> ThermoState:
+        """A state derived from validated ones, with no check: ``masses``
+        over ``den`` must be ``probs`` as validation reads them, and
+        ``classes``, if given, seeds the cached slope classes."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "probs", probs)
+        object.__setattr__(state, "weights", weights)
+        object.__setattr__(state, "_masses", masses)
+        object.__setattr__(state, "_den", den)
+        if classes is not None:
+            object.__setattr__(state, "_classes", classes)
+        return state
+
     @property
     def dim(self) -> int:
         return len(self.probs)
@@ -223,7 +241,15 @@ def make_state(probs: Iterable[object], weights: Iterable[object]) -> ThermoStat
 
 def gibbs_of(state: ThermoState) -> ThermoState:
     """The equilibrium state with the same weights: probs_i = g_i / Z."""
-    return ThermoState(state.gibbs_probs(), state.weights)
+    # With g_i = n_i / d, g_i / Z = n_i / sum(n); over gcd(n) the masses
+    # come out as validation reads the reduced probabilities.
+    numerators, _ = _scaled(state.weights)
+    common = gcd(*numerators)
+    masses = [n // common for n in numerators]
+    den = sum(masses)
+    return ThermoState._derived(
+        tuple([Fraction(m, den) for m in masses]), state.weights, masses, den
+    )
 
 
 def is_gibbs(state: ThermoState) -> bool:
@@ -264,10 +290,15 @@ def clock_lift(initial_state: ThermoState, final_state: ThermoState) -> Transiti
     """
     d0, d1 = initial_state.dim, final_state.dim
     joint_weights = initial_state.weights + final_state.weights
-    zeros0 = (_ZERO,) * d0
-    zeros1 = (_ZERO,) * d1
-    lifted_initial = ThermoState(initial_state.probs + zeros1, joint_weights)
-    lifted_final = ThermoState(zeros0 + final_state.probs, joint_weights)
+    # Each lifted state is its half zero-padded, over the half's denominator,
+    # with a copy of the half's slope classes: a zero level adds none.
+    p, q = initial_state, final_state
+    lifted_initial = ThermoState._derived(
+        p.probs + (_ZERO,) * d1, joint_weights, p._masses + [0] * d1, p._den, dict(p._classes)
+    )
+    lifted_final = ThermoState._derived(
+        (_ZERO,) * d0 + q.probs, joint_weights, [0] * d0 + q._masses, q._den, dict(q._classes)
+    )
     return Transition(lifted_initial, lifted_final)
 
 

@@ -550,19 +550,28 @@ class TestDivide:
 
 class TestProductsCoincide:
     """The four-measure comparison that ``reservoirs.verify_efficient`` runs,
-    on measures no shift certificate relates, so the row subtraction
-    decides."""
+    on measures no shift certificate relates.  Each verdict is also asked of
+    the row subtraction, ``_same_products``, directly, since unequal first
+    moments reject before it runs."""
 
     @staticmethod
-    def measure(state):
-        return curves._measure_of(state._classes, state._den)
+    def measures(*states):
+        return [curves._measure_of(s._classes, s._den) for s in states]
 
     def verdict(self, a, b, c, d):
-        spy = mock.patch.object(curves, "_same_products", wraps=curves._same_products)
-        with spy as same_products:
-            verdict = curves._products_coincide(*(self.measure(s) for s in (a, b, c, d)))
-        assert same_products.called
+        measures = self.measures(a, b, c, d)
+        verdict = curves._products_coincide(*measures)
+        assert curves._same_products(*measures) == verdict
         return verdict
+
+    @HYPO
+    @given(states(), states())
+    def test_first_moment_is_the_alpha_2_sum_and_multiplies(self, s, t):
+        ms, mt = self.measures(s, t)
+        moment = F(*curves._moment(ms))
+        assert moment == sum(p * p / g for p, g in zip(s.probs, s.weights))
+        product_moment = F(*curves._moment(curves._product_measure(ms, mt)))
+        assert product_moment == moment * F(*curves._moment(mt))
 
     def test_same_slopes_other_heights(self):
         # Slopes 2 and 1 on both factors: a (x) b carries heights 1/6, 1/2,
@@ -581,6 +590,21 @@ class TestProductsCoincide:
         one = make_state((1,), (1,))
         assert self.verdict(a, b, tensor(a, b), one)
         assert self.verdict(tensor(b, a), one, a, b)
+
+    def test_equal_moments_reach_the_row_subtraction(self):
+        # Slopes 3, 1 and 5, 1, both with first moment 2, times b (slopes
+        # 2, 1): the moments agree, the products (slopes 6, 3, 2, 1 against
+        # 10, 5, 2, 1) do not.
+        a = make_state(("1/2", "1/2"), ("1/6", "1/2"))
+        c = make_state(("1/4", "3/4"), ("1/20", "3/4"))
+        b = make_state(("1/2", "1/2"), ("1/4", "1/2"))
+        measures = self.measures(a, b, c, b)
+        assert [F(*curves._moment(m)) for m in measures] == [2, F(3, 2), 2, F(3, 2)]
+        spy = mock.patch.object(curves, "_same_products", wraps=curves._same_products)
+        with spy as same_products:
+            assert not curves._products_coincide(*measures)
+        assert same_products.called
+        assert not self.verdict(a, b, c, b)
 
 
 class TestRealizeState:

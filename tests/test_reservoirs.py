@@ -64,6 +64,25 @@ def padded(res, e):
     return Reservoir(initial.probs, initial.weights, final.weights)
 
 
+def tampered(res):
+    """``res`` with its largest-mass final weight times 10001/10000."""
+    k = max(range(len(res.r)), key=res.r.__getitem__)
+    fin = list(res.fin_weights)
+    fin[k] *= F(10001, 10000)
+    return Reservoir(res.r, res.init_weights, tuple(fin))
+
+
+def assert_rejected_without_products(t, res):
+    """``verify_efficient`` rejects ``res`` before forming a product measure,
+    and the materialised joint states agree."""
+    refuse = AssertionError("a product measure was formed")
+    with mock.patch.object(curves, "_same_products", side_effect=refuse):
+        verdict = verify_efficient(t, res)
+    ji, jf = joint_states(t, res)
+    assert verdict is False
+    assert verdict == coincide(curve_of(ji), curve_of(jf))
+
+
 #: The kinds of :func:`transitions_with_reservoirs` whose reservoir a
 #: library constructor builds.
 BUILT_KINDS = ["generic", "palette", "lifted", "extraction", "product"]
@@ -528,6 +547,16 @@ class TestJointStatesAgainstMonoid:
         with mock.patch.object(curves, "_same_products", side_effect=refuse):
             assert verify_efficient(t, res)
 
+    @pytest.mark.parametrize("kind", BUILT_KINDS)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_tampered_reservoirs_need_no_product_measure(self, kind, data):
+        """Bumping a final weight w by T changes the final work measure's
+        first moment by h s (1/T - 1) != 0 at its level's height h and slope
+        s, so the moments reject before any product measure is formed."""
+        t, res = data.draw(transitions_with_reservoirs(kind))
+        assert_rejected_without_products(t, tampered(res))
+
     @pytest.mark.parametrize("kind", BUILT_KINDS + ["padded"])
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -794,13 +823,17 @@ class TestLargeDenominators:
             tau = gibbs_of(t.initial)
             expected = renyi(1.0, t.initial, tau) - renyi(1.0, t.final, tau)
             assert abs(average_work(res) - expected) <= 1e-10
-            k = max(range(len(res.r)), key=res.r.__getitem__)
-            fin = list(res.fin_weights)
-            fin[k] *= F(10001, 10000)
-            tampered = Reservoir(res.r, res.init_weights, tuple(fin))
-            ji, jf = joint_states(t, tampered)
-            assert not verify_efficient(t, tampered)
+            bumped = tampered(res)
+            ji, jf = joint_states(t, bumped)
+            assert not verify_efficient(t, bumped)
             assert not coincide(curve_of(ji), curve_of(jf))
+
+    @pytest.mark.parametrize("kind", ["general", "lifted", "minimal"])
+    def test_tampered_reservoirs_need_no_product_measure(self, kind):
+        rng = seeded({"general": 64, "lifted": 65, "minimal": 66}[kind])
+        for _ in range(12):
+            t, res = large_denominator_case(rng, kind)
+            assert_rejected_without_products(t, tampered(res))
 
 
 class TestIntegerReservoir:

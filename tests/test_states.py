@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermomajor.curves import Segment, coincide, curve_of, majorizes
 from thermomajor.errors import (
@@ -25,7 +26,7 @@ from thermomajor.states import (
     tensor,
 )
 
-from conftest import random_state, seeded
+from conftest import family_states, random_state, seeded
 
 
 class TestMakeState:
@@ -175,6 +176,53 @@ class TestClockLift:
         direct_verdict = majorizes(curve_of(direct.initial), curve_of(direct.final))
         assert lifted_verdict == direct_verdict
         assert curve_of(lifted.initial).segments == curve_of(initial).segments
+
+
+def assert_same_state(derived, public):
+    """``derived`` is the state the public constructor makes: equal, same
+    hash, and the same integer reading and slope classes, in order."""
+    assert derived == public and hash(derived) == hash(public)
+    assert (derived._masses, derived._den) == (public._masses, public._den)
+    assert list(derived._classes.items()) == list(public._classes.items())
+
+
+class TestDerivedStates:
+    """``clock_lift`` and ``gibbs_of`` build their states from validated ones
+    without re-validating them; each must be the state the public
+    constructor makes from the same fields."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_clock_lift(self, data):
+        p, q = (
+            data.draw(family_states(data.draw(st.integers(1, 5)), data.draw(st.booleans())))
+            for _ in range(2)
+        )
+        t = clock_lift(p, q)
+        for lifted, half in ((t.initial, p), (t.final, q)):
+            assert_same_state(lifted, ThermoState(lifted.probs, lifted.weights))
+            assert lifted._classes is not half._classes
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_gibbs_of(self, data):
+        s = data.draw(family_states(data.draw(st.integers(1, 6)), data.draw(st.booleans())))
+        assert_same_state(gibbs_of(s), ThermoState(s.gibbs_probs(), s.weights))
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            ThermoState((1, 0), (1, 1)),
+            ThermoState((0, 1, 0), (2, 4, 6)),
+            ThermoState((Fraction(1, 2), 0, Fraction(1, 2)), (Fraction(2, 3), 4, Fraction(4, 9))),
+        ],
+        ids=["int-entries", "common-factor", "mixed"],
+    )
+    def test_int_entries_and_common_factors(self, state):
+        t = clock_lift(state, state)
+        for lifted in (t.initial, t.final):
+            assert_same_state(lifted, ThermoState(lifted.probs, lifted.weights))
+        assert_same_state(gibbs_of(state), ThermoState(state.gibbs_probs(), state.weights))
 
 
 class TestTensor:
