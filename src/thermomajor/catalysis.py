@@ -13,8 +13,8 @@ provably useless; :func:`strip_catalyst` is that statement run as code.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .curves import coincide, curve_of
 from .divergences import DEFAULT_ALPHA_GRID, _order_compare, _Terms
@@ -38,15 +38,8 @@ class CtoVerdict(_Value):
 
     _fields = ("feasible", "witnessed", "grid_only")
 
-    def __init__(
-        self,
-        feasible: bool,
-        witnessed: tuple[tuple[float, float, float], ...],
-        grid_only: bool = True,
-    ) -> None:
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "witnessed", witnessed)
-        object.__setattr__(self, "grid_only", grid_only)
+    def __init__(self, feasible: bool, witnessed: tuple, grid_only: bool = True) -> None:
+        super().__init__(feasible, witnessed, grid_only)
 
 
 def cto_feasible(

@@ -26,12 +26,12 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from .errors import ParseError, ReproductionMismatch, ThermomajorError
 from .states import (
+    ThermoState,
     Transition,
     _decode,
     _Value,
@@ -41,12 +41,6 @@ from .states import (
     state_from_dict,
     state_to_dict,
 )
-
-if TYPE_CHECKING:
-    from .curves import Curve
-    from .reservoirs import Reservoir
-
-_T = TypeVar("_T")
 
 SVG_WIDTH = 800
 SVG_HEIGHT = 500
@@ -58,14 +52,15 @@ SVG_MARGIN = 60
 # ---------------------------------------------------------------------------
 
 
-def _load(path: str, parse: Callable[[object], _T]) -> _T:
+def _load(path: str, parse: Callable[[object], object]) -> object:
     """Read the JSON file at ``path`` and build it with ``parse``.
 
     Every error names the path once, so a command that reads several files
     says which one is bad.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
@@ -86,10 +81,14 @@ def _reservoir_from_dict(data: object) -> Reservoir:
     )
 
 
+def _load_pair(initial_path: str, final_path: str) -> tuple[ThermoState, ThermoState]:
+    """The initial and final states a command reads, in that order."""
+    return _load(initial_path, state_from_dict), _load(final_path, state_from_dict)
+
+
 def _load_transition(initial_path: str, final_path: str) -> Transition:
     """A shared-weights transition, or its clock lift when the weights differ."""
-    initial = _load(initial_path, state_from_dict)
-    final = _load(final_path, state_from_dict)
+    initial, final = _load_pair(initial_path, final_path)
     if initial.weights == final.weights:
         return Transition(initial, final)
     return clock_lift(initial, final)
@@ -131,7 +130,8 @@ def _dump(payload: object) -> str:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -234,8 +234,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_majorize(args: argparse.Namespace) -> int:
     from .curves import curve_of, majorizes
 
-    a = _load(args.initial, state_from_dict)
-    b = _load(args.final, state_from_dict)
+    a, b = _load_pair(args.initial, args.final)
     verdict = majorizes(curve_of(a), curve_of(b))
     _emit(args, _dump({"majorizes": verdict}))
     return 0 if verdict else 1
@@ -295,9 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_catalytic_check(args: argparse.Namespace) -> int:
     from .catalysis import cto_feasible
 
-    initial = _load(args.initial, state_from_dict)
-    final = _load(args.final, state_from_dict)
-    t = Transition(initial, final)
+    t = Transition(*_load_pair(args.initial, args.final))
     verdict = cto_feasible(t, _alpha_grid(args), nonnegative_only=args.nonnegative_only)
     payload = {
         "feasible": verdict.feasible,
@@ -377,8 +374,7 @@ def cmd_engine(args: argparse.Namespace) -> int:
     report = _dump(engine.run_carnot(spec))
     # The stage curves go first, so a run that cannot write them emits nothing.
     if args.curves_dir:
-        out = Path(args.curves_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        os.makedirs(args.curves_dir, exist_ok=True)
         names = (
             "stage1_cold_equilibrium.csv",
             "stage2_cold_populations_hot_bath.csv",
@@ -386,7 +382,8 @@ def cmd_engine(args: argparse.Namespace) -> int:
             "stage4_hot_populations_cold_bath.csv",
         )
         for name, state in zip(names, engine.stage_states(spec)):
-            (out / name).write_text(breakpoints_csv(curve_of(state)))
+            with open(os.path.join(args.curves_dir, name), "w") as fh:
+                fh.write(breakpoints_csv(curve_of(state)))
     _emit(args, report)
     return 0
 
@@ -484,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -42,10 +42,11 @@ every check stays exact.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
 from .states import ThermoState, _ONE, _ZERO, _Value, _check_rationals, _exact_sum, _scaled
@@ -72,10 +73,6 @@ class Segment(_Value):
 
     _fields = ("height", "slope")
 
-    def __init__(self, height: Fraction, slope: Fraction) -> None:
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "slope", slope)
-
 
 class Curve(_Value):
     """Canonical thermomajorization curve.
@@ -88,9 +85,7 @@ class Curve(_Value):
 
     _fields = ("segments", "total_width")
 
-    def __init__(self, segments: tuple[Segment, ...], total_width: Fraction) -> None:
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "total_width", total_width)
+    def _check(self) -> None:
         if not self.segments:
             raise InvalidCurve("curve needs at least one segment")
         _check_rationals((self.total_width,))
@@ -126,14 +121,10 @@ def _ratio(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
 
 
-class _Measure(NamedTuple):
-    """A curve's slope measure in integers: each slope numerator maps to the
-    height numerator at that slope, over one height and one slope
-    denominator."""
-
-    heights: dict[int, int]
-    height_den: int
-    slope_den: int
+#: A curve's slope measure in integers: ``heights`` maps each slope
+#: numerator to the height numerator at that slope, over one
+#: ``height_den`` and one ``slope_den``.
+_Measure = namedtuple("_Measure", ("heights", "height_den", "slope_den"))
 
 
 def _measure(pairs: Sequence[tuple[Fraction, Fraction]]) -> _Measure:
@@ -173,7 +164,7 @@ def _product_measure(ma: _Measure, mb: _Measure) -> _Measure:
     return _Measure(merged, ma.height_den * mb.height_den, ma.slope_den * mb.slope_den)
 
 
-def _shift(m: _Measure, n: _Measure) -> Optional[Fraction]:
+def _shift(m: _Measure, n: _Measure) -> Fraction | None:
     """The kappa with n = T_kappa m, or None if n is no such shift.
 
     T_kappa m carries m's height at kappa times each of its slopes.  A shift
@@ -375,7 +366,7 @@ def product(a: Curve, b: Curve) -> Curve:
     return _curve(measure, a.total_width * b.total_width)
 
 
-def divide(l: Curve, a: Curve) -> Optional[Curve]:
+def divide(l: Curve, a: Curve) -> Curve | None:
     """The unique ``q`` with ``product(a, q) == l``, or None if no such curve.
 
     A greedy peel over the integer measures of ``l`` and ``a``, with the row

@@ -28,9 +28,9 @@ nondecreasing in alpha only on alpha >= 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
 
 from .curves import Curve, _ratio, curve_of
 from .errors import DimensionMismatch, InvalidOrder, OutsideDomain
@@ -123,7 +123,7 @@ class _Terms:
         return sum((qi for pi, qi in self.pairs if pi), Fraction(0))
 
     @cached_property
-    def ratio(self) -> Optional[Fraction]:
+    def ratio(self) -> Fraction | None:
         return None if self.escapes else max(_ratio(pi, qi) for pi, qi in self.pairs if pi)
 
 
@@ -154,7 +154,7 @@ def d0_support_mass(p: ThermoState, q: ThermoState) -> Fraction:
     return _Terms(p, q).mass
 
 
-def dinf_max_ratio(p: ThermoState, q: ThermoState) -> Optional[Fraction]:
+def dinf_max_ratio(p: ThermoState, q: ThermoState) -> Fraction | None:
     """Exact inner argument of D_inf: max p_i/q_i on p's support, None if infinite."""
     return _Terms(p, q).ratio
 
@@ -242,14 +242,10 @@ class AlphaProfile(_Value):
 
     _fields = ("alphas", "values")
 
-    def __init__(self, alphas: tuple[float, ...], values: tuple[float, ...]) -> None:
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "values", values)
-
 
 def alpha_profile(
     p: ThermoState,
-    q: Optional[ThermoState] = None,
+    q: ThermoState | None = None,
     alphas: Sequence[float] = DEFAULT_ALPHA_GRID,
 ) -> AlphaProfile:
     """Evaluate D_alpha(p || q) over a grid; q defaults to p's Gibbs state."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InvalidTemperatures
 from .reservoirs import Reservoir, minimal_extraction_reservoir, verify_efficient
@@ -36,10 +35,7 @@ class EngineSpec(_Value):
 
     _fields = ("epsilon", "beta_h", "beta_c")
 
-    def __init__(self, epsilon: float, beta_h: float, beta_c: float) -> None:
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "beta_h", beta_h)
-        object.__setattr__(self, "beta_c", beta_c)
+    def _check(self) -> None:
         if not (self.epsilon > 0):
             raise InvalidTemperatures(f"epsilon={self.epsilon} must be positive")
         if not (0 < self.beta_h <= self.beta_c):
@@ -59,10 +55,6 @@ class LevelRow(_Value):
 
     _fields = ("probability", "energies")
 
-    def __init__(self, probability: float, energies: tuple[float, float, float]) -> None:
-        object.__setattr__(self, "probability", probability)
-        object.__setattr__(self, "energies", energies)
-
 
 class EngineReport(_Value):
     """Heats, work, efficiency, and the certified reservoirs for one cycle."""
@@ -72,30 +64,6 @@ class EngineReport(_Value):
         "hot_reservoir", "cold_reservoir", "hot_step_certified", "cold_step_certified",
         "approximation_gap",
     )
-
-    def __init__(
-        self,
-        p_c: float,
-        p_h: float,
-        s_c: float,
-        s_h: float,
-        q_h: float,
-        q_c: float,
-        w: float,
-        eta: float,
-        reservoir_levels: tuple[LevelRow, ...],
-        hot_reservoir: Optional[Reservoir],
-        cold_reservoir: Optional[Reservoir],
-        hot_step_certified: bool,
-        cold_step_certified: bool,
-        approximation_gap: float,
-    ) -> None:
-        values = (
-            p_c, p_h, s_c, s_h, q_h, q_c, w, eta, reservoir_levels, hot_reservoir,
-            cold_reservoir, hot_step_certified, cold_step_certified, approximation_gap,
-        )
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
 
 
 def _binary_entropy(p: float) -> float:
@@ -150,7 +118,7 @@ def reservoir_level_table(
     return tuple(rows)
 
 
-def _certify_stroke(state: ThermoState, target: ThermoState) -> tuple[bool, Optional[Reservoir]]:
+def _certify_stroke(state: ThermoState, target: ThermoState) -> tuple[bool, Reservoir | None]:
     """Verify exactly the minimal reservoir that relaxes ``state`` to ``target``."""
     if state.probs == target.probs:
         return True, None

@@ -16,8 +16,8 @@ so the verdict is exact and the witness satisfies every constraint exactly.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .errors import DimensionCapExceeded, DimensionMismatch, NonPositiveWeight
 from .states import ThermoState, Transition, _check_rationals
@@ -86,7 +86,7 @@ def _phase1_simplex(
     return objective, x
 
 
-def lp_feasible(t: Transition) -> tuple[bool, Optional[Matrix]]:
+def lp_feasible(t: Transition) -> tuple[bool, Matrix | None]:
     """Decide existence of a Gibbs-fixing stochastic matrix G with G p = p'.
 
     Constraints, with variables G_ij laid out row-major: every column sums to
@@ -149,7 +149,7 @@ def random_state(
     rng: random.Random,
     dim: int,
     allow_zero: bool = False,
-    weights: Optional[Sequence[Fraction]] = None,
+    weights: Sequence[Fraction] | None = None,
 ) -> ThermoState:
     """A random exact state with small-denominator entries."""
     if dim < 1:

@@ -11,8 +11,8 @@ that runs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import reservoirs, states
 
@@ -37,6 +37,17 @@ def _scaled_match(
     return True
 
 
+def _within(name: str, actual: float, tolerance: float, expected: float | None = None) -> dict:
+    """The check that ``actual`` is within ``tolerance`` of ``expected``,
+    or of 0 when no ``expected`` is given (the check then has no such key)."""
+    check = {"name": name, "actual": actual, "tolerance": tolerance}
+    if expected is not None:
+        check["expected"] = expected
+        actual -= expected
+    check["ok"] = abs(actual) <= tolerance
+    return check
+
+
 def table1() -> dict:
     t = states.Transition(
         states.make_state(("1/3", "2/3"), (1, 1)), states.make_state((1, 0), (1, 1))
@@ -51,15 +62,7 @@ def table1() -> dict:
     checks.append({"name": "four_level_erasure_reservoir_efficient", "ok": efficient})
     work = reservoirs.average_work(res)
     expected = (1 / 3) * math.log(1 / 3) + (2 / 3) * math.log(2 / 3)
-    checks.append(
-        {
-            "name": "erasure_average_work",
-            "ok": abs(work - expected) <= 1e-12,
-            "actual": work,
-            "expected": expected,
-            "tolerance": 1e-12,
-        }
-    )
+    checks.append(_within("erasure_average_work", work, 1e-12, expected))
     rebuilt = reservoirs.general_efficient_reservoir(t)
     checks.append(
         {
@@ -94,15 +97,7 @@ def example1() -> dict:
         }
     )
     work = reservoirs.average_work(res)
-    checks.append(
-        {
-            "name": "average_work",
-            "ok": abs(work - (-0.17216)) <= 1e-4,
-            "actual": work,
-            "expected": -0.17216,
-            "tolerance": 1e-4,
-        }
-    )
+    checks.append(_within("average_work", work, 1e-4, -0.17216))
     return {"target": "example1", "checks": checks}
 
 
@@ -115,15 +110,7 @@ def example2() -> dict:
     work = reservoirs.average_work(res)
     z_ratio_log = math.log(float(final.z)) - math.log(float(initial.z))
     z_free = work - z_ratio_log
-    checks.append(
-        {
-            "name": "z_independent_work_component",
-            "ok": abs(z_free - 0.0022585) <= 1e-6,
-            "actual": z_free,
-            "expected": 0.0022585,
-            "tolerance": 1e-6,
-        }
-    )
+    checks.append(_within("z_independent_work_component", z_free, 1e-6, 0.0022585))
     return {"target": "example2", "checks": checks}
 
 
@@ -137,25 +124,9 @@ def engine() -> dict:
     eta = report.w / -report.q_h
     carnot = 1.0 - spec.beta_h / spec.beta_c
     checks = [
-        {
-            "name": "carnot_efficiency_exact",
-            "ok": abs(eta - carnot) <= 1e-12,
-            "actual": eta,
-            "expected": carnot,
-            "tolerance": 1e-12,
-        },
-        {
-            "name": "entropy_balance",
-            "ok": abs(spec.beta_c * report.q_c + spec.beta_h * report.q_h) <= 1e-10,
-            "actual": spec.beta_c * report.q_c + spec.beta_h * report.q_h,
-            "tolerance": 1e-10,
-        },
-        {
-            "name": "energy_conservation",
-            "ok": abs(report.w + report.q_h + report.q_c) <= 1e-12,
-            "actual": report.w + report.q_h + report.q_c,
-            "tolerance": 1e-12,
-        },
+        _within("carnot_efficiency_exact", eta, 1e-12, carnot),
+        _within("entropy_balance", spec.beta_c * report.q_c + spec.beta_h * report.q_h, 1e-10),
+        _within("energy_conservation", report.w + report.q_h + report.q_c, 1e-12),
         {
             "name": "strokes_certified",
             "ok": report.hot_step_certified and report.cold_step_certified,

@@ -53,10 +53,10 @@ routes differ in the classes they feed it:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Iterator
 
 from .curves import (
     Curve,
@@ -106,19 +106,13 @@ class Reservoir(_Value):
 
     _fields = ("r", "init_weights", "fin_weights")
 
-    def __init__(
-        self,
-        r: tuple[Fraction, ...],
-        init_weights: tuple[Fraction, ...],
-        fin_weights: tuple[Fraction, ...],
-    ) -> None:
+    def _check(self) -> None:
+        r, init_weights, fin_weights = self.r, self.init_weights, self.fin_weights
         if not (len(r) == len(init_weights) == len(fin_weights)):
             raise DimensionMismatch("r, init_weights, fin_weights must share a length")
         _check_rationals(r + init_weights + fin_weights)
         pairs = [[(w.numerator, w.denominator) for w in ws] for ws in (init_weights, fin_weights)]
         self._store(*_scaled(r), *pairs)
-        for name, value in zip(self._fields, (r, init_weights, fin_weights)):
-            object.__setattr__(self, name, value)
 
     @classmethod
     def _from_cells(cls, masses: list[int], den: int, init: list[_Pair], fin: list[_Pair]):

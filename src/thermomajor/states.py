@@ -17,15 +17,18 @@ masses on first use and cached.  Curves, reservoir synthesis and
 verification all start from that one reading (``_read_levels``).  The
 states :func:`clock_lift` and :func:`gibbs_of` derive from validated ones
 take their reading from them, with no second validation.
+
+The library's ten value classes derive from ``_Value``, whose one
+constructor binds their fields; each class adds only its checks.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -115,16 +118,42 @@ def _check_rationals(values: Iterable[object]) -> None:
 class _Value:
     """Base of the frozen value classes.
 
-    A subclass names its fields in ``_fields`` and sets each with
-    ``object.__setattr__`` in its own ``__init__`` (writing to ``__dict__``
-    instead would make CPython build the dict, and every later attribute read
-    slower).  Instances of one class are equal when their fields are, hash as
-    the tuple of their fields, and print as ``Name(field=value, ...)``;
-    assigning or deleting an attribute raises AttributeError.  ``__dict__``
-    stays, so ``cached_property`` still caches.
+    A subclass names its fields in ``_fields``.  The one constructor binds
+    positional then keyword arguments to them in order, like a signature
+    with no defaults, and sets each with ``object.__setattr__`` (writing to
+    ``__dict__`` instead would make CPython build the dict, and every later
+    attribute read slower); an unknown, repeated or missing field, or one
+    positional argument too many, raises TypeError naming the class.  Then
+    it calls ``_check``, which does nothing here: a class with invariants
+    overrides it to validate its bound fields and raise.  Instances of one
+    class are equal when their fields are, hash as the tuple of their
+    fields, and print as ``Name(field=value, ...)``; assigning or deleting
+    an attribute raises AttributeError.  ``__dict__`` stays, so
+    ``cached_property`` still caches.
     """
 
     _fields: tuple[str, ...]
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            name = type(self).__name__
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} arguments, {len(args)} given")
+            for key in kwargs:
+                if key not in rest:
+                    raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
+            try:
+                args += tuple([kwargs[key] for key in rest])
+            except KeyError as exc:
+                raise TypeError(f"{name}() missing argument {exc.args[0]!r}") from None
+        for key, value in zip(fields, args):
+            object.__setattr__(self, key, value)
+        self._check()
+
+    def _check(self) -> None:
+        pass
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -161,9 +190,7 @@ class ThermoState(_Value):
 
     _fields = ("probs", "weights")
 
-    def __init__(self, probs: tuple[Fraction, ...], weights: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "weights", weights)
+    def _check(self) -> None:
         if len(self.probs) != len(self.weights):
             raise DimensionMismatch(
                 f"{len(self.probs)} probabilities vs {len(self.weights)} weights"
@@ -261,9 +288,7 @@ class Transition(_Value):
 
     _fields = ("initial", "final")
 
-    def __init__(self, initial: ThermoState, final: ThermoState) -> None:
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "final", final)
+    def _check(self) -> None:
         if self.initial.weights != self.final.weights:
             raise DimensionMismatch(
                 "transition endpoints must share the same Gibbs weights; "

@@ -348,6 +348,14 @@ class TestCatalyticCheck:
         assert captured.out == ""
         assert "alpha grid is empty after dropping negative orders" in captured.err
 
+    def test_differing_weights_exit_2(self, capsys, state_files):
+        """No clock lift here: the two states must share their weights."""
+        code = main(["catalytic-check", state_files["mixed"], state_files["tilted_init"]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "share the same Gibbs weights" in captured.err
+
 
 class TestOracleCheck:
     def test_small_run_agrees(self, capsys):

@@ -99,6 +99,16 @@ def bare_modules():
     return set(json.loads(proc.stdout))
 
 
+@pytest.fixture(scope="module")
+def bare_s_modules():
+    """The modules ``python -S`` loads with the standard modules the CLI
+    imports itself."""
+    code = "import argparse, fractions, json, sys; print(json.dumps(sorted(sys.modules)))"
+    proc = run_python("-S", "-c", code, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
 @pytest.fixture
 def cli_files(tmp_path):
     initial = make_state(("1/2", "1/3", "1/6"), (1, 2, "1/2"))
@@ -163,6 +173,28 @@ class TestImportFootprint:
         modules = set(json.loads(proc.stderr.splitlines()[-1]))
         assert "thermomajor.reservoirs" in modules
         assert "random" not in modules
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["majorize", "{initial}", "{final}"],
+            ["verify", "{initial}", "{final}", "{reservoir}"],
+            ["build-reservoir", "--method", "general", "{initial}", "{final}"],
+            ["catalytic-check", "{initial}", "{final}"],
+            ["engine", "--epsilon", "1", "--t-hot", "2", "--t-cold", "1"],
+            ["reproduce", "table1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_command_loads_typing_or_pathlib(self, cli_files, bare_s_modules, argv):
+        """Annotations need neither module, and file I/O needs only ``open``
+        and ``os``.  Under ``-S``, as above."""
+        argv = [arg.format(**cli_files) for arg in argv]
+        proc = run_python("-S", "-c", PROBE, *argv, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert "thermomajor.states" in modules
+        assert not (modules - bare_s_modules) & {"typing", "pathlib"}
 
     def test_bare_import_loads_no_submodule(self):
         code = "import sys, thermomajor; print(sorted(m for m in sys.modules if 'thermo' in m))"

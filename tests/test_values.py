@@ -8,12 +8,19 @@ from thermomajor.catalysis import CtoVerdict
 from thermomajor.curves import Curve, Segment
 from thermomajor.divergences import AlphaProfile
 from thermomajor.engine import EngineReport, EngineSpec, LevelRow
+from thermomajor.errors import (
+    DimensionMismatch,
+    InvalidCurve,
+    InvalidTemperatures,
+    NonPositiveWeight,
+)
 from thermomajor.reservoirs import Reservoir
 from thermomajor.states import ThermoState, Transition
 
 HALF = Fraction(1, 2)
 STATE = dict(probs=(HALF, HALF), weights=(Fraction(1), Fraction(2)))
 FINAL = dict(probs=(Fraction(1, 3), Fraction(2, 3)), weights=(Fraction(1), Fraction(2)))
+TILTED = dict(probs=(HALF, HALF), weights=(Fraction(2), Fraction(1)))
 SEGMENT = dict(height=Fraction(1), slope=HALF)
 ROW = dict(probability=0.25, energies=(0.0, 1.5, -1.0))
 RESERVOIR = dict(r=(Fraction(1),), init_weights=(Fraction(2),), fin_weights=(Fraction(1, 3),))
@@ -127,6 +134,39 @@ class TestValueClass:
         cls, kwargs, _ = CASES[name]
         field, value = CHANGED[name]
         assert cls(**{**kwargs, field: value}) != cls(**kwargs)
+
+    def test_a_bad_binding_names_the_class(self, name):
+        cls, kwargs, _ = CASES[name]
+        values = list(kwargs.values())
+        first, *others = kwargs
+        for args, given in [
+            (values, {"unknown": 1}),
+            (values, {first: values[0]}),
+            (values[:1], {}),
+            ([], {key: kwargs[key] for key in others}),
+            ([*values, None], {}),
+        ]:
+            with pytest.raises(TypeError, match=rf"^{name}\b"):
+                cls(*args, **given)
+
+
+# Keyword calls that break an invariant, and the error each class raises.
+INVALID = {
+    ThermoState: (dict(probs=(Fraction(1),), weights=(0,)), NonPositiveWeight),
+    Transition: (
+        dict(initial=ThermoState(**STATE), final=ThermoState(**TILTED)), DimensionMismatch
+    ),
+    Curve: (dict(segments=(), total_width=1), InvalidCurve),
+    Reservoir: (dict(r=(Fraction(1),), init_weights=(), fin_weights=(1,)), DimensionMismatch),
+    EngineSpec: (dict(epsilon=-1.0, beta_h=0.5, beta_c=1.0), InvalidTemperatures),
+}
+
+
+@pytest.mark.parametrize("cls", INVALID, ids=lambda cls: cls.__name__)
+def test_checks_run_on_keyword_calls(cls):
+    kwargs, error = INVALID[cls]
+    with pytest.raises(error):
+        cls(**kwargs)
 
 
 def test_cto_verdict_grid_only_defaults_true():
