@@ -14,29 +14,30 @@ the unique quotient off a product when one exists.
 
 :func:`canonical_curve`, :func:`product` and :func:`divide` share one
 integer kernel.  A canonical curve is a finite measure on slopes (a height
-at each slope).  ``_measure`` scales (height, slope) pairs to integers over
-the lcm of each side's denominators and merges equal slopes in a dict from
-slope numerator to height numerator; ``_measure_of`` puts a state's cached
-slope classes (``ThermoState._classes``: reduced slope pairs and integer
-masses) into the same form with no Fraction.  A product slope is then x*y
-over d_a*d_b and a product height h*k over e_a*e_b.  Two curves of equal
-width coincide exactly when their measures are equal.
+at each slope).  States, reservoir blocks and curve segments are all read
+by one level reader, ``states._read_levels``, which merges equal slopes as
+reduced integer pairs; ``_measure_of`` then puts the slopes over the lcm of
+their denominators, a dict from slope numerator to height numerator, with
+no Fraction.  ``_measure`` reads (height, slope) pairs that way, heights
+over the lcm of theirs.  A product slope is then x*y over d_a*d_b and a
+product height h*k over e_a*e_b.  Two curves of equal width coincide
+exactly when their measures are equal.
 
 ``reservoirs.verify_efficient`` asks whether a (x) b = c (x) d for four
-such measures.  Write T_kappa m for m with every slope scaled by kappa.  A
-shift certificate comes first: b = T_kappa c and d = T_kappa a (the swap
-every slope-matched reservoir makes), or c = T_kappa a and b = T_kappa d.
-Either makes both products one shift of a common product, at the cost of a
-sort and with no product measure.  Otherwise the first moments come next:
-chi_1(m), the sum of height times slope, is multiplicative under the
-product (for a state it is the Renyi inner sum at alpha = 2), so
-chi_1(a) chi_1(b) != chi_1(c) chi_1(d) proves the products differ in O(n)
-integer operations.  Only equal moments go on: a (x) b is built once and
-c (x) d subtracted from it in place, one entry of c at a time;
-:func:`divide`'s peel is the same row subtraction.  No product curve is
-built.  ``Curve`` validation reads signs and order from numerators
-and cross products and sums heights and widths in one exact integer sum, so
-every check stays exact.
+such measures.  The first moments come first: chi_1(m), the sum of height
+times slope, is multiplicative under the product (for a state it is the
+Renyi inner sum at alpha = 2), so chi_1(a) chi_1(b) != chi_1(c) chi_1(d)
+proves the products differ in O(n) integer operations.  Write T_kappa m for
+m with every slope scaled by kappa; a shift multiplies chi_1 by kappa, so
+the moments fix the only kappa a shift can have.  A shift certificate comes
+next: b = T_kappa c and d = T_kappa a (the swap every slope-matched
+reservoir makes), or c = T_kappa a and b = T_kappa d, each half one O(n)
+dict pass.  Either makes both products one shift of a common product, with
+no product measure.  Only then is a (x) b built once and c (x) d subtracted
+from it in place, one entry of c at a time; :func:`divide`'s peel is the
+same row subtraction.  No product curve is built.  ``Curve`` validation
+reads signs and order from numerators and cross products and sums heights
+and widths in one exact integer sum, so every check stays exact.
 """
 
 from __future__ import annotations
@@ -46,10 +47,12 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
-from .states import ThermoState, _ONE, _ZERO, _Value, _check_rationals, _exact_sum, _scaled
+from .states import (
+    ThermoState, _ONE, _ZERO, _Value, _check_rationals, _exact_sum, _read_levels, _scaled
+)
 
 __all__ = [
     "Segment",
@@ -128,16 +131,12 @@ _Measure = namedtuple("_Measure", ("heights", "height_den", "slope_den"))
 
 
 def _measure(pairs: Sequence[tuple[Fraction, Fraction]]) -> _Measure:
-    """The measure of (height, slope) pairs: heights and slopes scaled to
-    integers over the lcm of their denominators, zero heights dropped and
-    equal slopes merged."""
+    """The measure of (height, slope) pairs, read as levels: heights over
+    the lcm of their denominators, zero heights dropped and equal slopes
+    merged."""
     heights, height_den = _scaled([height for height, _ in pairs])
-    slopes, slope_den = _scaled([slope for _, slope in pairs])
-    merged: dict[int, int] = {}
-    for height, slope in zip(heights, slopes):
-        if height:
-            merged[slope] = merged.get(slope, 0) + height
-    return _Measure(merged, height_den, slope_den)
+    slopes = [(slope.numerator, slope.denominator) for _, slope in pairs]
+    return _measure_of(_read_levels(heights, slopes), height_den)
 
 
 def _measure_of(classes: dict[tuple[int, int], int], den: int) -> _Measure:
@@ -162,23 +161,6 @@ def _product_measure(ma: _Measure, mb: _Measure) -> _Measure:
             slope = x * y
             merged[slope] = merged.get(slope, 0) + h * k
     return _Measure(merged, ma.height_den * mb.height_den, ma.slope_den * mb.slope_den)
-
-
-def _shift(m: _Measure, n: _Measure) -> Fraction | None:
-    """The kappa with n = T_kappa m, or None if n is no such shift.
-
-    T_kappa m carries m's height at kappa times each of its slopes.  A shift
-    keeps the slope order, so the slope-sorted entries must pair up with
-    equal heights and proportional slopes.
-    """
-    if len(m.heights) != len(n.heights):
-        return None
-    entries_m, entries_n = sorted(m.heights.items()), sorted(n.heights.items())
-    x0, y0 = entries_m[0][0], entries_n[0][0]
-    for (x, h), (y, k) in zip(entries_m, entries_n):
-        if h * n.height_den != k * m.height_den or x * y0 != y * x0:
-            return None
-    return Fraction(y0 * m.slope_den, x0 * n.slope_den)
 
 
 def _subtract_row(remaining: dict[int, Fraction], rows: list, y: int, k: Fraction) -> bool:
@@ -221,16 +203,33 @@ def _same_products(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -> bo
     return all(_subtract_row(remaining, rows, x, h) for x, h in entries)
 
 
-def _one_shift(m: _Measure, n: _Measure, m2: _Measure, n2: _Measure) -> bool:
-    """Whether n = T_kappa m and n2 = T_kappa m2 for one kappa."""
-    kappa = _shift(m, n)
-    return kappa is not None and kappa == _shift(m2, n2)
-
-
 def _moment(m: _Measure) -> tuple[int, int]:
     """The first moment chi_1(m), the sum of height times slope, as an
     integer numerator over ``height_den * slope_den``."""
     return sum([h * x for x, h in m.heights.items()]), m.height_den * m.slope_den
+
+
+def _is_shift(m: _Measure, chi_m: int, n: _Measure, chi_n: int) -> bool:
+    """Whether n = T_kappa m, given the numerators chi of both first moments.
+
+    T_kappa m carries m's height at kappa times each of its slopes, and
+    kappa can only be chi_1(n) / chi_1(m).  Over the integer keys that maps
+    m's slope x to x chi_n H_m / (chi_m H_n), for height denominators H:
+    each result must be an integer key of n carrying the same height.  The
+    factor is reduced once, so for a true shift its denominator divides
+    every key of m and each division is by a small number.
+    """
+    heights = n.heights
+    if len(m.heights) != len(heights):
+        return False
+    scale, div = chi_n * m.height_den, chi_m * n.height_den
+    common = gcd(scale, div)
+    scale, div = scale // common, div // common
+    for x, h in m.heights.items():
+        y, rest = divmod(x * scale, div)
+        if rest or heights.get(y, 0) * m.height_den != h * n.height_den:
+            return False
+    return True
 
 
 def _products_coincide(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -> bool:
@@ -238,19 +237,22 @@ def _products_coincide(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -
     of total height one.  Widths are not compared: callers pass factors whose
     products share one.
 
-    The swap certificate (b = T_kappa c and d = T_kappa a, so both products
-    are T_kappa (a (x) c)) and the straight one (c = T_kappa a and
-    b = T_kappa d, so both are T_kappa (a (x) d)) come before the products.
-    Then the first moments: chi_1 multiplies under the product, so
+    First the first moments: chi_1 multiplies under the product, so
     chi_1(a) chi_1(b) != chi_1(c) chi_1(d), compared exactly by
     cross-multiplying, proves the products differ.  Equal moments prove
-    nothing, and the row subtraction decides.
+    nothing alone.  The swap certificate (b = T_kappa c and d = T_kappa a,
+    so both products are T_kappa (a (x) c)) and the straight one
+    (c = T_kappa a and b = T_kappa d, so both are T_kappa (a (x) d)) come
+    next; equal moments give both halves of either the same kappa.  Then
+    the row subtraction decides.
     """
-    if _one_shift(mc, mb, ma, md) or _one_shift(ma, mc, md, mb):
-        return True
     (na, da), (nb, db), (nc, dc), (nd, dd) = map(_moment, (ma, mb, mc, md))
     if na * nb * dc * dd != nc * nd * da * db:
         return False
+    if _is_shift(mc, nc, mb, nb) and _is_shift(ma, na, md, nd):
+        return True
+    if _is_shift(ma, na, mc, nc) and _is_shift(md, nd, mb, nb):
+        return True
     return _same_products(ma, mb, mc, md)
 
 

@@ -142,7 +142,7 @@ def run_carnot(spec: EngineSpec) -> EngineReport:
     s_h = _binary_entropy(p_h)
     q_h = (s_c - s_h) / spec.beta_h
     q_c = (s_h - s_c) / spec.beta_c
-    w = -q_h - q_c
+    w = -q_h - q_c + 0.0  # + 0.0: no -0.0
     eta = 1.0 - spec.beta_h / spec.beta_c
 
     cold_eq, cold_at_hot, hot_eq, hot_at_cold = stage_states(spec)

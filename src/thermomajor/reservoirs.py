@@ -8,23 +8,24 @@ joint initial and final thermomajorization curves coincide, which is decided
 exactly by :func:`verify_efficient`.  The constructions here never
 self-certify; tests always go through the verifier.
 
-A reservoir keeps its levels in integers: masses over one denominator and
-each weight a reduced (numerator, denominator) pair.  The constructions
-here build it from integer cells, with every check of the public
-constructor done on the integers; the ``Fraction`` fields ``r``,
-``init_weights`` and ``fin_weights`` are made on first access.
+A reservoir is its two work states, ``r`` on ``init_weights`` and ``r`` on
+``fin_weights``, each in the one integer form of a state (masses over one
+denominator, reduced weight pairs).  The constructions here build both
+from integer cells, with every check of the public constructor done on the
+integers; the ``Fraction`` fields ``r``, ``init_weights`` and
+``fin_weights`` are read from the states, which make them on first access.
 
 Verification runs through the curve monoid: a joint curve of system (x)
 reservoir is the product of its factor curves, and the two joint widths
 agree by construction, so :func:`verify_efficient` decides on the four
-factor slope measures: the system's from each state's cached slope classes,
-the reservoir's read from its stored integers, never from the cells it was
-built from.  A slope-matched reservoir's work measures are the system's
-final and initial measures shifted by one slope factor, and that swap
-certificate settles the verdict without forming a product; any other
-reservoir has the first moments of its two sides compared, exactly and in
-linear time, and only when those agree its two product measures.  It
-builds no curve, clock lift or joint state.  :func:`joint_states` keeps the
+factor slope measures, each read the same way from a state's cached slope
+classes: the system's two states and the reservoir's two work states.  The
+first moments of the two sides are compared first, exactly and in linear
+time; a mismatch rejects.  A slope-matched reservoir's work measures are
+the system's final and initial measures shifted by one slope factor, and
+that swap certificate settles the verdict without forming a product; any
+other reservoir has its two product measures compared.  It builds no
+curve, clock lift or joint state.  :func:`joint_states` keeps the
 materialised tensor product as an independent cross-check.
 
 Synthesis routes.  Each level of a reservoir carries one cell of a coupling
@@ -60,7 +61,6 @@ from math import gcd, lcm
 
 from .curves import (
     Curve,
-    _Measure,
     _measure_of,
     _products_coincide,
     coincide,
@@ -82,7 +82,6 @@ from .states import (
     Transition,
     _Value,
     _check_rationals,
-    _read_levels,
     _scaled,
     clock_lift,
     gibbs_of,
@@ -99,9 +98,10 @@ _Pair = tuple[int, int]
 class Reservoir(_Value):
     """A 2d-level work reservoir: distribution ``r`` shifted between level blocks.
 
-    The levels are kept in integers: masses ``_masses`` over one ``_den``
-    and each weight a reduced pair.  A reservoir this module builds makes
-    its ``Fraction`` fields from them on first access.
+    It holds its two work states, ``_initial`` (``r`` on ``init_weights``)
+    and ``_final`` (``r`` on ``fin_weights``), built from checked integers.
+    A reservoir this module builds reads its ``Fraction`` fields from them
+    on first access.
     """
 
     _fields = ("r", "init_weights", "fin_weights")
@@ -117,10 +117,11 @@ class Reservoir(_Value):
     @classmethod
     def _from_cells(cls, masses: list[int], den: int, init: list[_Pair], fin: list[_Pair]):
         """The reservoir of integer levels: masses over ``den`` and weight
-        pairs with positive denominators, reduced here.  Every check of the
-        public constructor runs, on the integers."""
+        pairs with positive denominators, all reduced here.  Every check of
+        the public constructor runs, on the integers."""
+        common = gcd(den, *masses)
         res = cls.__new__(cls)
-        res._store(masses, den, _reduced(init), _reduced(fin))
+        res._store([m // common for m in masses], den // common, _reduced(init), _reduced(fin))
         return res
 
     def _store(self, masses: list[int], den: int, init: list[_Pair], fin: list[_Pair]) -> None:
@@ -141,38 +142,29 @@ class Reservoir(_Value):
                 raise NonPositiveWeight(
                     f"reservoir weight {Fraction(num, w_den)} must be positive"
                 )
-        for name, value in (("_masses", masses), ("_den", den), ("_init", init), ("_fin", fin)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_initial", ThermoState._derived(masses, den, init))
+        object.__setattr__(self, "_final", ThermoState._derived(masses, den, fin))
 
     @cached_property
     def r(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(m, self._den) for m in self._masses])
+        return self._initial.probs
 
     @cached_property
     def init_weights(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(*w) for w in self._init])
+        return self._initial.weights
 
     @cached_property
     def fin_weights(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(*w) for w in self._fin])
+        return self._final.weights
 
     @property
     def dim(self) -> int:
-        return 2 * len(self._masses)
+        return 2 * self._initial.dim
 
     def work_transition(self) -> Transition:
         """The reservoir's move as a transition over its 2d levels: ``r`` on
         the initial-weight block, then on the final-weight block."""
-        return clock_lift(
-            ThermoState(self.r, self.init_weights), ThermoState(self.r, self.fin_weights)
-        )
-
-    def _work_measure(self, weights: list[_Pair]) -> _Measure:
-        """The slope measure of ``r`` on one weight block, read from the
-        stored levels: r_i / w_i is m_i w_den / (den w_num)."""
-        den = self._den
-        slopes = [(m * w_den, den * num) for m, (num, w_den) in zip(self._masses, weights)]
-        return _measure_of(_read_levels(self._masses, slopes), den)
+        return clock_lift(self._initial, self._final)
 
 
 def _reduced(pairs: list[_Pair]) -> list[_Pair]:
@@ -308,7 +300,7 @@ def general_efficient_reservoir(
         raise NonPositiveWeight(f"anchor weight {anchor_weight} must be positive")
     p, q = t.initial, t.final
     anchor = (anchor_weight.numerator, anchor_weight.denominator)
-    if p.probs == q.probs:
+    if p._masses == q._masses and p._den == q._den:
         return Reservoir._from_cells([1], 1, [anchor], [anchor])
 
     # Both sides' classes over one denominator: each holds `den` in all, so
@@ -332,21 +324,15 @@ def alt_product_reservoir(t: Transition) -> Reservoir:
     slope-matching conditions.  Demonstrates non-uniqueness: the average work
     is still H(p') - H(p).
     """
-    p = t.initial.probs
-    q = t.final.probs
-    g = t.weights
-    if any(w != g[0] for w in g):
+    p, q = t.initial, t.final
+    if any(w != p._pairs[0] for w in p._pairs):
         raise NontrivialHamiltonian("all level weights must be equal")
-    if any(x == 0 for x in p) or any(x == 0 for x in q):
+    if 0 in p._masses or 0 in q._masses:
         raise ZeroProbability("both endpoint distributions must be strictly positive")
     # Equal weights cancel from the rule: the slopes are p_i and p'_j
     # themselves, the masses p_i p'_j over d_p d_q, and the gauge is 1.
-    p_masses, p_den = t.initial._masses, t.initial._den
-    q_masses, q_den = t.final._masses, t.final._den
-    initials = [(a, (x.numerator, x.denominator)) for a, x in zip(p_masses, p)]
-    finals = [(b, (x.numerator, x.denominator)) for b, x in zip(q_masses, q)]
-    cells = ((a * b, s, s_prime) for a, s in initials for b, s_prime in finals)
-    return _slope_matched(cells, p_den * q_den, (1, 1))
+    cells = ((a * b, (a, p._den), (b, q._den)) for a in p._masses for b in q._masses)
+    return _slope_matched(cells, p._den * q._den, (1, 1))
 
 
 def joint_states(t: Transition, res: Reservoir) -> tuple[ThermoState, ThermoState]:
@@ -359,35 +345,28 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     """Exact zero-dissipation check: do the joint curves coincide?
 
     The joint curves are the system's curves times the reservoir's work
-    curves, ``r`` on ``init_weights`` and on ``fin_weights`` (the clock
-    lift's zero padding adds no segment).  Both have width Z times the sum
-    of all 2d reservoir weights, so they coincide exactly when their slope
-    measures are equal.  The system measures come from the two states'
-    cached slope classes, and the work measures from the reservoir's stored
-    masses and weight pairs, one gcd per level and block; no curve or state
-    is built.  First comes the swap
+    curves, its two work states ``r`` on ``init_weights`` and on
+    ``fin_weights`` (the clock lift's zero padding adds no segment).  Both
+    have width Z times the sum of all 2d reservoir weights, so they
+    coincide exactly when their slope measures are equal.  All four
+    measures come from the states' cached slope classes, one gcd per
+    level; no curve or state is built.  First the first moments (sum of
+    height times slope, multiplicative under the product) of the two sides
+    are compared exactly in O(n): a mismatch rejects with no product
+    measure, as every single-weight tamper does.  Then the swap
     certificate: the initial work measure is the final system measure
     shifted by a slope factor kappa, and the final work measure is the
     initial system measure shifted by the same kappa; then both joint
     measures are the system pair's product shifted by kappa.  Every
-    slope-matched reservoir passes it at O(n log n), and the trivial
-    reservoir of an identity transition passes its mirror image.  Otherwise
-    the first moments (sum of height times slope, multiplicative under the
-    product) of the two sides are compared exactly in O(n): a mismatch
-    rejects with no product measure, as every single-weight tamper does.
-    Only equal moments have one product measure built and the other
-    subtracted from it, exactly.
+    slope-matched reservoir passes it in O(n), and the trivial reservoir of
+    an identity transition passes its mirror image.  Only then is one
+    product measure built and the other subtracted from it, exactly.
 
     This is the single source of truth for efficiency; every construction in
     this module is expected to pass it but none is trusted without it.
     """
-    p, q = t.initial, t.final
-    return _products_coincide(
-        _measure_of(p._classes, p._den),
-        res._work_measure(res._init),
-        _measure_of(q._classes, q._den),
-        res._work_measure(res._fin),
-    )
+    states = (t.initial, res._initial, t.final, res._final)
+    return _products_coincide(*[_measure_of(s._classes, s._den) for s in states])
 
 
 def average_work(res: Reservoir) -> float:
@@ -400,10 +379,11 @@ def average_work(res: Reservoir) -> float:
     need no domain check.
     """
     log = math.log
-    den = res._den
+    initial, final = res._initial, res._final
+    den = initial._den
     return sum(
         m / den * ((log(ni) - log(di)) - (log(nf) - log(df)))
-        for m, (ni, di), (nf, df) in zip(res._masses, res._init, res._fin)
+        for m, (ni, di), (nf, df) in zip(initial._masses, initial._pairs, final._pairs)
     )
 
 

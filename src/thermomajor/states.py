@@ -9,14 +9,17 @@ in); the energy itself is ``-ln(g_i)``, a display-only float.
 Zero probabilities are legal (reservoir supports need them); zero weights are
 not, since they would encode an infinite energy.
 
-A state reads its levels into integers once.  Validation scales the
-probabilities to integer masses over the lcm of their denominators for the
-exact sum and keeps them; the slope classes, each reduced slope p_i / g_i
-mapped to its summed mass in order of first occurrence, are read from those
-masses on first use and cached.  Curves, reservoir synthesis and
-verification all start from that one reading (``_read_levels``).  The
-states :func:`clock_lift` and :func:`gibbs_of` derive from validated ones
-take their reading from them, with no second validation.
+A state has one integer form: masses over one denominator (the lcm of the
+probabilities' reduced denominators) and each weight a reduced (numerator,
+denominator) pair.  Validation makes it from the given tuples, keeping the
+masses of its exact-sum check.  The slope classes, each reduced slope
+p_i / g_i mapped to its summed mass in order of first occurrence, are read
+from it on first use and cached.  Curves, reservoir synthesis and
+verification all start from that one reading (``_read_levels``).  A state
+built from integers that are already checked (``ThermoState._derived``:
+:func:`clock_lift`, :func:`gibbs_of` and a reservoir's two work states) is
+not validated again, and makes its ``probs`` and ``weights`` tuples only
+when they are read.
 
 The library's ten value classes derive from ``_Value``, whose one
 constructor binds their fields; each class adds only its checks.
@@ -211,28 +214,34 @@ class ThermoState(_Value):
         total = sum(masses)
         if total != den:
             raise ProbSumNotOne(f"probabilities sum to {Fraction(total, den)}, not 1")
-        object.__setattr__(self, "_masses", masses)
-        object.__setattr__(self, "_den", den)
+        pairs = [(w.numerator, w.denominator) for w in self.weights]
+        for name, value in (("_masses", masses), ("_den", den), ("_pairs", pairs)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _derived(
-        cls, probs: tuple, weights: tuple, masses: list[int], den: int, classes: dict | None = None
-    ) -> ThermoState:
-        """A state derived from validated ones, with no check: ``masses``
-        over ``den`` must be ``probs`` as validation reads them, and
-        ``classes``, if given, seeds the cached slope classes."""
+    def _derived(cls, masses: list[int], den: int, pairs: list, classes: dict | None = None):
+        """The state of checked integers, with no validation: ``masses``
+        over ``den`` as validation reads the probabilities, and ``pairs`` the
+        reduced weights.  ``classes``, if given, seeds the cached slope
+        classes."""
         state = cls.__new__(cls)
-        object.__setattr__(state, "probs", probs)
-        object.__setattr__(state, "weights", weights)
-        object.__setattr__(state, "_masses", masses)
-        object.__setattr__(state, "_den", den)
+        for name, value in (("_masses", masses), ("_den", den), ("_pairs", pairs)):
+            object.__setattr__(state, name, value)
         if classes is not None:
             object.__setattr__(state, "_classes", classes)
         return state
 
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(m, self._den) for m in self._masses])
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(*w) for w in self._pairs])
+
     @property
     def dim(self) -> int:
-        return len(self.probs)
+        return len(self._masses)
 
     @cached_property
     def _classes(self) -> dict[tuple[int, int], int]:
@@ -241,14 +250,14 @@ class ThermoState(_Value):
         # p_i / g_i = m_i g_den / (den g_num) for p_i = m_i / den.
         den = self._den
         return _read_levels(
-            self._masses,
-            [(m * w.denominator, den * w.numerator) for m, w in zip(self._masses, self.weights)],
+            self._masses, [(m * d, den * n) for m, (n, d) in zip(self._masses, self._pairs)]
         )
 
     @cached_property
     def z(self) -> Fraction:
         """Partition function: the sum of all Gibbs weights."""
-        return _exact_sum(self.weights)
+        den = lcm(*[d for _, d in self._pairs])
+        return Fraction(sum([n * (den // d) for n, d in self._pairs]), den)
 
     def gibbs_probs(self) -> tuple[Fraction, ...]:
         z = self.z
@@ -258,7 +267,7 @@ class ThermoState(_Value):
         """Display-only energies ``-ln(g_i)`` in units of k_B*T."""
         import math
 
-        return tuple(math.log(w.denominator) - math.log(w.numerator) for w in self.weights)
+        return tuple(math.log(d) - math.log(n) for n, d in self._pairs)
 
 
 def make_state(probs: Iterable[object], weights: Iterable[object]) -> ThermoState:
@@ -270,13 +279,11 @@ def gibbs_of(state: ThermoState) -> ThermoState:
     """The equilibrium state with the same weights: probs_i = g_i / Z."""
     # With g_i = n_i / d, g_i / Z = n_i / sum(n); over gcd(n) the masses
     # come out as validation reads the reduced probabilities.
-    numerators, _ = _scaled(state.weights)
+    den = lcm(*[d for _, d in state._pairs])
+    numerators = [n * (den // d) for n, d in state._pairs]
     common = gcd(*numerators)
     masses = [n // common for n in numerators]
-    den = sum(masses)
-    return ThermoState._derived(
-        tuple([Fraction(m, den) for m in masses]), state.weights, masses, den
-    )
+    return ThermoState._derived(masses, sum(masses), state._pairs)
 
 
 def is_gibbs(state: ThermoState) -> bool:
@@ -289,7 +296,7 @@ class Transition(_Value):
     _fields = ("initial", "final")
 
     def _check(self) -> None:
-        if self.initial.weights != self.final.weights:
+        if self.initial._pairs != self.final._pairs:
             raise DimensionMismatch(
                 "transition endpoints must share the same Gibbs weights; "
                 "use clock_lift for a change of Hamiltonian"
@@ -313,17 +320,12 @@ def clock_lift(initial_state: ThermoState, final_state: ThermoState) -> Transiti
     initial state occupies the clock-0 block, the lifted final state the
     clock-1 block, so the result is an ordinary shared-weights transition.
     """
-    d0, d1 = initial_state.dim, final_state.dim
-    joint_weights = initial_state.weights + final_state.weights
     # Each lifted state is its half zero-padded, over the half's denominator,
     # with a copy of the half's slope classes: a zero level adds none.
     p, q = initial_state, final_state
-    lifted_initial = ThermoState._derived(
-        p.probs + (_ZERO,) * d1, joint_weights, p._masses + [0] * d1, p._den, dict(p._classes)
-    )
-    lifted_final = ThermoState._derived(
-        (_ZERO,) * d0 + q.probs, joint_weights, [0] * d0 + q._masses, q._den, dict(q._classes)
-    )
+    pairs = p._pairs + q._pairs
+    lifted_initial = ThermoState._derived(p._masses + [0] * q.dim, p._den, pairs, dict(p._classes))
+    lifted_final = ThermoState._derived([0] * p.dim + q._masses, q._den, pairs, dict(q._classes))
     return Transition(lifted_initial, lifted_final)
 
 

@@ -185,6 +185,32 @@ class TestIntegerKernel:
             assert type(_exact_sum(values)) is Fraction
         assert prod.sloped_width == ca.sloped_width * cb.sloped_width
 
+    @pytest.mark.parametrize(
+        "pairs, width",
+        [
+            ([(0, F(3)), (F(1, 2), F(2)), (0, F(1)), (F(1, 2), F(1, 2))], F(5)),
+            ([(F(1, 4), F(2)), (F(1, 4), F(1, 2)), (F(1, 2), F(2))], F(3)),
+            ([(0, 5), (1, 3), (0, 0)], 1),
+            ([(0, F(1))], F(1)),
+            ([(F(1, 2), 0), (F(1, 2), F(1))], F(2)),
+            ([(F(1, 4), F(-2)), (F(1, 4), -2), (F(1, 2), F(1))], F(2)),
+            ([(F(3, 2), F(2)), (F(-1, 2), F(1))], F(2)),
+            ([(F(1, 2), F(2)), (F(-1, 2), F(2)), (F(1), F(1))], F(2)),
+        ],
+        ids=[
+            "zero-heights", "repeated-slopes", "int-entries", "all-zero", "zero-slope",
+            "negative-repeated-slope", "negative-height", "heights-cancelling",
+        ],
+    )
+    def test_edge_inputs_match_fraction_definition(self, pairs, width):
+        outcomes = []
+        for build in (canonical_curve, fraction_canonical_curve):
+            try:
+                outcomes.append(build(pairs, width))
+            except InvalidCurve as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
 
 class TestCurveValidation:
     """Each ``Curve`` check fires exactly, with its message."""
@@ -605,6 +631,56 @@ class TestProductsCoincide:
             assert not curves._products_coincide(*measures)
         assert same_products.called
         assert not self.verdict(a, b, c, b)
+
+
+    @staticmethod
+    def levels(*pairs):
+        """The state of one level per (height, slope) pair."""
+        return ThermoState(tuple(F(h) for h, _ in pairs), tuple(F(h) / F(s) for h, s in pairs))
+
+    def test_shift_certificates_need_no_product_measure(self):
+        # b and d are c and a with every slope times 3/2 (the swap), and
+        # then a and b are c and d times 2/3 (the straight certificate).
+        c = self.levels((F(1, 2), 2), (F(1, 2), 1))
+        a = self.levels((F(1, 4), 4), (F(3, 4), 1))
+        b = self.levels((F(1, 2), 3), (F(1, 2), F(3, 2)))
+        d = self.levels((F(1, 4), 6), (F(3, 4), F(3, 2)))
+        refuse = AssertionError("a product measure was formed")
+        with mock.patch.object(curves, "_same_products", side_effect=refuse):
+            assert curves._products_coincide(*self.measures(a, b, c, d))
+            assert curves._products_coincide(*self.measures(c, d, a, b))
+        assert self.verdict(a, b, c, d) and self.verdict(c, d, a, b)
+
+    def test_one_half_of_a_certificate_is_not_enough(self):
+        # Slopes 1, 4 and the one slope 5/2 share the first moment 5/2, and
+        # so do x and itself: in each case one half of a certificate holds
+        # with kappa = 1, the other does not, and the products differ.
+        x = self.levels((F(1, 2), 2), (F(1, 2), 1))
+        spread = self.levels((F(1, 2), 1), (F(1, 2), 4))
+        point = self.levels((1, F(5, 2)),)
+        assert not self.verdict(spread, x, x, point)  # b = c only (swap)
+        assert not self.verdict(x, point, spread, x)  # d = a only (swap)
+        assert not self.verdict(x, spread, x, point)  # c = a only (straight)
+        assert not self.verdict(point, x, spread, x)  # b = d only (straight)
+
+    def test_a_shift_needs_equal_heights(self):
+        # Slopes 1, 2, 3 with heights 1/4, 1/2, 1/4 and 1/3 each: the same
+        # slopes and the same first moment 2, but no shift of each other.
+        c = self.levels((F(1, 4), 1), (F(1, 2), 2), (F(1, 4), 3))
+        b = self.levels((F(1, 3), 1), (F(1, 3), 2), (F(1, 3), 3))
+        one = make_state((1,), (1,))
+        assert not self.verdict(one, b, c, one)
+        assert not self.verdict(c, one, one, b)
+
+    def test_a_shift_needs_integer_slopes(self):
+        # b's moment over c's is kappa = 8/13.  c's slopes 2, 3, 4 times
+        # kappa round down to 1, 1, 2, keys of b with the same heights, but
+        # none is an integer: b is no shift of c.
+        c = self.levels((F(1, 4), 2), (F(1, 4), 3), (F(1, 2), 4))
+        b = self.levels((F(1, 4), 1), (F(1, 2), 2), (F(1, 4), 3))
+        one, kappa = make_state((1,), (1,)), self.levels((1, F(8, 13)),)
+        assert not self.verdict(one, b, c, kappa)
+        assert not self.verdict(kappa, c, b, one)
 
 
 class TestRealizeState:

@@ -29,6 +29,7 @@ class TestEngineSpec:
         spec = EngineSpec.from_temperatures(1.0, 1.5, 1.5)
         report = run_carnot(spec)
         assert report.w == 0.0
+        assert math.copysign(1.0, report.w) == 1.0
         assert report.eta == 0.0
         assert report.q_h == 0.0 and report.q_c == 0.0
 

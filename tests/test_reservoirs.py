@@ -47,6 +47,7 @@ from thermomajor.states import (
 )
 
 from conftest import family_states, random_full_support_state, random_state, seeded
+from test_states import assert_same_state
 
 F = Fraction
 
@@ -855,7 +856,8 @@ class TestIntegerReservoir:
         assert repr(fresh) == repr(public)
         assert fresh == public and public == fresh
         assert fresh._asdict() == public._asdict()
-        assert (fresh._init, fresh._fin) == (public._init, public._fin)
+        assert (fresh._initial._pairs, fresh._final._pairs) == (
+            public._initial._pairs, public._final._pairs)
         assert all(type(x) is F for x in fresh.r + fresh.init_weights + fresh.fin_weights)
 
     @pytest.mark.parametrize("kind", BUILT_KINDS + ["padded"])
@@ -906,9 +908,59 @@ class TestIntegerReservoir:
         with pytest.raises(error, match=f"^{message}$"):
             Reservoir(*fields)
 
+    @pytest.mark.parametrize("kind", BUILT_KINDS + ["padded"])
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_work_states_are_the_public_states(self, kind, data):
+        _, res = data.draw(transitions_with_reservoirs(kind))
+        assert_same_state(res._initial, ThermoState(res.r, res.init_weights))
+        assert_same_state(res._final, ThermoState(res.r, res.fin_weights))
+
     def test_weights_stored_reduced(self):
         res = Reservoir._from_cells([2, 4], 6, [(4, 6), (3, 9)], [(10, 5), (7, 1)])
-        assert (res._init, res._fin) == ([(2, 3), (1, 3)], [(2, 1), (7, 1)])
+        assert (res._initial._pairs, res._final._pairs) == ([(2, 3), (1, 3)], [(2, 1), (7, 1)])
         assert res.r == (F(1, 3), F(2, 3))
         assert res.init_weights == (F(2, 3), F(1, 3))
         assert res.dim == 4
+
+
+@st.composite
+def built_with_derived_states(draw, kind):
+    """A transition, the reservoir built for it and the states of the
+    transition derived from checked integers (clock-lift halves and Gibbs
+    states); ``identity`` has equal endpoints."""
+    palette = draw(st.booleans())
+    p = draw(family_states(draw(st.integers(1, 6)), palette))
+    if kind == "lifted":
+        t = clock_lift(p, draw(family_states(draw(st.integers(1, 6)), palette)))
+        return t, general_efficient_reservoir(t), [t.initial, t.final]
+    if kind == "minimal":
+        assume(not is_gibbs(p))
+        t = extraction_transition(p)
+        return t, minimal_extraction_reservoir(p), [t.final]
+    if kind == "product":
+        p = draw(family_states(p.dim, palette, (p.weights[0],) * p.dim))
+        q = draw(family_states(p.dim, palette, p.weights))
+        assume(all(p.probs) and all(q.probs))
+        t = Transition(p, q)
+        return t, alt_product_reservoir(t), []
+    q = p if kind == "identity" else draw(family_states(p.dim, palette, p.weights))
+    t = Transition(p, q)
+    return t, general_efficient_reservoir(t), []
+
+
+class TestLazyFields:
+    """Build, verify and work read states in their integer form: no state
+    derived from checked integers makes its ``probs`` or ``weights``."""
+
+    @pytest.mark.parametrize("kind", ["general", "lifted", "minimal", "product", "identity"])
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_build_verify_work(self, kind, data):
+        t, res, derived = data.draw(built_with_derived_states(kind))
+        assert verify_efficient(t, res)
+        average_work(res)
+        work = res.work_transition()
+        curve_of(work.initial), curve_of(work.final)
+        for state in derived + [res._initial, res._final, work.initial, work.final]:
+            assert "probs" not in vars(state) and "weights" not in vars(state)

@@ -180,9 +180,11 @@ class TestClockLift:
 
 def assert_same_state(derived, public):
     """``derived`` is the state the public constructor makes: equal, same
-    hash, and the same integer reading and slope classes, in order."""
+    hash, and the same integer reading, weight pairs and slope classes, in
+    order."""
     assert derived == public and hash(derived) == hash(public)
     assert (derived._masses, derived._den) == (public._masses, public._den)
+    assert derived._pairs == public._pairs
     assert list(derived._classes.items()) == list(public._classes.items())
 
 
