@@ -14,23 +14,24 @@ the unique quotient off a product when one exists.
 
 :func:`canonical_curve`, :func:`product` and :func:`divide` share one
 integer kernel.  A canonical curve is a finite measure on slopes (a height
-at each slope).  States, reservoir blocks and curve segments are all read
-by one level reader, ``states._read_levels``, which merges equal slopes as
-reduced integer pairs; ``_measure_of`` then puts the slopes over the lcm of
-their denominators, a dict from slope numerator to height numerator, with
-no Fraction.  ``_measure`` reads (height, slope) pairs that way, heights
-over the lcm of theirs.  A product slope is then x*y over d_a*d_b and a
-product height h*k over e_a*e_b.  Two curves of equal width coincide
-exactly when their measures are equal.
+at each slope).  States, reservoir work states and curve segments (a
+segment (h, s) as a level of mass h and weight h / s, as in
+:func:`realize_state`) are all read by the one level reader,
+``states._read_levels``, which merges equal slopes as reduced integer
+pairs.  ``_measure_of`` then puts the slopes over the lcm of their
+denominators, a dict from slope numerator to height numerator with no
+Fraction, and sums the first moment in the same pass.  A product slope is
+x*y over d_a*d_b and a product height h*k over e_a*e_b.  Two curves of
+equal width coincide exactly when their measures are equal.
 
 ``reservoirs.verify_efficient`` asks whether a (x) b = c (x) d for four
 such measures.  The first moments come first: chi_1(m), the sum of height
 times slope, is multiplicative under the product (for a state it is the
 Renyi inner sum at alpha = 2), so chi_1(a) chi_1(b) != chi_1(c) chi_1(d)
-proves the products differ in O(n) integer operations.  Write T_kappa m for
-m with every slope scaled by kappa; a shift multiplies chi_1 by kappa, so
-the moments fix the only kappa a shift can have.  A shift certificate comes
-next: b = T_kappa c and d = T_kappa a (the swap every slope-matched
+proves the products differ in O(n) integer operations.  Write T_kappa m
+for m with every slope scaled by kappa; a shift multiplies chi_1 by kappa,
+so the moments fix the only kappa a shift can have.  A shift certificate
+comes next: b = T_kappa c and d = T_kappa a (the swap every slope-matched
 reservoir makes), or c = T_kappa a and b = T_kappa d, each half one O(n)
 dict pass.  Either makes both products one shift of a common product, with
 no product measure.  Only then is a (x) b built once and c (x) d subtracted
@@ -89,6 +90,7 @@ class Curve(_Value):
     _fields = ("segments", "total_width")
 
     def _check(self) -> None:
+        object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise InvalidCurve("curve needs at least one segment")
         _check_rationals((self.total_width,))
@@ -126,25 +128,32 @@ def _ratio(a: Fraction, b: Fraction) -> Fraction:
 
 #: A curve's slope measure in integers: ``heights`` maps each slope
 #: numerator to the height numerator at that slope, over one
-#: ``height_den`` and one ``slope_den``.
-_Measure = namedtuple("_Measure", ("heights", "height_den", "slope_den"))
+#: ``height_den`` and one ``slope_den``; one read from slope classes carries
+#: ``moment``, its first moment's numerator over both (others carry None).
+_Measure = namedtuple("_Measure", ("heights", "height_den", "slope_den", "moment"))
 
 
 def _measure(pairs: Sequence[tuple[Fraction, Fraction]]) -> _Measure:
-    """The measure of (height, slope) pairs, read as levels: heights over
-    the lcm of their denominators, zero heights dropped and equal slopes
-    merged."""
-    heights, height_den = _scaled([height for height, _ in pairs])
-    slopes = [(slope.numerator, slope.denominator) for _, slope in pairs]
-    return _measure_of(_read_levels(heights, slopes), height_den)
+    """The measure of (height, slope) pairs, each read as a level of mass h
+    and weight h / s (slope s, the sign on the weight's denominator): heights
+    over the lcm of their denominators, zero heights dropped and equal
+    slopes merged."""
+    heights, height_den = _scaled([height.as_integer_ratio() for height, _ in pairs])
+    weights = [(abs(h) * s.denominator, (1 if h > 0 else -1) * height_den * s.numerator)
+               for h, (_, s) in zip(heights, pairs)]
+    return _measure_of(_read_levels(heights, weights, height_den), height_den)
 
 
 def _measure_of(classes: dict[tuple[int, int], int], den: int) -> _Measure:
     """The measure of slope classes: each reduced slope pair (x, d) carries
-    its mass over ``den``; slopes go over the lcm of their denominators."""
+    its mass over ``den``; slopes go over the lcm of their denominators.
+    The first moment is summed in the same pass."""
     slope_den = lcm(*[d for _, d in classes])
-    heights = {x * (slope_den // d): m for (x, d), m in classes.items()}
-    return _Measure(heights, den, slope_den)
+    heights, moment = {}, 0
+    for (x, d), m in classes.items():
+        x *= slope_den // d
+        heights[x], moment = m, moment + m * x
+    return _Measure(heights, den, slope_den, moment)
 
 
 def _segment_pairs(curve: Curve) -> list[tuple[Fraction, Fraction]]:
@@ -160,7 +169,7 @@ def _product_measure(ma: _Measure, mb: _Measure) -> _Measure:
         for y, k in rows:
             slope = x * y
             merged[slope] = merged.get(slope, 0) + h * k
-    return _Measure(merged, ma.height_den * mb.height_den, ma.slope_den * mb.slope_den)
+    return _Measure(merged, ma.height_den * mb.height_den, ma.slope_den * mb.slope_den, None)
 
 
 def _subtract_row(remaining: dict[int, Fraction], rows: list, y: int, k: Fraction) -> bool:
@@ -195,7 +204,7 @@ def _same_products(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -> bo
         m_slope_den = slope_den // partner.slope_den
         height_factor, slope_factor = m_height_den // m.height_den, m_slope_den // m.slope_den
         heights = {x * slope_factor: h * height_factor for x, h in m.heights.items()}
-        return _Measure(heights, m_height_den, m_slope_den)
+        return _Measure(heights, m_height_den, m_slope_den, None)
 
     remaining = _product_measure(over_common(ma, mb), mb).heights
     rows = list(md.heights.items())
@@ -246,7 +255,8 @@ def _products_coincide(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -
     next; equal moments give both halves of either the same kappa.  Then
     the row subtraction decides.
     """
-    (na, da), (nb, db), (nc, dc), (nd, dd) = map(_moment, (ma, mb, mc, md))
+    na, nb, nc, nd = ma.moment, mb.moment, mc.moment, md.moment
+    da, db, dc, dd = [m.height_den * m.slope_den for m in (ma, mb, mc, md)]
     if na * nb * dc * dd != nc * nd * da * db:
         return False
     if _is_shift(mc, nc, mb, nb) and _is_shift(ma, na, md, nd):
@@ -259,7 +269,7 @@ def _products_coincide(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -
 def _curve(m: _Measure, total_width: Fraction) -> Curve:
     """The canonical curve of a measure of positive heights: slopes sorted
     descending, one Fraction per output segment."""
-    heights, height_den, slope_den = m
+    heights, height_den, slope_den, _ = m
     segments = tuple(
         Segment(Fraction(heights[slope], height_den), Fraction(slope, slope_den))
         for slope in sorted(heights, reverse=True)

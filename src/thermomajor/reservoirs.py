@@ -10,51 +10,42 @@ self-certify; tests always go through the verifier.
 
 A reservoir is its two work states, ``r`` on ``init_weights`` and ``r`` on
 ``fin_weights``, each in the one integer form of a state (masses over one
-denominator, reduced weight pairs).  The constructions here build both
-from integer cells, with every check of the public constructor done on the
-integers; the ``Fraction`` fields ``r``, ``init_weights`` and
-``fin_weights`` are read from the states, which make them on first access.
+denominator, reduced weight pairs); its ``Fraction`` fields are read from
+them on first access.  Every reservoir, built or given, passes the checks
+of ``Reservoir._store`` on its integers.
 
-Verification runs through the curve monoid: a joint curve of system (x)
-reservoir is the product of its factor curves, and the two joint widths
-agree by construction, so :func:`verify_efficient` decides on the four
-factor slope measures, each read the same way from a state's cached slope
-classes: the system's two states and the reservoir's two work states.  The
-first moments of the two sides are compared first, exactly and in linear
-time; a mismatch rejects.  A slope-matched reservoir's work measures are
-the system's final and initial measures shifted by one slope factor, and
-that swap certificate settles the verdict without forming a product; any
-other reservoir has its two product measures compared.  It builds no
-curve, clock lift or joint state.  :func:`joint_states` keeps the
-materialised tensor product as an independent cross-check.
-
-Synthesis routes.  Each level of a reservoir carries one cell of a coupling
-between the initial and final system distributions, weighted by the one
-slope-matching rule :func:`_slope_matched`.  Only slopes matter to the joint
-curves, so the coupling is taken between *slope classes*: each side's
-occupied levels merged by their slope p_i / g_i, with integer masses over
-one denominator and slopes as reduced integer pairs (the state's cached
-reading).  The north-west-corner
-walk over m initial and m' final classes makes at most m + m' - 1 cells; the
-routes differ in the classes they feed it:
+Synthesis is one walk, :func:`_slope_matched`: the north-west corner of a
+coupling between the initial and final *slope classes* (each side's
+occupied levels merged by slope p_i / g_i, as the state caches them:
+integer masses over one denominator, slopes as reduced integer pairs).
+Over m initial and m' final classes it makes at most m + m' - 1 cells, and
+each cell is a level as soon as it is made, its two weights set by the one
+slope-matching rule as reduced integer pairs; no cell list and no Fraction
+is built.  The routes differ in the classes they walk:
 
 * :func:`minimal_extraction_reservoir` walks p's classes, steepest first,
-  against tau's single slope 1/Z (m' = 1): the unique 2m-level reservoir
-  for extraction from a state whose curve has m distinct slopes (run it
+  against tau's single slope 1/Z: the unique 2m-level reservoir for
+  extraction from a state whose curve has m distinct slopes (run it
   backwards for formation).
 * :func:`general_efficient_reservoir` walks both sides' classes in order of
   first occurrence, for an arbitrary shared-weights transition.  When every
-  slope is distinct a class is a level, and the walk is the north-west
-  corner of the levels themselves.
-* :func:`alt_product_reservoir` takes the product coupling instead: a larger
-  2n^2-level alternative for equal level weights, showing efficiency does
-  not pin the reservoir down.
+  slope is distinct a class is a level.
+* :func:`alt_product_reservoir` walks each level of p against its own block
+  of levels of p', which makes the product coupling: a larger 2n^2-level
+  alternative for equal level weights, showing efficiency does not pin the
+  reservoir down.
+
+:func:`verify_efficient` reads four factor slope measures through the one
+level reader, each with its first moment summed in the same pass: the
+system's two states and the reservoir's two work states.  It builds no
+curve, clock lift or joint state.  :func:`joint_states` keeps the
+materialised tensor product as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -107,24 +98,26 @@ class Reservoir(_Value):
     _fields = ("r", "init_weights", "fin_weights")
 
     def _check(self) -> None:
-        r, init_weights, fin_weights = self.r, self.init_weights, self.fin_weights
+        r, init_weights, fin_weights = self._as_tuples()
         if not (len(r) == len(init_weights) == len(fin_weights)):
             raise DimensionMismatch("r, init_weights, fin_weights must share a length")
         _check_rationals(r + init_weights + fin_weights)
-        pairs = [[(w.numerator, w.denominator) for w in ws] for ws in (init_weights, fin_weights)]
-        self._store(*_scaled(r), *pairs)
+        r, init, fin = [[x.as_integer_ratio() for x in xs] for xs in self._values()]
+        self._store(*_scaled(r), init, fin)
 
     @classmethod
     def _from_cells(cls, masses: list[int], den: int, init: list[_Pair], fin: list[_Pair]):
         """The reservoir of integer levels: masses over ``den`` and weight
         pairs with positive denominators, all reduced here.  Every check of
         the public constructor runs, on the integers."""
-        common = gcd(den, *masses)
+        init, fin = [[(n // g, d // g) for n, d in ws for g in [gcd(n, d)]] for ws in (init, fin)]
         res = cls.__new__(cls)
-        res._store([m // common for m in masses], den // common, _reduced(init), _reduced(fin))
+        res._store(masses, den, init, fin)
         return res
 
     def _store(self, masses: list[int], den: int, init: list[_Pair], fin: list[_Pair]) -> None:
+        """Check integer levels and keep them as the two work states, with
+        masses and ``den`` divided by their gcd, as validation reads them."""
         if not (len(masses) == len(init) == len(fin)):
             raise DimensionMismatch("r, init_weights, fin_weights must share a length")
         if len(masses) < 1:
@@ -142,6 +135,8 @@ class Reservoir(_Value):
                 raise NonPositiveWeight(
                     f"reservoir weight {Fraction(num, w_den)} must be positive"
                 )
+        common = gcd(den, *masses)
+        masses, den = [m // common for m in masses], den // common
         object.__setattr__(self, "_initial", ThermoState._derived(masses, den, init))
         object.__setattr__(self, "_final", ThermoState._derived(masses, den, fin))
 
@@ -167,56 +162,46 @@ class Reservoir(_Value):
         return clock_lift(self._initial, self._final)
 
 
-def _reduced(pairs: list[_Pair]) -> list[_Pair]:
-    """Each (numerator, denominator) pair divided by its gcd."""
-    out = []
-    for num, den in pairs:
-        common = gcd(num, den)
-        out.append((num // common, den // common))
-    return out
+def _slope_matched(
+    initials: Iterable[tuple[_Pair, int]], finals: Iterable[tuple[_Pair, int]], den: int,
+    kappa: _Pair,
+) -> Reservoir:
+    """The reservoir of the north-west-corner walk over two (slope, mass)
+    lists of equal total ``den``, weighted by the slope-matching rule.
 
-
-def _north_west(
-    initials: Iterable[tuple[_Pair, int]], finals: Iterable[tuple[_Pair, int]]
-) -> Iterator[tuple[int, _Pair, _Pair]]:
-    """The north-west-corner coupling of two (slope, mass) lists of equal total
-    mass: each cell (m, s, s') takes what is left of the current initial and
-    final class, so the walk makes at most len(initials) + len(finals) - 1."""
+    Each cell takes what is left of the current initial class s = p_j / g_j
+    and final class s' = p'_i / g_i (at most len(initials) + len(finals) - 1
+    cells) and is a level at once: mass m over ``den``, initial weight
+    m / (den kappa s') and final weight m / (den kappa s), each a reduced
+    integer pair, for the gauge ``kappa`` as an integer pair.  The cells
+    through each class of either side sum to its mass, so both joint curves
+    carry p_a p'_b at slope kappa s_a s'_b for every pair of classes (a, b).
+    """
+    # Each weight is m kappa_den d / (scale x): scale and kappa_den lose their gcd once.
+    scale, kappa_den = den * kappa[0], kappa[1]
+    common = gcd(scale, kappa_den)
+    scale, kappa_den = scale // common, kappa_den // common
     finals = iter(finals)
-    s_prime, left_prime = next(finals)
-    for s, left in initials:
+    left_prime = 0
+    masses, init_pairs, fin_pairs = [], [], []
+    for (x, d), left in initials:
         while left:
             if not left_prime:
-                s_prime, left_prime = next(finals)
+                (x_prime, d_prime), left_prime = next(finals)
             m = min(left, left_prime)
-            yield m, s, s_prime
+            num = m * kappa_den
+            a, b = num * d_prime, scale * x_prime
+            common = gcd(a, b)
+            init_pairs.append((a // common, b // common))
+            a, b = num * d, scale * x
+            common = gcd(a, b)
+            fin_pairs.append((a // common, b // common))
+            masses.append(m)
             left -= m
             left_prime -= m
-
-
-def _slope_matched(
-    cells: Iterable[tuple[int, _Pair, _Pair]], den: int, kappa: _Pair
-) -> Reservoir:
-    """The reservoir with one level per cell (m, s, s') of a coupling.
-
-    A cell of mass m / den leaves an initial slope class s = p_j / g_j and
-    reaches a final class s' = p'_i / g_i; masses are integers over ``den``,
-    slopes and the translation gauge ``kappa`` integer pairs.  The cell gets
-    initial weight m / (den kappa s') and final weight m / (den kappa s), as
-    integer pairs; no Fraction is built.  When the cells' masses aggregate
-    back to p's slope classes through their initial classes and to those of
-    p' through their final ones, both joint curves carry mass p_a p'_b at
-    slope kappa s_a s'_b for every pair of classes (a, b), so they coincide.
-    """
-    kappa_num, kappa_den = kappa
-    scale = den * kappa_num
-    masses, init_pairs, fin_pairs = [], [], []
-    for m, (x, d), (x_prime, d_prime) in cells:
-        num = m * kappa_den
-        masses.append(m)
-        init_pairs.append((num * d_prime, scale * x_prime))
-        fin_pairs.append((num * d, scale * x))
-    return Reservoir._from_cells(masses, den, init_pairs, fin_pairs)
+    res = Reservoir.__new__(Reservoir)
+    res._store(masses, den, init_pairs, fin_pairs)
+    return res
 
 
 def two_level_extraction_bound(p: ThermoState) -> float:
@@ -255,8 +240,7 @@ def minimal_extraction_reservoir(p: ThermoState, c: Fraction = _ONE) -> Reservoi
     constant under rescaling.
     """
     _check_rationals((c,))
-    c = Fraction(c)
-    if c <= 0:
+    if c.numerator <= 0:
         raise NonPositiveWeight(f"gauge constant c={c} must be positive")
     classes, den = p._classes, p._den
     # One slope on the full support makes p_i = g_i / Z.
@@ -267,9 +251,8 @@ def minimal_extraction_reservoir(p: ThermoState, c: Fraction = _ONE) -> Reservoi
         classes.items(), key=lambda item: item[0][0] * (slope_den // item[0][1]), reverse=True
     )
     z = p.z
-    tau = ((z.denominator, z.numerator), den)
-    cells = _north_west(steepest_first, (tau,))
-    return _slope_matched(cells, den, (c.numerator * z.numerator, c.denominator * z.denominator))
+    kappa = (c.numerator * z.numerator, c.denominator * z.denominator)
+    return _slope_matched(steepest_first, [((z.denominator, z.numerator), den)], den, kappa)
 
 
 def general_efficient_reservoir(
@@ -277,14 +260,11 @@ def general_efficient_reservoir(
 ) -> Reservoir:
     """An efficient reservoir for an arbitrary shared-weights transition.
 
-    The cells are the north-west-corner coupling of the slope classes of p
-    and p': each side's occupied levels merged by slope, in order of first
-    occurrence, as each state caches them, with the two sides' integer
-    masses brought over one common denominator.  The walk makes at most
-    m + m' - 1 cells for m and m' distinct slopes, and each cell's weights
-    follow the slope-matching rule.  When every slope of a
-    side is distinct its classes are its levels, and the reservoir is the
-    north-west corner of the levels themselves.
+    The one walk runs over the slope classes of p and p', in order of first
+    occurrence as each state caches them, with both sides' integer masses
+    over one common denominator: at most m + m' - 1 levels for m and m'
+    distinct slopes.  When every slope of a side is distinct its classes
+    are its levels.
 
     Levels with zero probability on both sides get no cell; a zero on one
     side only is harmless because every cell has positive mass and therefore
@@ -295,25 +275,23 @@ def general_efficient_reservoir(
     reservoir.
     """
     _check_rationals((anchor_weight,))
-    anchor_weight = Fraction(anchor_weight)
-    if anchor_weight <= 0:
+    if anchor_weight.numerator <= 0:
         raise NonPositiveWeight(f"anchor weight {anchor_weight} must be positive")
     p, q = t.initial, t.final
-    anchor = (anchor_weight.numerator, anchor_weight.denominator)
+    anchor = anchor_weight.as_integer_ratio()
     if p._masses == q._masses and p._den == q._den:
         return Reservoir._from_cells([1], 1, [anchor], [anchor])
-
     # Both sides' classes over one denominator: each holds `den` in all, so
     # the final classes run out exactly with the initial ones.
     den = lcm(p._den, q._den)
     p_scale, q_scale = den // p._den, den // q._den
     initials = [(s, m * p_scale) for s, m in p._classes.items()]
     finals = [(s, m * q_scale) for s, m in q._classes.items()]
-    cells = list(_north_west(initials, finals))
-    # kappa = m0 / (den s0' anchor) puts the anchor on the first cell.
-    m0, _, (x0, d0) = cells[0]
-    kappa = (m0 * d0 * anchor[1], den * x0 * anchor[0])
-    return _slope_matched(cells, den, kappa)
+    # kappa = m0 / (den s0' anchor) puts the anchor on the first cell, whose
+    # mass m0 is the smaller first class.
+    (x0, d0), m0 = finals[0]
+    kappa = (min(initials[0][1], m0) * d0 * anchor[1], den * x0 * anchor[0])
+    return _slope_matched(initials, finals, den, kappa)
 
 
 def alt_product_reservoir(t: Transition) -> Reservoir:
@@ -329,10 +307,13 @@ def alt_product_reservoir(t: Transition) -> Reservoir:
         raise NontrivialHamiltonian("all level weights must be equal")
     if 0 in p._masses or 0 in q._masses:
         raise ZeroProbability("both endpoint distributions must be strictly positive")
-    # Equal weights cancel from the rule: the slopes are p_i and p'_j
-    # themselves, the masses p_i p'_j over d_p d_q, and the gauge is 1.
-    cells = ((a * b, (a, p._den), (b, q._den)) for a in p._masses for b in q._masses)
-    return _slope_matched(cells, p._den * q._den, (1, 1))
+    # Equal weights cancel from the rule: the slopes are p_i and p'_j, the
+    # gauge 1.  Over d_p d_q, level i (mass a d_q) fills exactly its block of
+    # finals (masses a b), so cell (i, j) has mass p_i p'_j.
+    p_den, q_den = p._den, q._den
+    initials = [((a, p_den), a * q_den) for a in p._masses]
+    finals = [((b, q_den), a * b) for a in p._masses for b in q._masses]
+    return _slope_matched(initials, finals, p_den * q_den, (1, 1))
 
 
 def joint_states(t: Transition, res: Reservoir) -> tuple[ThermoState, ThermoState]:
@@ -345,22 +326,20 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     """Exact zero-dissipation check: do the joint curves coincide?
 
     The joint curves are the system's curves times the reservoir's work
-    curves, its two work states ``r`` on ``init_weights`` and on
+    curves, of its work states ``r`` on ``init_weights`` and on
     ``fin_weights`` (the clock lift's zero padding adds no segment).  Both
     have width Z times the sum of all 2d reservoir weights, so they
-    coincide exactly when their slope measures are equal.  All four
-    measures come from the states' cached slope classes, one gcd per
-    level; no curve or state is built.  First the first moments (sum of
-    height times slope, multiplicative under the product) of the two sides
-    are compared exactly in O(n): a mismatch rejects with no product
-    measure, as every single-weight tamper does.  Then the swap
-    certificate: the initial work measure is the final system measure
-    shifted by a slope factor kappa, and the final work measure is the
-    initial system measure shifted by the same kappa; then both joint
-    measures are the system pair's product shifted by kappa.  Every
-    slope-matched reservoir passes it in O(n), and the trivial reservoir of
-    an identity transition passes its mirror image.  Only then is one
-    product measure built and the other subtracted from it, exactly.
+    coincide exactly when their slope measures are equal.  The four
+    measures come from the states' cached slope classes, one gcd per level,
+    each with its first moment (sum of height times slope, multiplicative
+    under the product); no curve or state is built.  The two sides'
+    moments are compared first: a mismatch rejects with no product measure,
+    as every single-weight tamper does.  Then the swap certificate: each
+    work measure is the other side's system measure shifted by one slope
+    factor kappa, so both joint measures are the system pair's product
+    shifted by kappa.  Every slope-matched reservoir passes it in O(n), and
+    the trivial reservoir of an identity transition its mirror image.  Only
+    then is one product measure built and the other subtracted from it.
 
     This is the single source of truth for efficiency; every construction in
     this module is expected to pass it but none is trusted without it.

@@ -11,12 +11,13 @@ not, since they would encode an infinite energy.
 
 A state has one integer form: masses over one denominator (the lcm of the
 probabilities' reduced denominators) and each weight a reduced (numerator,
-denominator) pair.  Validation makes it from the given tuples, keeping the
-masses of its exact-sum check.  The slope classes, each reduced slope
-p_i / g_i mapped to its summed mass in order of first occurrence, are read
-from it on first use and cached.  Curves, reservoir synthesis and
-verification all start from that one reading (``_read_levels``).  A state
-built from integers that are already checked (``ThermoState._derived``:
+denominator) pair.  Validation makes it in one pass over the levels,
+reading each entry once, and keeps the masses of its exact-sum check.  The
+slope classes, each reduced slope p_i / g_i mapped to its summed mass in
+order of first occurrence, are read from those integers by the one level
+reader, ``_read_levels``, on first use and cached; curves, reservoir
+synthesis and verification all start from that reading.  A state built
+from integers that are already checked (``ThermoState._derived``:
 :func:`clock_lift`, :func:`gibbs_of` and a reservoir's two work states) is
 not validated again, and makes its ``probs`` and ``weights`` tuples only
 when they are read.
@@ -80,32 +81,32 @@ def as_rat(value: object) -> Fraction:
     raise ParseError(f"expected int, Fraction or 'p/q' string, got {type(value).__name__}")
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``values`` as integer numerators over the lcm of their denominators."""
-    dens = [v.denominator for v in values]
-    den = lcm(*dens)
-    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
+def _scaled(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Integer ratios (n, d) as numerators over the lcm of their d."""
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _exact_sum(values: Iterable[Fraction]) -> Fraction:
     """The exact sum of rationals: one integer sum over the lcm of their
     denominators, normalised once, instead of a Fraction per partial sum."""
-    numerators, den = _scaled(tuple(values))
+    numerators, den = _scaled([v.as_integer_ratio() for v in values])
     return Fraction(sum(numerators), den)
 
 
 def _read_levels(
-    masses: Sequence[int], slopes: Iterable[tuple[int, int]]
+    masses: Sequence[int], pairs: Iterable[tuple[int, int]], den: int
 ) -> dict[tuple[int, int], int]:
     """The one reader of levels: occupied levels merged by slope, in order
-    of first occurrence.  ``masses`` are integers over one denominator and
-    each slope a pair of positive ints, reduced here with one gcd; every
-    reduced slope maps to its summed mass."""
+    of first occurrence.  ``masses`` are integers over ``den`` and each
+    weight a pair (n, d) of positive ints; the slope m d / (den n) of each
+    occupied level is reduced with one gcd and maps to its summed mass."""
     classes: dict[tuple[int, int], int] = {}
-    for m, (num, den) in zip(masses, slopes):
+    for m, (n, d) in zip(masses, pairs):
         if m:
-            common = gcd(num, den)
-            slope = (num // common, den // common)
+            num, slope_den = m * d, den * n
+            common = gcd(num, slope_den)
+            slope = (num // common, slope_den // common)
             classes[slope] = classes.get(slope, 0) + m
     return classes
 
@@ -158,6 +159,13 @@ class _Value:
     def _check(self) -> None:
         pass
 
+    def _as_tuples(self) -> list[tuple]:
+        """Store each field as a tuple, so a value given lists is hashable."""
+        values = [tuple(getattr(self, name)) for name in self._fields]
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        return values
+
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
@@ -200,21 +208,26 @@ class ThermoState(_Value):
             )
         if len(self.probs) < 1:
             raise DimensionMismatch("state needs at least one level")
-        _check_rationals(self.probs)
-        _check_rationals(self.weights)
-        # Denominators are positive, so a numerator carries the sign.
-        for w in self.weights:
-            if w.numerator <= 0:
+        probs, weights = self._as_tuples()
+        # One pass; the first faulty level raises, checking the probability's
+        # type, the weight's type and sign, then the probability's sign.
+        ratios, pairs = [], []
+        for p, w in zip(probs, weights):
+            if type(p) is not Fraction or type(w) is not Fraction:
+                _check_rationals((p, w))
+            pair = w.as_integer_ratio()
+            if pair[0] <= 0:
                 raise NonPositiveWeight(f"weight {w} is not positive")
-        for p in self.probs:
-            if p.numerator < 0:
+            pairs.append(pair)
+            ratio = p.as_integer_ratio()
+            if ratio[0] < 0:
                 raise NegativeProbability(f"probability {p} is negative")
+            ratios.append(ratio)
         # The exact sum's integer reading is kept: ``_masses`` over ``_den``.
-        masses, den = _scaled(self.probs)
+        masses, den = _scaled(ratios)
         total = sum(masses)
         if total != den:
             raise ProbSumNotOne(f"probabilities sum to {Fraction(total, den)}, not 1")
-        pairs = [(w.numerator, w.denominator) for w in self.weights]
         for name, value in (("_masses", masses), ("_den", den), ("_pairs", pairs)):
             object.__setattr__(self, name, value)
 
@@ -247,11 +260,7 @@ class ThermoState(_Value):
     def _classes(self) -> dict[tuple[int, int], int]:
         """The occupied levels merged by slope p_i / g_i, each reduced slope
         pair mapped to its mass over ``_den``, in order of first occurrence."""
-        # p_i / g_i = m_i g_den / (den g_num) for p_i = m_i / den.
-        den = self._den
-        return _read_levels(
-            self._masses, [(m * d, den * n) for m, (n, d) in zip(self._masses, self._pairs)]
-        )
+        return _read_levels(self._masses, self._pairs, self._den)
 
     @cached_property
     def z(self) -> Fraction:

@@ -12,7 +12,10 @@ from thermomajor.errors import (
     DimensionMismatch,
     InvalidCurve,
     InvalidTemperatures,
+    NegativeProbability,
     NonPositiveWeight,
+    ParseError,
+    ProbSumNotOne,
 )
 from thermomajor.reservoirs import Reservoir
 from thermomajor.states import ThermoState, Transition
@@ -187,3 +190,114 @@ def test_cached_properties_stay_cached():
     assert "sloped_width" in vars(curve)
     # A cached value takes no part in equality or hashing.
     assert state == ThermoState(**STATE) and hash(state) == hash(ThermoState(**STATE))
+
+
+# The validating classes store list arguments as tuples.
+LISTED = {
+    "ThermoState": (ThermoState, STATE),
+    "Reservoir": (Reservoir, RESERVOIR),
+    "Curve": (Curve, dict(segments=(Segment(**SEGMENT),), total_width=Fraction(3))),
+}
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_list_arguments_are_stored_as_tuples(name):
+    cls, kwargs = LISTED[name]
+    sequences = [key for key, value in kwargs.items() if type(value) is tuple]
+    expected = cls(**kwargs)
+    # Every sequence given as a list, then only the first one (mixed).
+    for listed in (sequences, sequences[:1]):
+        value = cls(**{**kwargs, **{key: list(kwargs[key]) for key in listed}})
+        assert all(type(getattr(value, key)) is tuple for key in sequences)
+        assert value == expected and expected == value
+        assert hash(value) == hash(expected)
+        assert len({value, expected}) == 1
+
+
+def test_mixed_lists_and_tuples():
+    # Concatenating a list with tuples raised a bare TypeError in the check.
+    res = Reservoir([Fraction(1)], (Fraction(1),), (Fraction(2),))
+    assert res == Reservoir((Fraction(1),), (Fraction(1),), (Fraction(2),))
+    assert hash(res) == hash(Reservoir((Fraction(1),), (Fraction(1),), (Fraction(2),)))
+    state = ThermoState([HALF, HALF], [1, 1])
+    assert state == ThermoState((HALF, HALF), (1, 1))
+    assert hash(state) == hash(ThermoState((HALF, HALF), (1, 1)))
+
+
+F = Fraction
+NEG, BOOL, FLOAT, ZERO = F(-1, 2), True, 0.5, F(0)
+
+# Inputs with one fault or several, and the error that names the first.  A
+# state is read in one pass over its levels after the length checks: the
+# first faulty level raises, checking its probability's type, its weight's
+# type, its weight's sign, then its probability's sign; the sum comes last.
+STATE_FAULTS = {
+    # One fault each.
+    "lengths": (((HALF, HALF), (1,)), DimensionMismatch, "2 probabilities vs 1 weights"),
+    "empty": (((), ()), DimensionMismatch, "state needs at least one level"),
+    "prob-type": (((FLOAT, HALF), (1, 1)), ParseError, "not a rational: 0.5"),
+    "weight-type": (((HALF, HALF), (1, BOOL)), ParseError, "not a rational: True"),
+    "weight-sign": (((HALF, HALF), (1, ZERO)), NonPositiveWeight, "weight 0 is not positive"),
+    "prob-sign": (((F(3, 2), NEG), (1, 1)), NegativeProbability, "probability -1/2 is negative"),
+    "sum": (((HALF, F(1, 3)), (1, 1)), ProbSumNotOne, "probabilities sum to 5/6, not 1"),
+    # Several faults.
+    "lengths-before-types": (((FLOAT,), (1, BOOL)), DimensionMismatch,
+                             "1 probabilities vs 2 weights"),
+    "level-prob-type-first": (((FLOAT, HALF), (BOOL, 1)), ParseError, "not a rational: 0.5"),
+    "level-weight-type-before-prob-sign": (((NEG, F(3, 2)), (BOOL, 1)), ParseError,
+                                           "not a rational: True"),
+    "level-weight-sign-before-prob-sign": (((NEG, F(3, 2)), (-1, 1)), NonPositiveWeight,
+                                           "weight -1 is not positive"),
+    "earlier-prob-sign-before-later-type": (((F(3, 2), NEG, ZERO), (1, 1, BOOL)),
+                                            NegativeProbability, "probability -1/2 is negative"),
+    "earlier-weight-sign-before-later-type": (((HALF, FLOAT), (ZERO, 1)), NonPositiveWeight,
+                                              "weight 0 is not positive"),
+    "earlier-prob-sign-before-later-weight-sign": (((NEG, F(3, 2)), (1, ZERO)),
+                                                   NegativeProbability,
+                                                   "probability -1/2 is negative"),
+    "earlier-weight-type-before-later-prob-type": (((HALF, FLOAT), (BOOL, 1)), ParseError,
+                                                   "not a rational: True"),
+    "sign-before-sum": (((NEG, HALF), (1, 1)), NegativeProbability,
+                        "probability -1/2 is negative"),
+}
+
+# A reservoir checks its lengths, then the type of every entry (r, then
+# init_weights, then fin_weights), then emptiness, each probability's sign,
+# the sum, and each weight's sign (init_weights, then fin_weights).
+RESERVOIR_FAULTS = {
+    # One fault each.
+    "lengths": (((HALF, HALF), (1,), (1, 1)), DimensionMismatch,
+                "r, init_weights, fin_weights must share a length"),
+    "empty": (((), (), ()), DimensionMismatch, "reservoir needs at least one occupied level"),
+    "type": (((HALF, HALF), (1, 1), (1, FLOAT)), ParseError, "not a rational: 0.5"),
+    "prob-sign": (((ZERO, 1), (1, 1), (1, 1)), NegativeProbability,
+                  "reservoir probability 0 must be positive"),
+    "sum": (((HALF, F(1, 3)), (1, 1), (1, 1)), ProbSumNotOne, "reservoir distribution sums to 5/6"),
+    "weight-sign": (((HALF, HALF), (1, 1), (NEG, 1)), NonPositiveWeight,
+                    "reservoir weight -1/2 must be positive"),
+    # Several faults.
+    "lengths-before-types": (((BOOL,), (1, 1), (1,)), DimensionMismatch,
+                             "r, init_weights, fin_weights must share a length"),
+    "r-type-first": (((HALF, FLOAT), (BOOL, 1), (1, 1)), ParseError, "not a rational: 0.5"),
+    "type-before-signs": (((NEG, F(3, 2)), (1, 1), (BOOL, 1)), ParseError,
+                          "not a rational: True"),
+    "prob-sign-before-weight-sign": (((F(3, 2), NEG), (ZERO, 1), (1, 1)), NegativeProbability,
+                                     "reservoir probability -1/2 must be positive"),
+    "sum-before-weight-sign": (((HALF, HALF, HALF), (1, 1, 1), (1, 1, NEG)), ProbSumNotOne,
+                               "reservoir distribution sums to 3/2"),
+    "init-weight-before-fin-weight": (((HALF, HALF), (1, ZERO), (NEG, 1)), NonPositiveWeight,
+                                      "reservoir weight 0 must be positive"),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, fields, error, message",
+    [(ThermoState, *case) for case in STATE_FAULTS.values()]
+    + [(Reservoir, *case) for case in RESERVOIR_FAULTS.values()],
+    ids=[f"state-{key}" for key in STATE_FAULTS] + [f"reservoir-{key}" for key in RESERVOIR_FAULTS],
+)
+def test_error_precedence(cls, fields, error, message):
+    with pytest.raises(error) as raised:
+        cls(*fields)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
