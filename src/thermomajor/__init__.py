@@ -13,7 +13,7 @@ import curve_of``) imports only the module that defines it (PEP 562).
 import importlib
 
 _EXPORTS = {
-    "catalysis": ("CtoVerdict", "cto_feasible", "coincide_iff_alpha_equal", "strip_catalyst"),
+    "catalysis": ("CtoVerdict", "cto_feasible"),
     "curves": (
         "Curve", "Segment", "breakpoints", "canonical_curve", "coincide", "curve_of", "divide",
         "evaluate", "identity_curve", "majorizes", "num_distinct_slopes", "product",
@@ -26,11 +26,10 @@ _EXPORTS = {
     ),
     "engine": ("EngineReport", "EngineSpec", "LevelRow", "reservoir_level_table", "run_carnot"),
     "errors": (
-        "CatalystMarginalMismatch", "CurvesDiffer", "DimensionCapExceeded", "DimensionMismatch",
-        "GibbsInput", "InvalidCurve", "InvalidOrder", "InvalidTemperatures", "NegativeProbability",
-        "NonPositiveWeight", "NontrivialHamiltonian", "NotProductState", "OutsideDomain",
-        "ParseError", "ProbSumNotOne", "ReproductionMismatch", "ThermomajorError", "WidthMismatch",
-        "ZeroProbability",
+        "DimensionCapExceeded", "DimensionMismatch", "GibbsInput", "InvalidCurve", "InvalidOrder",
+        "InvalidTemperatures", "NegativeProbability", "NonPositiveWeight", "NontrivialHamiltonian",
+        "OutsideDomain", "ParseError", "ProbSumNotOne", "ReproductionMismatch", "ThermomajorError",
+        "WidthMismatch", "ZeroProbability",
     ),
     "oracle": ("lp_feasible", "random_rational_gibbs_matrix", "recovery_map"),
     "reservoirs": (
@@ -40,8 +39,7 @@ _EXPORTS = {
         "verify_efficient",
     ),
     "states": (
-        "Rat", "ThermoState", "Transition", "as_rat", "clock_lift", "gibbs_of", "is_gibbs",
-        "make_state", "state_from_json", "state_to_json", "tensor",
+        "ThermoState", "Transition", "as_rat", "clock_lift", "gibbs_of", "make_state", "tensor",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -33,7 +33,6 @@ from .errors import ParseError, ReproductionMismatch, ThermomajorError
 from .states import (
     ThermoState,
     Transition,
-    _decode,
     _Value,
     as_rat,
     clock_lift,
@@ -56,7 +55,8 @@ def _load(path: str, parse: Callable[[object], object]) -> object:
     """Read the JSON file at ``path`` and build it with ``parse``.
 
     Every error names the path once, so a command that reads several files
-    says which one is bad.
+    says which one is bad; a file that is not JSON, deep nesting included,
+    is a ParseError too.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -64,7 +64,11 @@ def _load(path: str, parse: Callable[[object], object]) -> object:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        return parse(_decode(text))
+        return parse(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     except ThermomajorError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

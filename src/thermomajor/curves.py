@@ -388,12 +388,17 @@ def divide(l: Curve, a: Curve) -> Curve | None:
     plain products that subtraction makes.  Visit l's slopes y steepest
     first and skip those already emptied.  a's top entry must empty slope
     X*y, which forces k, and the step touches only slopes no steeper than
-    X*y.  So a pass that never goes negative (a missing slope reads as 0)
-    leaves nothing behind: l = a (x) q as measures, q's slopes strictly
-    decrease, and its heights sum to 1 as l's and a's do.  Only the width
-    can still fail: q's sloped width exceeds l.Z / a.Z when a has a flat
-    tail that l lacks, and ``Curve`` validation rejects that.  No product
-    measure is built.
+    X*y.  So each of l's slopes ends at 0 and every other slope (a missing
+    one reads as 0) only loses mass, and the remainders left total 1 less
+    the sum of q's heights, in l's units.  A pass that never goes negative
+    thus leaves nothing behind: l = a (x) q as measures, q's slopes strictly
+    decrease, and its heights sum to 1 as l's and a's do.  The stop at a
+    negative remainder is only an early exit: run on, a non-quotient gives
+    a negative height (a negative left at one of l's slopes) or else a
+    negative remainder elsewhere, so heights summing past 1, and ``Curve``
+    validation rejects both.  Only the width can still fail: q's sloped
+    width exceeds l.Z / a.Z when a has a flat tail that l lacks, and
+    ``Curve`` validation rejects that too.  No product measure is built.
     """
     width = _ratio(l.total_width, a.total_width)
     ma, ml = _measure(_segment_pairs(a)), _measure(_segment_pairs(l))

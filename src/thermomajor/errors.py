@@ -37,14 +37,6 @@ class ZeroProbability(ThermomajorError):
     """Operation requires strictly positive probabilities."""
 
 
-class NotProductState(ThermomajorError):
-    """Joint state does not factor as system x catalyst."""
-
-
-class CatalystMarginalMismatch(ThermomajorError):
-    """Initial and final catalyst marginals differ."""
-
-
 class InvalidTemperatures(ThermomajorError):
     """Engine parameters violate 0 < beta_hot <= beta_cold or epsilon > 0."""
 
@@ -64,10 +56,6 @@ class OutsideDomain(ThermomajorError, ValueError):
 class InvalidOrder(ThermomajorError, ValueError):
     """A Renyi order is nan or -inf (valid orders are real numbers or +inf),
     or a grid of orders is empty."""
-
-
-class CurvesDiffer(ThermomajorError, ValueError):
-    """An operation defined only for coinciding curves met two that differ."""
 
 
 class ParseError(ThermomajorError):

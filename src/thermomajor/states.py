@@ -28,7 +28,6 @@ constructor binds their fields; each class adds only its checks.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -41,8 +40,6 @@ from .errors import (
     ParseError,
     ProbSumNotOne,
 )
-
-Rat = Fraction
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -265,8 +262,8 @@ class ThermoState(_Value):
     @cached_property
     def z(self) -> Fraction:
         """Partition function: the sum of all Gibbs weights."""
-        den = lcm(*[d for _, d in self._pairs])
-        return Fraction(sum([n * (den // d) for n, d in self._pairs]), den)
+        numerators, den = _scaled(self._pairs)
+        return Fraction(sum(numerators), den)
 
     def gibbs_probs(self) -> tuple[Fraction, ...]:
         z = self.z
@@ -288,15 +285,10 @@ def gibbs_of(state: ThermoState) -> ThermoState:
     """The equilibrium state with the same weights: probs_i = g_i / Z."""
     # With g_i = n_i / d, g_i / Z = n_i / sum(n); over gcd(n) the masses
     # come out as validation reads the reduced probabilities.
-    den = lcm(*[d for _, d in state._pairs])
-    numerators = [n * (den // d) for n, d in state._pairs]
+    numerators, _ = _scaled(state._pairs)
     common = gcd(*numerators)
     masses = [n // common for n in numerators]
     return ThermoState._derived(masses, sum(masses), state._pairs)
-
-
-def is_gibbs(state: ThermoState) -> bool:
-    return state.probs == state.gibbs_probs()
 
 
 class Transition(_Value):
@@ -379,21 +371,3 @@ def state_from_dict(data: object) -> ThermoState:
     return ThermoState(
         rational_list(data, "probs", "state"), rational_list(data, "weights", "state")
     )
-
-
-def state_to_json(state: ThermoState) -> str:
-    return json.dumps(state_to_dict(state), sort_keys=True)
-
-
-def _decode(text: str) -> object:
-    """``json.loads`` whose every failure, deep nesting included, is a ParseError."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError("JSON nested too deeply") from exc
-
-
-def state_from_json(text: str) -> ThermoState:
-    return state_from_dict(_decode(text))

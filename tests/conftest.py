@@ -13,6 +13,7 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 import thermomajor
+from thermomajor.catalysis import cto_feasible
 from thermomajor.curves import Curve, curve_of
 from thermomajor.oracle import random_state, random_transition
 from thermomajor.states import ThermoState, Transition
@@ -27,6 +28,7 @@ __all__ = [
     "apply",
     "is_gibbs_stochastic",
     "run_python",
+    "alpha_equal",
 ]
 
 PALETTE = tuple(Fraction(x) for x in ("1", "2", "3", "1/2", "1/3", "4", "2/3"))
@@ -63,6 +65,11 @@ def run_python(*args: str, timeout: float) -> subprocess.CompletedProcess:
         text=True,
         timeout=timeout,
     )
+
+
+def alpha_equal(a: ThermoState, b: ThermoState) -> bool:
+    """D_alpha equality on the default grid: each state reaches the other."""
+    return cto_feasible(Transition(a, b)).feasible and cto_feasible(Transition(b, a)).feasible
 
 
 def random_full_support_state(rng: random.Random, dim: int) -> ThermoState:

@@ -13,7 +13,7 @@ from thermomajor import cli
 from thermomajor.cli import main
 from thermomajor.curves import breakpoints, curve_of
 from thermomajor.divergences import DEFAULT_ALPHA_GRID
-from thermomajor.states import make_state, state_from_dict, state_to_json
+from thermomajor.states import make_state, state_from_dict, state_to_dict
 
 from conftest import run_python
 
@@ -29,7 +29,7 @@ def state_files(tmp_path):
         "tilted_fin": make_state(("1/3", "2/3"), (2, 1)),
     }.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(state_to_json(state))
+        path.write_text(json.dumps(state_to_dict(state)))
         paths[name] = str(path)
     return paths
 
@@ -52,7 +52,7 @@ class TestCurve:
 
     def test_gibbs_curve_is_two_points(self, capsys, tmp_path):
         path = tmp_path / "gibbs.json"
-        path.write_text(state_to_json(make_state(("1/2", "1/2"), (1, 1))))
+        path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
         code, out = run(capsys, ["curve", str(path)])
         assert code == 0
         assert len(out.strip().splitlines()) == 3  # header + 2 points
@@ -234,7 +234,8 @@ class TestDivergence:
     def test_tiny_weight_profile_is_finite(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("THERMO_ALPHA_GRID", raising=False)
         path = tmp_path / "tiny.json"
-        path.write_text(state_to_json(make_state(("1/2", "1/2"), (1, Fraction(1, 10**200)))))
+        state = make_state(("1/2", "1/2"), (1, Fraction(1, 10**200)))
+        path.write_text(json.dumps(state_to_dict(state)))
         code, out = run(capsys, ["divergence", str(path)])
         assert code == 0
         values = json.loads(out)["value"]
@@ -255,7 +256,7 @@ class TestBuildVerify:
         payload = json.loads(res_path.read_text())
         assert payload["r"] == ["3/4", "1/4"]
         gibbs_path = tmp_path / "gibbs.json"
-        gibbs_path.write_text(state_to_json(make_state(("1/2", "1/2"), (1, 1))))
+        gibbs_path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
         code, out = run(
             capsys,
             ["verify", state_files["biased"], str(gibbs_path), str(res_path)],
@@ -298,7 +299,7 @@ class TestBuildVerify:
             json.dumps({"r": ["1"], "init_weights": ["1"], "fin_weights": ["2"]})
         )
         gibbs_path = tmp_path / "gibbs.json"
-        gibbs_path.write_text(state_to_json(make_state(("1/2", "1/2"), (1, 1))))
+        gibbs_path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
         code, out = run(
             capsys,
             ["verify", state_files["biased"], str(gibbs_path), str(res_path)],
@@ -320,7 +321,7 @@ class TestBuildVerify:
 class TestCatalyticCheck:
     def test_feasible_direction(self, capsys, state_files, tmp_path):
         gibbs_path = tmp_path / "gibbs.json"
-        gibbs_path.write_text(state_to_json(make_state(("1/2", "1/2"), (1, 1))))
+        gibbs_path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
         code, out = run(
             capsys, ["catalytic-check", state_files["mixed"], str(gibbs_path)]
         )
@@ -331,7 +332,7 @@ class TestCatalyticCheck:
 
     def test_infeasible_direction(self, capsys, state_files, tmp_path):
         gibbs_path = tmp_path / "gibbs.json"
-        gibbs_path.write_text(state_to_json(make_state(("1/2", "1/2"), (1, 1))))
+        gibbs_path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
         code, out = run(
             capsys, ["catalytic-check", str(gibbs_path), state_files["mixed"]]
         )
@@ -340,7 +341,7 @@ class TestCatalyticCheck:
 
     def test_grid_emptied_by_nonnegative_only_exits_2(self, capsys, state_files, tmp_path):
         gibbs_path = tmp_path / "gibbs.json"
-        gibbs_path.write_text(state_to_json(make_state(("1/2", "1/2"), (1, 1))))
+        gibbs_path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
         argv = ["catalytic-check", "--nonnegative-only", "--alpha-grid=-1,-2"]
         code = main([*argv, str(gibbs_path), state_files["mixed"]])
         captured = capsys.readouterr()
@@ -657,7 +658,7 @@ class TestFuzz:
             files = []
             for index, state in enumerate(data.draw(st.sampled_from(GRID_STATE_PAIRS))):
                 path = directory / f"{index}.json"
-                path.write_text(state_to_json(state))
+                path.write_text(json.dumps(state_to_dict(state)))
                 files.append(str(path))
             command_argv = data.draw(
                 st.sampled_from(

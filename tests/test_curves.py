@@ -534,6 +534,22 @@ class TestDivide:
         assert q == fraction_divide(left, a)
         assert q is None or all_fractions(q)
 
+    @pytest.mark.parametrize("palette", [True, False], ids=["palette", "generic"])
+    @HYPO
+    @given(data=st.data())
+    def test_negative_remainder_stop_is_an_early_exit(self, palette, data):
+        """Run on past a negative remainder, the peel of a non-quotient makes
+        a negative height or heights summing past 1: ``Curve`` rejects both."""
+        left, a = data.draw(division_cases(palette))
+
+        def run_on(remaining, rows, y, k):
+            for x, h in rows:
+                remaining[x * y] = remaining.get(x * y, 0) - h * k
+            return True
+
+        with mock.patch.object(curves, "_subtract_row", run_on):
+            assert divide(left, a) == fraction_divide(left, a)
+
     def test_flat_tail_of_the_divisor_missing_from_the_product(self):
         """The peel succeeds on the sloped parts, but the quotient's sloped
         width exceeds l.Z / a.Z, so no quotient exists."""

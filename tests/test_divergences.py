@@ -22,7 +22,7 @@ from thermomajor.divergences import (
     shannon_entropy,
 )
 from thermomajor import divergences
-from thermomajor.catalysis import coincide_iff_alpha_equal, cto_feasible
+from thermomajor.catalysis import cto_feasible
 from thermomajor.errors import DimensionMismatch, InvalidOrder, OutsideDomain, ThermomajorError
 from thermomajor.oracle import random_transition
 from thermomajor.reservoirs import Reservoir, minimal_extraction_reservoir
@@ -424,7 +424,6 @@ class TestOneTermListPerPair:
         return (
             cto_feasible(t),
             cto_feasible(t, nonnegative_only=True),
-            coincide_iff_alpha_equal(t.initial, t.final),
             alpha_profile(t.initial),
             alpha_profile(t.initial, t.final),
         )
@@ -460,12 +459,10 @@ class TestOneTermListPerPair:
         t = Transition(p, q)
         calls = self.logged(monkeypatch)
         # Every term of both lists once, and one log per exact rational at
-        # alpha = 0 and inf (coincide stops at the first unequal order, so it
-        # compares p with itself to run the whole grid).
+        # alpha = 0 and inf.
         for check, expected in (
             (lambda: cto_feasible(t), 2 * n + 4),
             (lambda: cto_feasible(t, nonnegative_only=True), 2 * n + 4),
-            (lambda: coincide_iff_alpha_equal(p, p), 2 * n + 4),
             (lambda: alpha_profile(p), n + 2),
         ):
             calls.clear()

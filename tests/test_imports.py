@@ -9,30 +9,27 @@ import pytest
 
 import thermomajor
 from thermomajor.cli import main
-from thermomajor.states import gibbs_of, make_state, state_to_json
+from thermomajor.states import gibbs_of, make_state, state_to_dict
 
 from conftest import run_python
 
-# The public API as the package exported it when it imported every module up
-# front; loading on first use must keep every name.
+# The public API: loading on first use must keep every name.
 PUBLIC = [
-    "AlphaProfile", "CatalystMarginalMismatch", "CtoVerdict", "Curve", "CurvesDiffer",
-    "DEFAULT_ALPHA_GRID", "DimensionCapExceeded", "DimensionMismatch", "EngineReport",
-    "EngineSpec", "GibbsInput", "InvalidCurve", "InvalidOrder", "InvalidTemperatures", "LevelRow",
-    "NegativeProbability", "NonPositiveWeight", "NontrivialHamiltonian", "NotProductState",
-    "OutsideDomain", "ParseError", "ProbSumNotOne", "Rat", "ReproductionMismatch", "Reservoir",
-    "Segment", "ThermoState", "ThermomajorError", "Transition", "WidthMismatch",
-    "ZeroProbability", "alpha_free_energy", "alpha_profile", "alt_product_reservoir", "as_rat",
-    "average_work", "breakpoints", "canonical_curve", "characterize_formation_family",
-    "clock_lift", "coincide", "coincide_iff_alpha_equal", "cto_feasible",
-    "curve_alpha_divergence", "curve_of", "dimension_lower_bound", "divide",
-    "entropy_production", "evaluate", "general_efficient_reservoir", "gibbs_of",
-    "identity_curve", "is_gibbs", "jarzynski_ratio_check", "joint_states", "lp_feasible",
-    "majorizes", "make_state", "minimal_extraction_reservoir", "num_distinct_slopes", "product",
+    "AlphaProfile", "CtoVerdict", "Curve", "DEFAULT_ALPHA_GRID", "DimensionCapExceeded",
+    "DimensionMismatch", "EngineReport", "EngineSpec", "GibbsInput", "InvalidCurve",
+    "InvalidOrder", "InvalidTemperatures", "LevelRow", "NegativeProbability", "NonPositiveWeight",
+    "NontrivialHamiltonian", "OutsideDomain", "ParseError", "ProbSumNotOne",
+    "ReproductionMismatch", "Reservoir", "Segment", "ThermoState", "ThermomajorError",
+    "Transition", "WidthMismatch", "ZeroProbability", "alpha_free_energy", "alpha_profile",
+    "alt_product_reservoir", "as_rat", "average_work", "breakpoints", "canonical_curve",
+    "characterize_formation_family", "clock_lift", "coincide", "cto_feasible",
+    "curve_alpha_divergence", "curve_of", "dimension_lower_bound", "divide", "entropy_production",
+    "evaluate", "general_efficient_reservoir", "gibbs_of", "identity_curve",
+    "jarzynski_ratio_check", "joint_states", "lp_feasible", "majorizes", "make_state",
+    "minimal_extraction_reservoir", "num_distinct_slopes", "product",
     "random_rational_gibbs_matrix", "realize_state", "recovery_map", "renyi",
-    "reservoir_level_table", "run_carnot", "shannon_entropy", "state_from_json",
-    "state_to_json", "strip_catalyst", "tensor", "two_level_extraction_bound",
-    "two_level_formation_bound", "verify_efficient",
+    "reservoir_level_table", "run_carnot", "shannon_entropy", "tensor",
+    "two_level_extraction_bound", "two_level_formation_bound", "verify_efficient",
 ]
 
 
@@ -50,7 +47,7 @@ class TestLazyPackage:
             short = thermomajor._MODULE_OF[name]
             value = getattr(thermomajor, name)
             assert value is getattr(importlib.import_module(f"thermomajor.{short}"), name), name
-            # Classes and functions say where they are defined (Rat is Fraction).
+            # Classes and functions say where they are defined.
             if getattr(value, "__module__", "").startswith("thermomajor."):
                 assert value.__module__ == f"thermomajor.{short}", name
 
@@ -113,8 +110,8 @@ def bare_s_modules():
 def cli_files(tmp_path):
     initial = make_state(("1/2", "1/3", "1/6"), (1, 2, "1/2"))
     paths = {"initial": tmp_path / "initial.json", "final": tmp_path / "final.json"}
-    paths["initial"].write_text(state_to_json(initial))
-    paths["final"].write_text(state_to_json(gibbs_of(initial)))
+    paths["initial"].write_text(json.dumps(state_to_dict(initial)))
+    paths["final"].write_text(json.dumps(state_to_dict(gibbs_of(initial))))
     paths["reservoir"] = tmp_path / "reservoir.json"
     argv = ["build-reservoir", "--method", "general", str(paths["initial"]), str(paths["final"])]
     assert main([*argv, "-o", str(paths["reservoir"])]) == 0

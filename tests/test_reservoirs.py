@@ -41,7 +41,6 @@ from thermomajor.states import (
     Transition,
     clock_lift,
     gibbs_of,
-    is_gibbs,
     make_state,
     tensor,
 )
@@ -103,7 +102,7 @@ def transitions_with_reservoirs(draw, kind):
     if kind == "padded":
         t, res = draw(transitions_with_reservoirs(draw(st.sampled_from(BUILT_KINDS))))
         e = draw(family_states(draw(st.integers(2, 4)), palette))
-        assume(all(e.probs) and not is_gibbs(e))
+        assume(all(e.probs) and e != gibbs_of(e))
         return t, padded(res, e)
     if kind == "product":
         dim = draw(st.integers(1, 4))
@@ -121,7 +120,7 @@ def transitions_with_reservoirs(draw, kind):
         return t, general_efficient_reservoir(t)
     initial = draw(family_states(draw(st.integers(1, 8)), palette))
     if kind == "extraction":
-        assume(not is_gibbs(initial))
+        assume(initial != gibbs_of(initial))
         return extraction_transition(initial), minimal_extraction_reservoir(initial)
     t = Transition(initial, draw(family_states(initial.dim, palette, initial.weights)))
     return t, general_efficient_reservoir(t)
@@ -211,7 +210,7 @@ class TestMinimalReservoir:
         count = 0
         while count < 40:
             p = random_state(rng, rng.randint(2, 4))
-            if is_gibbs(p):
+            if p == gibbs_of(p):
                 continue
             res = minimal_extraction_reservoir(p)
             assert verify_efficient(extraction_transition(p), res)
@@ -357,7 +356,7 @@ class TestSlopeClasses:
     @given(data=st.data())
     def test_extraction_as_small_as_the_minimal_reservoir(self, palette, data):
         p = data.draw(with_zeros(data.draw(family_states(data.draw(st.integers(1, 8)), palette))))
-        assume(not is_gibbs(p))
+        assume(p != gibbs_of(p))
         t = extraction_transition(p)
         res = general_efficient_reservoir(t)
         assert len(res.r) == len(minimal_extraction_reservoir(p).r)
@@ -475,7 +474,7 @@ class TestVerifyEfficient:
         rng = seeded(34)
         for _ in range(20):
             p = random_full_support_state(rng, 3)
-            if is_gibbs(p):
+            if p == gibbs_of(p):
                 continue
             res = minimal_extraction_reservoir(p)
             scale = F(rng.randint(1, 9), rng.randint(1, 9))
@@ -694,7 +693,7 @@ class TestConstructorsMatchReference:
             res, expected = alt_product_reservoir(t), reference_product(t)
         elif kind == "extraction":
             p = draw(with_zeros(draw(family_states(dim, palette))))
-            assume(not is_gibbs(p))
+            assume(p != gibbs_of(p))
             c = draw(self.gauges)
             res, expected = minimal_extraction_reservoir(p, c), reference_minimal(p, c)
         else:
@@ -738,7 +737,7 @@ class TestConstructorsMatchReference:
             res = general_efficient_reservoir(t, anchor)
             assert res == reference_general(t, F(anchor))
             built.append((t, res))
-        if not is_gibbs(t.initial):
+        if t.initial != gibbs_of(t.initial):
             res = minimal_extraction_reservoir(t.initial)
             assert res == reference_minimal(t.initial, F(1))
             built.append((extraction_transition(t.initial), res))
@@ -935,7 +934,7 @@ def built_with_derived_states(draw, kind):
         t = clock_lift(p, draw(family_states(draw(st.integers(1, 6)), palette)))
         return t, general_efficient_reservoir(t), [t.initial, t.final]
     if kind == "minimal":
-        assume(not is_gibbs(p))
+        assume(p != gibbs_of(p))
         t = extraction_transition(p)
         return t, minimal_extraction_reservoir(p), [t.final]
     if kind == "product":
