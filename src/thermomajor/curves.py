@@ -24,21 +24,25 @@ Fraction, and sums the first moment in the same pass.  A product slope is
 x*y over d_a*d_b and a product height h*k over e_a*e_b.  Two curves of
 equal width coincide exactly when their measures are equal.
 
-``reservoirs.verify_efficient`` asks whether a (x) b = c (x) d for four
-such measures.  The first moments come first: chi_1(m), the sum of height
-times slope, is multiplicative under the product (for a state it is the
-Renyi inner sum at alpha = 2), so chi_1(a) chi_1(b) != chi_1(c) chi_1(d)
-proves the products differ in O(n) integer operations.  Write T_kappa m
-for m with every slope scaled by kappa; a shift multiplies chi_1 by kappa,
-so the moments fix the only kappa a shift can have.  A shift certificate
-comes next: b = T_kappa c and d = T_kappa a (the swap every slope-matched
-reservoir makes), or c = T_kappa a and b = T_kappa d, each half one O(n)
-dict pass.  Either makes both products one shift of a common product, with
-no product measure.  Only then is a (x) b built once and c (x) d subtracted
-from it in place, one entry of c at a time; :func:`divide`'s peel is the
-same row subtraction.  No product curve is built.  ``Curve`` validation
-reads signs and order from numerators and cross products and sums heights
-and widths in one exact integer sum, so every check stays exact.
+``reservoirs.verify_efficient`` asks whether a (x) b = c (x) d.  It settles
+a slope-matched reservoir in walk order itself, by cancellation, and hands
+any other four measures to ``_products_coincide``.  The first moments come
+first there: chi_1(m), the sum of height times slope, is multiplicative
+under the product (for a state it is the Renyi inner sum at alpha = 2), so
+chi_1(a) chi_1(b) != chi_1(c) chi_1(d) proves the products differ in O(n)
+integer operations.  Write T_kappa m for m with every slope scaled by
+kappa; a shift multiplies chi_1 by kappa, so the moments fix the only kappa
+a shift can have.  A shift certificate comes next: b = T_kappa c and d =
+T_kappa a (the swap every slope-matched reservoir makes), or c = T_kappa a
+and b = T_kappa d, each half one O(n) dict pass.  Once a first half holds
+the second decides: the measures under the product form the group ring of
+the positive rationals, an integral domain, so the common factor cancels.
+Only when neither first half holds is a (x) b built once and c (x) d
+subtracted from it in place, one entry of c at a time; :func:`divide`'s
+peel is the same row subtraction.  No product curve is built.  ``Curve``
+validation reads signs and order from numerators and cross products and
+sums heights and widths in one exact integer sum, so every check stays
+exact.
 """
 
 from __future__ import annotations
@@ -252,17 +256,21 @@ def _products_coincide(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -
     nothing alone.  The swap certificate (b = T_kappa c and d = T_kappa a,
     so both products are T_kappa (a (x) c)) and the straight one
     (c = T_kappa a and b = T_kappa d, so both are T_kappa (a (x) d)) come
-    next; equal moments give both halves of either the same kappa.  Then
-    the row subtraction decides.
+    next; equal moments give both halves of either the same kappa.  One
+    half decides alone: b = T_kappa c makes a (x) b = c (x) T_kappa a, and
+    the measures under the product form the group ring of the positive
+    rationals, an integral domain, so c cancels and the products are equal
+    exactly when d = T_kappa a (likewise b = T_kappa d once c = T_kappa a).
+    Only when neither first half holds does the row subtraction decide.
     """
     na, nb, nc, nd = ma.moment, mb.moment, mc.moment, md.moment
     da, db, dc, dd = [m.height_den * m.slope_den for m in (ma, mb, mc, md)]
     if na * nb * dc * dd != nc * nd * da * db:
         return False
-    if _is_shift(mc, nc, mb, nb) and _is_shift(ma, na, md, nd):
-        return True
-    if _is_shift(ma, na, mc, nc) and _is_shift(md, nd, mb, nb):
-        return True
+    if _is_shift(mc, nc, mb, nb):
+        return _is_shift(ma, na, md, nd)
+    if _is_shift(ma, na, mc, nc):
+        return _is_shift(md, nd, mb, nb)
     return _same_products(ma, mb, mc, md)
 
 

@@ -35,11 +35,17 @@ is built.  The routes differ in the classes they walk:
   alternative for equal level weights, showing efficiency does not pin the
   reservoir down.
 
-:func:`verify_efficient` reads four factor slope measures through the one
-level reader, each with its first moment summed in the same pass: the
-system's two states and the reservoir's two work states.  It builds no
-curve, clock lift or joint state.  :func:`joint_states` keeps the
-materialised tensor product as an independent cross-check.
+:func:`verify_efficient` decides a (x) b = c (x) d for the system's states
+a, c and the work states b, d by cancellation in the curve monoid.  With
+the gauge kappa of the first cell, b = T_kappa c (every slope times kappa)
+is checked on b's levels against c's cached slope classes by cross
+products in walk order; once it holds, c cancels and d = T_kappa a is the
+verdict, checked the same way.  So a slope-matched reservoir in walk
+order is decided with no work state's slope classes read and no measure
+built.  Any other reservoir has its four factor measures compared by
+``curves._products_coincide``.  No curve, clock lift or joint state is
+built; :func:`joint_states` keeps the materialised tensor product as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -177,7 +183,9 @@ def _slope_matched(
     through each class of either side sum to its mass, so both joint curves
     carry p_a p'_b at slope kappa s_a s'_b for every pair of classes (a, b).
     """
-    # Each weight is m kappa_den d / (scale x): scale and kappa_den lose their gcd once.
+    # Each weight is m times the factor kappa_den d / (scale x) of its class,
+    # reduced once per class (scale and kappa_den lose their gcd first), so
+    # a cell reduces against its mass alone.
     scale, kappa_den = den * kappa[0], kappa[1]
     common = gcd(scale, kappa_den)
     scale, kappa_den = scale // common, kappa_den // common
@@ -185,17 +193,20 @@ def _slope_matched(
     left_prime = 0
     masses, init_pairs, fin_pairs = [], [], []
     for (x, d), left in initials:
+        fin_num, fin_den = kappa_den * d, scale * x
+        common = gcd(fin_num, fin_den)
+        fin_num, fin_den = fin_num // common, fin_den // common
         while left:
             if not left_prime:
                 (x_prime, d_prime), left_prime = next(finals)
+                init_num, init_den = kappa_den * d_prime, scale * x_prime
+                common = gcd(init_num, init_den)
+                init_num, init_den = init_num // common, init_den // common
             m = min(left, left_prime)
-            num = m * kappa_den
-            a, b = num * d_prime, scale * x_prime
-            common = gcd(a, b)
-            init_pairs.append((a // common, b // common))
-            a, b = num * d, scale * x
-            common = gcd(a, b)
-            fin_pairs.append((a // common, b // common))
+            common = gcd(m, init_den)
+            init_pairs.append((m // common * init_num, init_den // common))
+            common = gcd(m, fin_den)
+            fin_pairs.append((m // common * fin_num, fin_den // common))
             masses.append(m)
             left -= m
             left_prime -= m
@@ -322,6 +333,43 @@ def joint_states(t: Transition, res: Reservoir) -> tuple[ThermoState, ThermoStat
     return tensor(t.initial, work.initial), tensor(t.final, work.final)
 
 
+def _is_shifted(state: ThermoState, classes: dict[_Pair, int], den: int, kappa: _Pair) -> bool:
+    """Whether the levels of ``state``, all occupied, carry T_kappa of the
+    slope ``classes`` (reduced slope pairs mapped to masses over ``den``):
+    each level's slope is kappa times a class's slope, and the levels of
+    each class sum to exactly its mass, every class included.
+
+    A level is compared with the current class, then with the next one in
+    ``classes`` order, by exact cross products, so levels in walk order
+    take no gcd; only a level that matches neither is reduced (one gcd)
+    and looked up.
+    """
+    k_num, k_den = kappa
+    slopes = list(classes)
+    targets = [(k_num * x, k_den * y) for x, y in slopes]
+    last = len(targets) - 1
+    got = [0] * len(targets)
+    state_den = state._den
+    i, index = 0, None
+    for m, (n, w) in zip(state._masses, state._pairs):
+        # The level's slope m w / (state_den n) against kappa x / y.
+        num, slope_den = m * w, state_den * n
+        x, y = targets[i]
+        if num * y != slope_den * x:
+            if i < last and num * targets[i + 1][1] == slope_den * targets[i + 1][0]:
+                i += 1
+            else:
+                num, slope_den = num * k_den, slope_den * k_num
+                common = gcd(num, slope_den)
+                if index is None:
+                    index = {slope: j for j, slope in enumerate(slopes)}
+                i = index.get((num // common, slope_den // common))
+                if i is None:
+                    return False
+        got[i] += m
+    return all(g * den == mass * state_den for g, mass in zip(got, classes.values()))
+
+
 def verify_efficient(t: Transition, res: Reservoir) -> bool:
     """Exact zero-dissipation check: do the joint curves coincide?
 
@@ -329,23 +377,41 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     curves, of its work states ``r`` on ``init_weights`` and on
     ``fin_weights`` (the clock lift's zero padding adds no segment).  Both
     have width Z times the sum of all 2d reservoir weights, so they
-    coincide exactly when their slope measures are equal.  The four
-    measures come from the states' cached slope classes, one gcd per level,
-    each with its first moment (sum of height times slope, multiplicative
-    under the product); no curve or state is built.  The two sides'
-    moments are compared first: a mismatch rejects with no product measure,
-    as every single-weight tamper does.  Then the swap certificate: each
-    work measure is the other side's system measure shifted by one slope
-    factor kappa, so both joint measures are the system pair's product
-    shifted by kappa.  Every slope-matched reservoir passes it in O(n), and
-    the trivial reservoir of an identity transition its mirror image.  Only
-    then is one product measure built and the other subtracted from it.
+    coincide exactly when their slope measures are equal: a (x) b = c (x) d
+    for the system's initial and final states a and c and the work states
+    b and d.  No curve, clock lift or joint state is built.
+
+    Cancellation decides the common case from the reservoir's levels.  The
+    gauge kappa is read from the first cell: b's first level's slope over
+    the first slope class of c.  If b = T_kappa c (every slope of c times
+    kappa, with the same heights), then a (x) b = T_kappa (a (x) c) =
+    c (x) T_kappa a.  Slope measures under the product form the group ring
+    of the positive rationals, an integral domain, so c cancels:
+    a (x) b = c (x) d holds exactly when d = T_kappa a, and that one check
+    is the verdict either way.  Both checks read the work states' levels
+    against the system's cached slope classes, by cross products in walk
+    order (:func:`_is_shifted`), so a slope-matched reservoir whose levels
+    come in walk order, tampered in a final weight or not, is decided with
+    no work state's slope classes read and no measure built.
+
+    Otherwise (another level order, another gauge, or no shift at all)
+    the four factor measures are compared by ``curves._products_coincide``:
+    first moments, then the canonical shift certificates, each decided
+    once its first half holds, then the row subtraction.  A slope-matched
+    reservoir in any level order passes the swap certificate in O(n).
 
     This is the single source of truth for efficiency; every construction in
     this module is expected to pass it but none is trusted without it.
     """
-    states = (t.initial, res._initial, t.final, res._final)
-    return _products_coincide(*[_measure_of(s._classes, s._den) for s in states])
+    a, b, c, d = t.initial, res._initial, t.final, res._final
+    x, y = next(iter(c._classes))
+    n, w = b._pairs[0]
+    num, den = b._masses[0] * w * y, b._den * n * x
+    common = gcd(num, den)
+    kappa = (num // common, den // common)
+    if _is_shifted(b, c._classes, c._den, kappa):
+        return _is_shifted(d, a._classes, a._den, kappa)
+    return _products_coincide(*[_measure_of(s._classes, s._den) for s in (a, b, c, d)])
 
 
 def average_work(res: Reservoir) -> float:

@@ -265,16 +265,6 @@ class ThermoState(_Value):
         numerators, den = _scaled(self._pairs)
         return Fraction(sum(numerators), den)
 
-    def gibbs_probs(self) -> tuple[Fraction, ...]:
-        z = self.z
-        return tuple(w / z for w in self.weights)
-
-    def energies(self) -> tuple[float, ...]:
-        """Display-only energies ``-ln(g_i)`` in units of k_B*T."""
-        import math
-
-        return tuple(math.log(d) - math.log(n) for n, d in self._pairs)
-
 
 def make_state(probs: Iterable[object], weights: Iterable[object]) -> ThermoState:
     """Validated constructor accepting ints, Fractions, or ``"p/q"`` strings."""

@@ -679,6 +679,19 @@ class TestProductsCoincide:
         assert not self.verdict(x, spread, x, point)  # c = a only (straight)
         assert not self.verdict(point, x, spread, x)  # b = d only (straight)
 
+    def test_a_first_half_decides_alone(self):
+        # Once b = T_kappa c (or c = T_kappa a) holds, c (or a) cancels and
+        # the second half is the verdict, both ways, with no row subtraction.
+        x = self.levels((F(1, 2), 2), (F(1, 2), 1))
+        spread = self.levels((F(1, 2), 1), (F(1, 2), 4))
+        point = self.levels((1, F(5, 2)),)
+        refuse = AssertionError("a product measure was formed")
+        with mock.patch.object(curves, "_same_products", side_effect=refuse):
+            assert not curves._products_coincide(*self.measures(spread, x, x, point))
+            assert not curves._products_coincide(*self.measures(x, spread, x, point))
+            assert curves._products_coincide(*self.measures(spread, x, x, spread))
+            assert curves._products_coincide(*self.measures(x, point, x, point))
+
     def test_a_shift_needs_equal_heights(self):
         # Slopes 1, 2, 3 with heights 1/4, 1/2, 1/4 and 1/3 each: the same
         # slopes and the same first moment 2, but no shift of each other.

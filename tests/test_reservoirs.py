@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from thermomajor import curves
+from thermomajor import curves, reservoirs
 from thermomajor.curves import coincide, curve_of, num_distinct_slopes, product
 from thermomajor.divergences import renyi, shannon_entropy
 from thermomajor.errors import (
@@ -461,9 +461,13 @@ class TestVerifyEfficient:
         assert not coincide(curve_of(ji), curve_of(jf))
 
     def test_trivial_reservoir_on_identity(self):
-        s = make_state(("1/3", "2/3"), (1, 2))
+        # The one-level reservoir is a shift of c only when c has one
+        # class; otherwise the straight certificate decides it.
+        refuse = AssertionError("a product measure was formed")
         res = Reservoir((F(1),), (F(1),), (F(1),))
-        assert verify_efficient(Transition(s, s), res)
+        for s in (make_state(("1/3", "2/3"), (1, 2)), make_state(("1/4", "0", "3/4"), (1, 1, 3))):
+            with mock.patch.object(curves, "_same_products", side_effect=refuse):
+                assert verify_efficient(Transition(s, s), res)
 
     def test_moved_trivial_reservoir_on_identity_rejected(self):
         s = make_state(("1/3", "2/3"), (1, 2))
@@ -539,9 +543,10 @@ class TestJointStatesAgainstMonoid:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_built_reservoirs_need_no_product_measure(self, kind, data):
-        """Every constructor's reservoir passes a shift certificate (the
-        swap; the straight one for the trivial reservoir of an identity
-        transition), so verifying it never reaches the product comparison."""
+        """Every constructor's reservoir passes the levels check or a shift
+        certificate (the straight one for the trivial reservoir of an
+        identity transition), so verifying it never reaches the product
+        comparison."""
         t, res = data.draw(transitions_with_reservoirs(kind))
         refuse = AssertionError("a product measure was formed")
         with mock.patch.object(curves, "_same_products", side_effect=refuse):
@@ -551,9 +556,11 @@ class TestJointStatesAgainstMonoid:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_tampered_reservoirs_need_no_product_measure(self, kind, data):
-        """Bumping a final weight w by T changes the final work measure's
-        first moment by h s (1/T - 1) != 0 at its level's height h and slope
-        s, so the moments reject before any product measure is formed."""
+        """Bumping a final weight w by T takes its level's mass out of its
+        class of T_kappa a, so the levels check rejects; on the fallback it
+        changes the final work measure's first moment by h s (1/T - 1) != 0
+        at the level's height h and slope s, so the moments reject.  Either
+        way no product measure is formed."""
         t, res = data.draw(transitions_with_reservoirs(kind))
         assert_rejected_without_products(t, tampered(res))
 
@@ -578,6 +585,118 @@ class TestJointStatesAgainstMonoid:
         assert verdict == coincide(product(sys_i, res_i), product(sys_f, res_f))
         ji, jf = joint_states(t, swapped)
         assert verdict == coincide(curve_of(ji), curve_of(jf))
+
+
+def permuted(res, order):
+    """``res`` with its levels in ``order``, through the public constructor."""
+    fields = (res.r, res.init_weights, res.fin_weights)
+    return Reservoir(*[tuple(xs[i] for i in order) for xs in fields])
+
+
+def assert_decided_from_levels(t, res):
+    """``verify_efficient`` decides ``res`` with neither work state's slope
+    classes read, and agrees with the materialised joint states."""
+    verdict = verify_efficient(t, res)
+    assert "_classes" not in vars(res._initial) and "_classes" not in vars(res._final)
+    ji, jf = joint_states(t, res)
+    assert verdict == coincide(curve_of(ji), curve_of(jf))
+    return verdict
+
+
+class TestCancellationVerify:
+    """A slope-matched reservoir is decided from its levels: with kappa read
+    from the first cell, b = T_kappa c, and then d = T_kappa a is the
+    verdict (c cancels).  Any other reservoir goes to the four measures."""
+
+    @pytest.mark.parametrize("tamper", [False, True])
+    @pytest.mark.parametrize("kind", BUILT_KINDS)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_built_and_final_tampered_decided_from_levels(self, kind, tamper, data):
+        t, res = data.draw(transitions_with_reservoirs(kind))
+        # An identity's trivial reservoir is no walk over c's classes.
+        assume(t.initial != t.final)
+        if tamper:
+            res = tampered(res)
+        assert assert_decided_from_levels(t, res) is not tamper
+
+    @pytest.mark.parametrize("kind", BUILT_KINDS)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_any_level_order_needs_no_product_measure(self, kind, data):
+        """A permuted reservoir may miss the first-cell gauge; the swap
+        certificate (or the straight one, for an identity) then decides in
+        O(n) with no product measure."""
+        t, res = data.draw(transitions_with_reservoirs(kind))
+        order = data.draw(st.permutations(range(len(res.r))))
+        refuse = AssertionError("a product measure was formed")
+        with mock.patch.object(curves, "_same_products", side_effect=refuse):
+            assert verify_efficient(t, permuted(res, order))
+
+    @pytest.mark.parametrize("kind", BUILT_KINDS)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_initial_weight_tamper_agrees_with_joint_states(self, kind, data):
+        t, res = data.draw(transitions_with_reservoirs(kind))
+        k = data.draw(st.integers(0, len(res.r) - 1))
+        init = list(res.init_weights)
+        init[k] *= F(10001, 10000)
+        bad = Reservoir(res.r, tuple(init), res.fin_weights)
+        verdict = verify_efficient(t, bad)
+        ji, jf = joint_states(t, bad)
+        assert verdict is False
+        assert verdict == coincide(curve_of(ji), curve_of(jf))
+
+    def test_mass_moved_between_classes_rejected(self):
+        # Cells 0 and 1 leave p's class at slope 2/3 and cell 2 its class at
+        # 1/3.  Doubling cell 1's final weight moves its slope to the other
+        # class: both of a's classes stay covered, with masses 1/3 and 2/3
+        # where a has 2/3 and 1/3.
+        t = Transition(make_state(("2/3", "1/3"), (1, 1)), make_state(("1/3", "2/3"), (1, 1)))
+        res = general_efficient_reservoir(t)
+        assert res.dim == 6
+        fin = list(res.fin_weights)
+        fin[1] *= 2
+        assert assert_decided_from_levels(t, Reservoir(res.r, res.init_weights, tuple(fin))) is False
+        assert assert_decided_from_levels(t, res) is True
+
+    def test_palette_zero_and_lifted_levels(self):
+        # Several levels per class and zero levels on both sides, plain and
+        # clock-lifted, in walk order and reversed.
+        weights = ("1", "2", "1", "2", "1")
+        p = make_state(("1/4", "1/2", "0", "0", "1/4"), weights)
+        q = make_state(("0", "1/3", "1/6", "1/3", "1/6"), weights)
+        for t in (Transition(p, q), Transition(q, p), clock_lift(p, q), clock_lift(q, p)):
+            res = general_efficient_reservoir(t)
+            assert assert_decided_from_levels(t, res) is True
+            assert assert_decided_from_levels(t, tampered(res)) is False
+            assert verify_efficient(t, permuted(res, range(len(res.r))[::-1]))
+
+    def test_shift_check_covers_every_class(self):
+        # One level at slope 1 against classes at slopes 1 and 1/2: the
+        # level matches, but the second class is left without its mass.
+        one = make_state((1,), (1,))
+        assert reservoirs._is_shifted(one, {(1, 1): 1}, 1, (1, 1))
+        assert not reservoirs._is_shifted(one, {(1, 1): 1, (1, 2): 1}, 1, (1, 1))
+        assert not reservoirs._is_shifted(one, {(1, 2): 1, (1, 1): 1}, 1, (1, 1))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_shift_check_any_order(self, data):
+        """A state whose weights are g_i / kappa carries T_kappa of the
+        state's classes in any order of its occupied levels, and a changed
+        weight breaks it."""
+        s = data.draw(family_states(data.draw(st.integers(1, 6)), data.draw(st.booleans())))
+        kappa = (data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+        levels = [(p, g / F(*kappa)) for p, g in zip(s.probs, s.weights) if p]
+        levels = data.draw(st.permutations(levels))
+        shifted = ThermoState(*[tuple(xs) for xs in zip(*levels)])
+        assert reservoirs._is_shifted(shifted, s._classes, s._den, kappa)
+        k = data.draw(st.integers(0, len(levels) - 1))
+        weights = list(shifted.weights)
+        weights[k] *= 3
+        changed = ThermoState(shifted.probs, tuple(weights))
+        assert not reservoirs._is_shifted(changed, s._classes, s._den, kappa)
 
 
 def reference_general(t, anchor):
