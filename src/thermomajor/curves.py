@@ -20,29 +20,22 @@ segment (h, s) as a level of mass h and weight h / s, as in
 ``states._read_levels``, which merges equal slopes as reduced integer
 pairs.  ``_measure_of`` then puts the slopes over the lcm of their
 denominators, a dict from slope numerator to height numerator with no
-Fraction, and sums the first moment in the same pass.  A product slope is
-x*y over d_a*d_b and a product height h*k over e_a*e_b.  Two curves of
-equal width coincide exactly when their measures are equal.
+Fraction.  A product slope is x*y over d_a*d_b and a product height h*k
+over e_a*e_b.  Two curves of equal width coincide exactly when their
+measures are equal.
 
 ``reservoirs.verify_efficient`` asks whether a (x) b = c (x) d.  It settles
-a slope-matched reservoir in walk order itself, by cancellation, and hands
-any other four measures to ``_products_coincide``.  The first moments come
-first there: chi_1(m), the sum of height times slope, is multiplicative
-under the product (for a state it is the Renyi inner sum at alpha = 2), so
-chi_1(a) chi_1(b) != chi_1(c) chi_1(d) proves the products differ in O(n)
-integer operations.  Write T_kappa m for m with every slope scaled by
-kappa; a shift multiplies chi_1 by kappa, so the moments fix the only kappa
-a shift can have.  A shift certificate comes next: b = T_kappa c and d =
-T_kappa a (the swap every slope-matched reservoir makes), or c = T_kappa a
-and b = T_kappa d, each half one O(n) dict pass.  Once a first half holds
-the second decides: the measures under the product form the group ring of
-the positive rationals, an integral domain, so the common factor cancels.
-Only when neither first half holds is a (x) b built once and c (x) d
-subtracted from it in place, one entry of c at a time; :func:`divide`'s
-peel is the same row subtraction.  No product curve is built.  ``Curve``
-validation reads signs and order from numerators and cross products and
-sums heights and widths in one exact integer sum, so every check stays
-exact.
+a slope-matched reservoir itself, from its levels, by cancellation, and
+hands any other four measures to ``_products_coincide``.  The first
+moments come first there: chi_1(m), the sum of height times slope, is
+multiplicative under the product (for a state it is the Renyi inner sum at
+alpha = 2), so chi_1(a) chi_1(b) != chi_1(c) chi_1(d) proves the products
+differ in O(n) integer operations.  Equal moments prove nothing alone, so
+a (x) b is then built once and c (x) d subtracted from it in place, one
+entry of c at a time; :func:`divide`'s peel is the same row subtraction.
+No product curve is built.  ``Curve`` validation reads signs and order
+from numerators and cross products and sums heights and widths in one
+exact integer sum, so every check stays exact.
 """
 
 from __future__ import annotations
@@ -52,7 +45,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
 from .states import (
@@ -132,9 +125,8 @@ def _ratio(a: Fraction, b: Fraction) -> Fraction:
 
 #: A curve's slope measure in integers: ``heights`` maps each slope
 #: numerator to the height numerator at that slope, over one
-#: ``height_den`` and one ``slope_den``; one read from slope classes carries
-#: ``moment``, its first moment's numerator over both (others carry None).
-_Measure = namedtuple("_Measure", ("heights", "height_den", "slope_den", "moment"))
+#: ``height_den`` and one ``slope_den``.
+_Measure = namedtuple("_Measure", ("heights", "height_den", "slope_den"))
 
 
 def _measure(pairs: Sequence[tuple[Fraction, Fraction]]) -> _Measure:
@@ -150,14 +142,10 @@ def _measure(pairs: Sequence[tuple[Fraction, Fraction]]) -> _Measure:
 
 def _measure_of(classes: dict[tuple[int, int], int], den: int) -> _Measure:
     """The measure of slope classes: each reduced slope pair (x, d) carries
-    its mass over ``den``; slopes go over the lcm of their denominators.
-    The first moment is summed in the same pass."""
+    its mass over ``den``; slopes go over the lcm of their denominators."""
     slope_den = lcm(*[d for _, d in classes])
-    heights, moment = {}, 0
-    for (x, d), m in classes.items():
-        x *= slope_den // d
-        heights[x], moment = m, moment + m * x
-    return _Measure(heights, den, slope_den, moment)
+    heights = {x * (slope_den // d): m for (x, d), m in classes.items()}
+    return _Measure(heights, den, slope_den)
 
 
 def _segment_pairs(curve: Curve) -> list[tuple[Fraction, Fraction]]:
@@ -173,7 +161,7 @@ def _product_measure(ma: _Measure, mb: _Measure) -> _Measure:
         for y, k in rows:
             slope = x * y
             merged[slope] = merged.get(slope, 0) + h * k
-    return _Measure(merged, ma.height_den * mb.height_den, ma.slope_den * mb.slope_den, None)
+    return _Measure(merged, ma.height_den * mb.height_den, ma.slope_den * mb.slope_den)
 
 
 def _subtract_row(remaining: dict[int, Fraction], rows: list, y: int, k: Fraction) -> bool:
@@ -208,7 +196,7 @@ def _same_products(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -> bo
         m_slope_den = slope_den // partner.slope_den
         height_factor, slope_factor = m_height_den // m.height_den, m_slope_den // m.slope_den
         heights = {x * slope_factor: h * height_factor for x, h in m.heights.items()}
-        return _Measure(heights, m_height_den, m_slope_den, None)
+        return _Measure(heights, m_height_den, m_slope_den)
 
     remaining = _product_measure(over_common(ma, mb), mb).heights
     rows = list(md.heights.items())
@@ -222,62 +210,24 @@ def _moment(m: _Measure) -> tuple[int, int]:
     return sum([h * x for x, h in m.heights.items()]), m.height_den * m.slope_den
 
 
-def _is_shift(m: _Measure, chi_m: int, n: _Measure, chi_n: int) -> bool:
-    """Whether n = T_kappa m, given the numerators chi of both first moments.
-
-    T_kappa m carries m's height at kappa times each of its slopes, and
-    kappa can only be chi_1(n) / chi_1(m).  Over the integer keys that maps
-    m's slope x to x chi_n H_m / (chi_m H_n), for height denominators H:
-    each result must be an integer key of n carrying the same height.  The
-    factor is reduced once, so for a true shift its denominator divides
-    every key of m and each division is by a small number.
-    """
-    heights = n.heights
-    if len(m.heights) != len(heights):
-        return False
-    scale, div = chi_n * m.height_den, chi_m * n.height_den
-    common = gcd(scale, div)
-    scale, div = scale // common, div // common
-    for x, h in m.heights.items():
-        y, rest = divmod(x * scale, div)
-        if rest or heights.get(y, 0) * m.height_den != h * n.height_den:
-            return False
-    return True
-
-
 def _products_coincide(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -> bool:
     """Whether the measures a (x) b and c (x) d are equal, for four measures
     of total height one.  Widths are not compared: callers pass factors whose
     products share one.
 
-    First the first moments: chi_1 multiplies under the product, so
-    chi_1(a) chi_1(b) != chi_1(c) chi_1(d), compared exactly by
-    cross-multiplying, proves the products differ.  Equal moments prove
-    nothing alone.  The swap certificate (b = T_kappa c and d = T_kappa a,
-    so both products are T_kappa (a (x) c)) and the straight one
-    (c = T_kappa a and b = T_kappa d, so both are T_kappa (a (x) d)) come
-    next; equal moments give both halves of either the same kappa.  One
-    half decides alone: b = T_kappa c makes a (x) b = c (x) T_kappa a, and
-    the measures under the product form the group ring of the positive
-    rationals, an integral domain, so c cancels and the products are equal
-    exactly when d = T_kappa a (likewise b = T_kappa d once c = T_kappa a).
-    Only when neither first half holds does the row subtraction decide.
+    chi_1 multiplies under the product, so chi_1(a) chi_1(b) !=
+    chi_1(c) chi_1(d), compared exactly by cross-multiplying, proves the
+    products differ.  Equal moments prove nothing alone: the row
+    subtraction decides.
     """
-    na, nb, nc, nd = ma.moment, mb.moment, mc.moment, md.moment
-    da, db, dc, dd = [m.height_den * m.slope_den for m in (ma, mb, mc, md)]
-    if na * nb * dc * dd != nc * nd * da * db:
-        return False
-    if _is_shift(mc, nc, mb, nb):
-        return _is_shift(ma, na, md, nd)
-    if _is_shift(ma, na, mc, nc):
-        return _is_shift(md, nd, mb, nb)
-    return _same_products(ma, mb, mc, md)
+    (na, da), (nb, db), (nc, dc), (nd, dd) = [_moment(m) for m in (ma, mb, mc, md)]
+    return na * nb * dc * dd == nc * nd * da * db and _same_products(ma, mb, mc, md)
 
 
 def _curve(m: _Measure, total_width: Fraction) -> Curve:
     """The canonical curve of a measure of positive heights: slopes sorted
     descending, one Fraction per output segment."""
-    heights, height_den, slope_den, _ = m
+    heights, height_den, slope_den = m
     segments = tuple(
         Segment(Fraction(heights[slope], height_den), Fraction(slope, slope_den))
         for slope in sorted(heights, reverse=True)

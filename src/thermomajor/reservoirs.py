@@ -36,22 +36,22 @@ is built.  The routes differ in the classes they walk:
   reservoir down.
 
 :func:`verify_efficient` decides a (x) b = c (x) d for the system's states
-a, c and the work states b, d by cancellation in the curve monoid.  With
-the gauge kappa of the first cell, b = T_kappa c (every slope times kappa)
-is checked on b's levels against c's cached slope classes by cross
-products in walk order; once it holds, c cancels and d = T_kappa a is the
-verdict, checked the same way.  So a slope-matched reservoir in walk
-order is decided with no work state's slope classes read and no measure
-built.  Any other reservoir has its four factor measures compared by
-``curves._products_coincide``.  No curve, clock lift or joint state is
-built; :func:`joint_states` keeps the materialised tensor product as an
-independent cross-check.
+a, c and the work states b, d by cancellation in the curve monoid.  It
+checks b = T_kappa c (every slope times kappa) on b's levels against c's
+cached slope classes by cross products, for the gauge kappa of the first
+cell and then for the one of the steepest slopes; once it holds, c
+cancels and d = T_kappa a is the verdict, checked the same way.  So a
+slope-matched reservoir in any level order is decided with no work
+state's slope classes read and no measure built.  Any other reservoir has
+its four factor measures compared by ``curves._products_coincide``.  No
+curve, clock lift or joint state is built; :func:`joint_states` keeps the
+materialised tensor product as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -370,6 +370,42 @@ def _is_shifted(state: ThermoState, classes: dict[_Pair, int], den: int, kappa: 
     return all(g * den == mass * state_den for g, mass in zip(got, classes.values()))
 
 
+def _steepest(slopes: Iterable[_Pair]) -> _Pair:
+    """The steepest of positive slopes given as integer pairs, by exact
+    cross products."""
+    slopes = iter(slopes)
+    x, y = next(slopes)
+    for u, v in slopes:
+        if u * y > x * v:
+            x, y = u, v
+    return x, y
+
+
+def _over(slope: _Pair, base: _Pair) -> _Pair:
+    """slope / base for two slopes as integer pairs, reduced."""
+    num, den = slope[0] * base[1], slope[1] * base[0]
+    common = gcd(num, den)
+    return num // common, den // common
+
+
+def _gauges(state: ThermoState, classes: dict[_Pair, int]) -> Iterator[_Pair]:
+    """The gauges kappa, as reduced integer pairs, for which ``state`` may be
+    T_kappa of the slope ``classes``: its first level's slope over the first
+    class's, which fits every walk in walk order at O(1) cost; then, if it
+    differs, its steepest level's slope over the steepest class's, found in
+    one pass.  T_kappa keeps the order of slopes, so the second is the only
+    kappa a shift can have."""
+    masses, pairs, den = state._masses, state._pairs, state._den
+    n, w = pairs[0]
+    first = _over((masses[0] * w, den * n), next(iter(classes)))
+    yield first
+    steepest = _over(
+        _steepest((m * w, den * n) for m, (n, w) in zip(masses, pairs)), _steepest(classes)
+    )
+    if steepest != first:
+        yield steepest
+
+
 def verify_efficient(t: Transition, res: Reservoir) -> bool:
     """Exact zero-dissipation check: do the joint curves coincide?
 
@@ -381,36 +417,30 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     for the system's initial and final states a and c and the work states
     b and d.  No curve, clock lift or joint state is built.
 
-    Cancellation decides the common case from the reservoir's levels.  The
-    gauge kappa is read from the first cell: b's first level's slope over
-    the first slope class of c.  If b = T_kappa c (every slope of c times
-    kappa, with the same heights), then a (x) b = T_kappa (a (x) c) =
-    c (x) T_kappa a.  Slope measures under the product form the group ring
-    of the positive rationals, an integral domain, so c cancels:
-    a (x) b = c (x) d holds exactly when d = T_kappa a, and that one check
-    is the verdict either way.  Both checks read the work states' levels
-    against the system's cached slope classes, by cross products in walk
-    order (:func:`_is_shifted`), so a slope-matched reservoir whose levels
-    come in walk order, tampered in a final weight or not, is decided with
-    no work state's slope classes read and no measure built.
+    Cancellation decides the common case from the reservoir's levels.  If
+    b = T_kappa c (every slope of c times kappa, with the same heights),
+    then a (x) b = T_kappa (a (x) c) = c (x) T_kappa a.  Slope measures
+    under the product form the group ring of the positive rationals, an
+    integral domain, so c cancels: a (x) b = c (x) d holds exactly when
+    d = T_kappa a, and that one check is the verdict either way.  Both
+    checks read the work states' levels against the system's cached slope
+    classes by cross products (:func:`_is_shifted`), for each gauge of
+    :func:`_gauges` in turn.  So a slope-matched reservoir in any level
+    order, tampered in a final weight or not, is decided with no work
+    state's slope classes read and no measure built.
 
-    Otherwise (another level order, another gauge, or no shift at all)
-    the four factor measures are compared by ``curves._products_coincide``:
-    first moments, then the canonical shift certificates, each decided
-    once its first half holds, then the row subtraction.  A slope-matched
-    reservoir in any level order passes the swap certificate in O(n).
+    Otherwise (b is no shift of c: a tampered initial weight, a reservoir
+    of another shape, or the one-level reservoir of an identity on a state
+    of several slope classes) the four factor measures are compared by
+    ``curves._products_coincide``: first moments, then the row subtraction.
 
     This is the single source of truth for efficiency; every construction in
     this module is expected to pass it but none is trusted without it.
     """
     a, b, c, d = t.initial, res._initial, t.final, res._final
-    x, y = next(iter(c._classes))
-    n, w = b._pairs[0]
-    num, den = b._masses[0] * w * y, b._den * n * x
-    common = gcd(num, den)
-    kappa = (num // common, den // common)
-    if _is_shifted(b, c._classes, c._den, kappa):
-        return _is_shifted(d, a._classes, a._den, kappa)
+    for kappa in _gauges(b, c._classes):
+        if _is_shifted(b, c._classes, c._den, kappa):
+            return _is_shifted(d, a._classes, a._den, kappa)
     return _products_coincide(*[_measure_of(s._classes, s._den) for s in (a, b, c, d)])
 
 

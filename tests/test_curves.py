@@ -591,10 +591,10 @@ class TestDivide:
 
 
 class TestProductsCoincide:
-    """The four-measure comparison that ``reservoirs.verify_efficient`` runs,
-    on measures no shift certificate relates.  Each verdict is also asked of
-    the row subtraction, ``_same_products``, directly, since unequal first
-    moments reject before it runs."""
+    """The four-measure comparison that ``reservoirs.verify_efficient`` runs
+    when the work states are no shifts of the system's.  Each verdict is
+    also asked of the row subtraction, ``_same_products``, directly, since
+    unequal first moments reject before it runs."""
 
     @staticmethod
     def measures(*states):
@@ -654,43 +654,33 @@ class TestProductsCoincide:
         """The state of one level per (height, slope) pair."""
         return ThermoState(tuple(F(h) for h, _ in pairs), tuple(F(h) / F(s) for h, s in pairs))
 
-    def test_shift_certificates_need_no_product_measure(self):
-        # b and d are c and a with every slope times 3/2 (the swap), and
-        # then a and b are c and d times 2/3 (the straight certificate).
+    def test_shifted_factors(self):
+        # b and d are c and a with every slope times 3/2, and then a and b
+        # are c and d times 2/3: both products are shifts of a (x) c.
         c = self.levels((F(1, 2), 2), (F(1, 2), 1))
         a = self.levels((F(1, 4), 4), (F(3, 4), 1))
         b = self.levels((F(1, 2), 3), (F(1, 2), F(3, 2)))
         d = self.levels((F(1, 4), 6), (F(3, 4), F(3, 2)))
-        refuse = AssertionError("a product measure was formed")
-        with mock.patch.object(curves, "_same_products", side_effect=refuse):
-            assert curves._products_coincide(*self.measures(a, b, c, d))
-            assert curves._products_coincide(*self.measures(c, d, a, b))
         assert self.verdict(a, b, c, d) and self.verdict(c, d, a, b)
+        # One factor another (kappa = 1) and the other two equal too; the
+        # rejecting halves are in the test below.
+        x = self.levels((F(1, 2), 2), (F(1, 2), 1))
+        spread = self.levels((F(1, 2), 1), (F(1, 2), 4))
+        point = self.levels((1, F(5, 2)),)
+        assert self.verdict(spread, x, x, spread)
+        assert self.verdict(x, point, x, point)
 
     def test_one_half_of_a_certificate_is_not_enough(self):
         # Slopes 1, 4 and the one slope 5/2 share the first moment 5/2, and
-        # so do x and itself: in each case one half of a certificate holds
-        # with kappa = 1, the other does not, and the products differ.
+        # so do x and itself: in each case one factor is another (kappa =
+        # 1), the other pair is not, and the products differ.
         x = self.levels((F(1, 2), 2), (F(1, 2), 1))
         spread = self.levels((F(1, 2), 1), (F(1, 2), 4))
         point = self.levels((1, F(5, 2)),)
-        assert not self.verdict(spread, x, x, point)  # b = c only (swap)
-        assert not self.verdict(x, point, spread, x)  # d = a only (swap)
-        assert not self.verdict(x, spread, x, point)  # c = a only (straight)
-        assert not self.verdict(point, x, spread, x)  # b = d only (straight)
-
-    def test_a_first_half_decides_alone(self):
-        # Once b = T_kappa c (or c = T_kappa a) holds, c (or a) cancels and
-        # the second half is the verdict, both ways, with no row subtraction.
-        x = self.levels((F(1, 2), 2), (F(1, 2), 1))
-        spread = self.levels((F(1, 2), 1), (F(1, 2), 4))
-        point = self.levels((1, F(5, 2)),)
-        refuse = AssertionError("a product measure was formed")
-        with mock.patch.object(curves, "_same_products", side_effect=refuse):
-            assert not curves._products_coincide(*self.measures(spread, x, x, point))
-            assert not curves._products_coincide(*self.measures(x, spread, x, point))
-            assert curves._products_coincide(*self.measures(spread, x, x, spread))
-            assert curves._products_coincide(*self.measures(x, point, x, point))
+        assert not self.verdict(spread, x, x, point)  # b = c only
+        assert not self.verdict(x, point, spread, x)  # d = a only
+        assert not self.verdict(x, spread, x, point)  # c = a only
+        assert not self.verdict(point, x, spread, x)  # b = d only
 
     def test_a_shift_needs_equal_heights(self):
         # Slopes 1, 2, 3 with heights 1/4, 1/2, 1/4 and 1/3 each: the same
@@ -702,9 +692,9 @@ class TestProductsCoincide:
         assert not self.verdict(c, one, one, b)
 
     def test_a_shift_needs_integer_slopes(self):
-        # b's moment over c's is kappa = 8/13.  c's slopes 2, 3, 4 times
-        # kappa round down to 1, 1, 2, keys of b with the same heights, but
-        # none is an integer: b is no shift of c.
+        # b's first moment over c's is 8/13, the one slope of kappa, so the
+        # moments agree.  c's slopes 2, 3, 4 times 8/13 round down to 1, 1,
+        # 2, slopes of b with the same heights, but b is no shift of c.
         c = self.levels((F(1, 4), 2), (F(1, 4), 3), (F(1, 2), 4))
         b = self.levels((F(1, 4), 1), (F(1, 2), 2), (F(1, 4), 3))
         one, kappa = make_state((1,), (1,)), self.levels((1, F(8, 13)),)
