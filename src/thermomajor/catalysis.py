@@ -26,13 +26,10 @@ class CtoVerdict(_Value):
 
     ``feasible=False`` is an exact rejection (some witnessed alpha violates
     monotonicity); ``feasible=True`` only certifies the sampled grid, hence
-    ``grid_only`` stays True as a standing caveat.
+    :func:`cto_feasible` sets ``grid_only`` True as a standing caveat.
     """
 
     _fields = ("feasible", "witnessed", "grid_only")
-
-    def __init__(self, feasible: bool, witnessed: tuple, grid_only: bool = True) -> None:
-        super().__init__(feasible, witnessed, grid_only)
 
 
 def cto_feasible(
@@ -63,4 +60,5 @@ def cto_feasible(
     return CtoVerdict(
         all(sign >= 0 for _, _, sign in compared),
         tuple((alpha, d_init, d_fin) for alpha, (d_init, d_fin, _) in zip(grid, compared)),
+        grid_only=True,
     )

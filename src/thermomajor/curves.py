@@ -49,24 +49,8 @@ from math import lcm
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
 from .states import (
-    ThermoState, _ONE, _ZERO, _Value, _check_rationals, _exact_sum, _read_levels, _scaled
+    ThermoState, _ONE, _ZERO, _Value, _check_rationals, _exact_sum, _read_levels, _scaled, _show
 )
-
-__all__ = [
-    "Segment",
-    "Curve",
-    "canonical_curve",
-    "curve_of",
-    "identity_curve",
-    "num_distinct_slopes",
-    "evaluate",
-    "breakpoints",
-    "majorizes",
-    "coincide",
-    "product",
-    "divide",
-    "realize_state",
-]
 
 
 class Segment(_Value):
@@ -98,9 +82,9 @@ class Curve(_Value):
         for seg in self.segments:
             height, slope = seg.height, seg.slope
             if height.numerator <= 0:
-                raise InvalidCurve(f"segment height {height} must be positive")
+                raise InvalidCurve(f"segment height {_show(height)} must be positive")
             if slope.numerator <= 0:
-                raise InvalidCurve(f"segment slope {slope} must be positive")
+                raise InvalidCurve(f"segment slope {_show(slope)} must be positive")
             if previous is not None and (
                 slope.numerator * previous.denominator >= previous.numerator * slope.denominator
             ):
@@ -108,7 +92,7 @@ class Curve(_Value):
             previous = slope
         total_height = _exact_sum(seg.height for seg in self.segments)
         if total_height != _ONE:
-            raise InvalidCurve(f"segment heights sum to {total_height}, not 1")
+            raise InvalidCurve(f"segment heights sum to {_show(total_height)}, not 1")
         if self.sloped_width > self.total_width:
             raise InvalidCurve("sloped width exceeds total width")
 
@@ -283,7 +267,7 @@ def evaluate(curve: Curve, x: Fraction) -> Fraction:
     """Exact value of the curve at ``x`` in [0, Z], an int or a Fraction."""
     _check_rationals((x,))
     if x < 0 or x > curve.total_width:
-        raise OutsideDomain(f"x={x} outside [0, {curve.total_width}]")
+        raise OutsideDomain(f"x={_show(x)} outside [0, {_show(curve.total_width)}]")
     points = breakpoints(curve)
     return _height_at(points, bisect_left(points, x, key=lambda point: point[0]), x)
 
@@ -308,7 +292,7 @@ def majorizes(a: Curve, b: Curve) -> bool:
     """
     if a.total_width != b.total_width:
         raise WidthMismatch(
-            f"widths differ: {a.total_width} vs {b.total_width}; "
+            f"widths differ: {_show(a.total_width)} vs {_show(b.total_width)}; "
             "curves from different Hamiltonians are not comparable"
         )
     pa, pb = breakpoints(a), breakpoints(b)

@@ -2,8 +2,8 @@
 
 Divergences are evaluated in double precision from exact rationals; the exact
 side of the alpha = 0 and alpha = infinity endpoints (the rational inside the
-log) is exposed separately for callers that need exact comparisons.  Natural
-logs throughout.
+log) stays private, in each pair's term list, where the order comparison
+reads it to decide those endpoints exactly.  Natural logs throughout.
 
 A pair (p, q), or a curve against its equilibrium, is read once into one
 private term list (log-ratios, the exact D_0 mass and D_inf ratio, support
@@ -34,22 +34,7 @@ from functools import cached_property
 
 from .curves import Curve, _ratio, curve_of
 from .errors import DimensionMismatch, InvalidOrder, OutsideDomain
-from .states import ThermoState, Transition, _Value, _exact_sum, gibbs_of
-
-__all__ = [
-    "DEFAULT_ALPHA_GRID",
-    "AlphaProfile",
-    "ln_frac",
-    "shannon_entropy",
-    "renyi",
-    "d0_support_mass",
-    "dinf_max_ratio",
-    "entropy_production",
-    "alpha_free_energy",
-    "alpha_profile",
-    "curve_alpha_divergence",
-    "jarzynski_ratio_check",
-]
+from .states import ThermoState, Transition, _Value, _exact_sum, _show, gibbs_of
 
 #: Grid used by the catalytic-feasibility and curve-coincidence checks.
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (
@@ -76,7 +61,7 @@ _RATIO_TOL = 1e-9
 def ln_frac(x: Fraction) -> float:
     """Natural log of a positive rational to a few ulps, near 1 and for huge ones."""
     if x <= 0:
-        raise OutsideDomain(f"ln of non-positive rational {x}")
+        raise OutsideDomain(f"ln of non-positive rational {_show(x)}")
     return _ln_ratio(x.numerator, x.denominator)
 
 
@@ -147,16 +132,6 @@ class _CurveTerms(_Terms):
     @cached_property
     def ratio(self) -> Fraction:
         return self.curve.segments[0].slope * self.curve.total_width
-
-
-def d0_support_mass(p: ThermoState, q: ThermoState) -> Fraction:
-    """Exact inner argument of D_0: the q-mass of p's support."""
-    return _Terms(p, q).mass
-
-
-def dinf_max_ratio(p: ThermoState, q: ThermoState) -> Fraction | None:
-    """Exact inner argument of D_inf: max p_i/q_i on p's support, None if infinite."""
-    return _Terms(p, q).ratio
 
 
 def _divergence(alpha: float, pair: _Terms) -> float:

@@ -21,8 +21,6 @@ from .errors import InvalidTemperatures
 from .reservoirs import Reservoir, minimal_extraction_reservoir, verify_efficient
 from .states import ThermoState, Transition, _Value, gibbs_of, make_state
 
-__all__ = ["EngineSpec", "LevelRow", "EngineReport", "reservoir_level_table", "run_carnot"]
-
 APPROX_DENOMINATOR = 10**6
 
 

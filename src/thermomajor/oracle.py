@@ -22,14 +22,6 @@ from fractions import Fraction
 from .errors import DimensionCapExceeded, DimensionMismatch, NonPositiveWeight
 from .states import ThermoState, Transition, _check_rationals
 
-__all__ = [
-    "lp_feasible",
-    "recovery_map",
-    "random_rational_gibbs_matrix",
-    "random_state",
-    "random_transition",
-]
-
 DEFAULT_DIMENSION_CAP = 8
 
 Matrix = tuple[tuple[Fraction, ...], ...]

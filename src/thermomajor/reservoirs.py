@@ -10,9 +10,10 @@ self-certify; tests always go through the verifier.
 
 A reservoir is its two work states, ``r`` on ``init_weights`` and ``r`` on
 ``fin_weights``, each in the one integer form of a state (masses over one
-denominator, reduced weight pairs); its ``Fraction`` fields are read from
-them on first access.  Every reservoir, built or given, passes the checks
-of ``Reservoir._store`` on its integers.
+denominator, reduced weight pairs).  Every reservoir comes from the walk
+below or from the public constructor, and passes the checks of
+``Reservoir._store`` on its integers; one from the walk reads its
+``Fraction`` fields from its work states on first access.
 
 Synthesis is one walk, :func:`_slope_matched`: the north-west corner of a
 coupling between the initial and final *slope classes* (each side's
@@ -80,6 +81,7 @@ from .states import (
     _Value,
     _check_rationals,
     _scaled,
+    _show,
     clock_lift,
     gibbs_of,
     tensor,
@@ -97,8 +99,9 @@ class Reservoir(_Value):
 
     It holds its two work states, ``_initial`` (``r`` on ``init_weights``)
     and ``_final`` (``r`` on ``fin_weights``), built from checked integers.
-    A reservoir this module builds reads its ``Fraction`` fields from them
-    on first access.
+    A reservoir comes from this constructor or from the walk,
+    :func:`_slope_matched`, and ``_store`` checks both; one from the walk
+    reads its ``Fraction`` fields from its work states on first access.
     """
 
     _fields = ("r", "init_weights", "fin_weights")
@@ -111,19 +114,10 @@ class Reservoir(_Value):
         r, init, fin = [[x.as_integer_ratio() for x in xs] for xs in self._values()]
         self._store(*_scaled(r), init, fin)
 
-    @classmethod
-    def _from_cells(cls, masses: list[int], den: int, init: list[_Pair], fin: list[_Pair]):
-        """The reservoir of integer levels: masses over ``den`` and weight
-        pairs with positive denominators, all reduced here.  Every check of
-        the public constructor runs, on the integers."""
-        init, fin = [[(n // g, d // g) for n, d in ws for g in [gcd(n, d)]] for ws in (init, fin)]
-        res = cls.__new__(cls)
-        res._store(masses, den, init, fin)
-        return res
-
     def _store(self, masses: list[int], den: int, init: list[_Pair], fin: list[_Pair]) -> None:
-        """Check integer levels and keep them as the two work states, with
-        masses and ``den`` divided by their gcd, as validation reads them."""
+        """Check integer levels (masses over ``den``, reduced weight pairs)
+        and keep them as the two work states, with masses and ``den``
+        divided by their gcd, as validation reads them."""
         if not (len(masses) == len(init) == len(fin)):
             raise DimensionMismatch("r, init_weights, fin_weights must share a length")
         if len(masses) < 1:
@@ -131,15 +125,15 @@ class Reservoir(_Value):
         for m in masses:
             if m <= 0:
                 raise NegativeProbability(
-                    f"reservoir probability {Fraction(m, den)} must be positive"
+                    f"reservoir probability {_show(Fraction(m, den))} must be positive"
                 )
         total = sum(masses)
         if total != den:
-            raise ProbSumNotOne(f"reservoir distribution sums to {Fraction(total, den)}")
+            raise ProbSumNotOne(f"reservoir distribution sums to {_show(Fraction(total, den))}")
         for num, w_den in init + fin:
             if num <= 0:
                 raise NonPositiveWeight(
-                    f"reservoir weight {Fraction(num, w_den)} must be positive"
+                    f"reservoir weight {_show(Fraction(num, w_den))} must be positive"
                 )
         common = gcd(den, *masses)
         masses, den = [m // common for m in masses], den // common
@@ -252,7 +246,7 @@ def minimal_extraction_reservoir(p: ThermoState, c: Fraction = _ONE) -> Reservoi
     """
     _check_rationals((c,))
     if c.numerator <= 0:
-        raise NonPositiveWeight(f"gauge constant c={c} must be positive")
+        raise NonPositiveWeight(f"gauge constant c={_show(c)} must be positive")
     classes, den = p._classes, p._den
     # One slope on the full support makes p_i = g_i / Z.
     if len(classes) == 1 and all(p._masses):
@@ -283,15 +277,15 @@ def general_efficient_reservoir(
 
     ``anchor_weight`` fixes the translation gauge: the first cell's initial
     weight equals it exactly.  Equal endpoints yield the trivial two-level
-    reservoir.
+    reservoir, both weights the anchor, from the public constructor.
     """
     _check_rationals((anchor_weight,))
     if anchor_weight.numerator <= 0:
-        raise NonPositiveWeight(f"anchor weight {anchor_weight} must be positive")
+        raise NonPositiveWeight(f"anchor weight {_show(anchor_weight)} must be positive")
     p, q = t.initial, t.final
-    anchor = anchor_weight.as_integer_ratio()
+    anchor = Fraction(anchor_weight)
     if p._masses == q._masses and p._den == q._den:
-        return Reservoir._from_cells([1], 1, [anchor], [anchor])
+        return Reservoir((_ONE,), (anchor,), (anchor,))
     # Both sides' classes over one denominator: each holds `den` in all, so
     # the final classes run out exactly with the initial ones.
     den = lcm(p._den, q._den)
@@ -301,7 +295,7 @@ def general_efficient_reservoir(
     # kappa = m0 / (den s0' anchor) puts the anchor on the first cell, whose
     # mass m0 is the smaller first class.
     (x0, d0), m0 = finals[0]
-    kappa = (min(initials[0][1], m0) * d0 * anchor[1], den * x0 * anchor[0])
+    kappa = (min(initials[0][1], m0) * d0 * anchor.denominator, den * x0 * anchor.numerator)
     return _slope_matched(initials, finals, den, kappa)
 
 

@@ -28,6 +28,7 @@ constructor binds their fields; each class adds only its checks.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -76,6 +77,16 @@ def as_rat(value: object) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
     raise ParseError(f"expected int, Fraction or 'p/q' string, got {type(value).__name__}")
+
+
+def _show(x: object) -> str:
+    """``x`` as text for an error message: its ``str``, or, for a rational
+    with more digits than Python converts to a string, that limit in its
+    place, so a message about bad input never fails to be built."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"(a rational of more than {sys.get_int_max_str_digits()} digits)"
 
 
 def _scaled(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
@@ -214,17 +225,17 @@ class ThermoState(_Value):
                 _check_rationals((p, w))
             pair = w.as_integer_ratio()
             if pair[0] <= 0:
-                raise NonPositiveWeight(f"weight {w} is not positive")
+                raise NonPositiveWeight(f"weight {_show(w)} is not positive")
             pairs.append(pair)
             ratio = p.as_integer_ratio()
             if ratio[0] < 0:
-                raise NegativeProbability(f"probability {p} is negative")
+                raise NegativeProbability(f"probability {_show(p)} is negative")
             ratios.append(ratio)
         # The exact sum's integer reading is kept: ``_masses`` over ``_den``.
         masses, den = _scaled(ratios)
         total = sum(masses)
         if total != den:
-            raise ProbSumNotOne(f"probabilities sum to {Fraction(total, den)}, not 1")
+            raise ProbSumNotOne(f"probabilities sum to {_show(Fraction(total, den))}, not 1")
         for name, value in (("_masses", masses), ("_den", den), ("_pairs", pairs)):
             object.__setattr__(self, name, value)
 

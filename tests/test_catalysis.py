@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from thermomajor.catalysis import cto_feasible
 from thermomajor.curves import coincide, curve_of, divide
-from thermomajor.divergences import DEFAULT_ALPHA_GRID, d0_support_mass, dinf_max_ratio, renyi
+from thermomajor.divergences import DEFAULT_ALPHA_GRID, _Terms, renyi
 from thermomajor.errors import InvalidOrder, ThermomajorError
 from thermomajor.oracle import random_transition
 from thermomajor.reservoirs import joint_states, minimal_extraction_reservoir
@@ -258,11 +258,11 @@ def reference_cto(t, alpha_grid, nonnegative_only):
         d_fin = renyi(alpha, t.final, tau)
         witnessed.append((alpha, d_init, d_fin))
         if alpha == 0:
-            if d0_support_mass(t.initial, tau) > d0_support_mass(t.final, tau):
+            if _Terms(t.initial, tau).mass > _Terms(t.final, tau).mass:
                 feasible = False
         elif math.isinf(alpha) and alpha > 0:
-            ratio_init = dinf_max_ratio(t.initial, tau)
-            ratio_fin = dinf_max_ratio(t.final, tau)
+            ratio_init = _Terms(t.initial, tau).ratio
+            ratio_fin = _Terms(t.final, tau).ratio
             if ratio_init is not None and (ratio_fin is None or ratio_init < ratio_fin):
                 feasible = False
         else:

@@ -146,6 +146,43 @@ class TestExitCodes:
             "the limit for integer string conversion\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, files, message",
+        [
+            ("curve", [{"probs": ["-1e-4300", "1"], "weights": [1, 1]}],
+             "input error: {0}: probability {beyond} is negative"),
+            ("curve", [{"probs": ["1/2", "1/2"], "weights": ["-1e-4300", "1"]}],
+             "input error: {0}: weight {beyond} is not positive"),
+            ("curve", [{"probs": ["1e-4300", "1e-4299"], "weights": [1, 1]}],
+             "input error: {0}: probabilities sum to {beyond}, not 1"),
+            ("majorize",
+             [{"probs": ["1/2", "1/2"], "weights": [1, 2]},
+              {"probs": ["1/2", "1/2"], "weights": ["1e4000", "1e-4000"]}],
+             "error: widths differ: 3 vs {beyond}; "
+             "curves from different Hamiltonians are not comparable"),
+            ("verify",
+             [{"probs": ["1/2", "1/2"], "weights": [1, 1]}] * 2
+             + [{"r": ["1"], "init_weights": ["-1e-4300"], "fin_weights": ["1"]}],
+             "input error: {2}: reservoir weight {beyond} must be positive"),
+        ],
+        ids=["negative-probability", "non-positive-weight", "sum", "widths", "reservoir-weight"],
+    )
+    def test_error_message_beyond_digit_limit_exits_2(
+        self, capsys, tmp_path, command, files, message
+    ):
+        """A message naming a rational beyond the digit limit shows the
+        limit in its place: exit 2, not an internal error."""
+        paths = []
+        for index, data in enumerate(files):
+            path = tmp_path / f"{index}.json"
+            path.write_text(json.dumps(data))
+            paths.append(str(path))
+        assert main([command, *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        beyond = "(a rational of more than 4300 digits)"
+        assert captured.err == message.format(*paths, beyond=beyond) + "\n"
+
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch, state_files):
         def boom(args):
             raise RuntimeError("boom")
@@ -279,6 +316,20 @@ class TestBuildVerify:
         payload = json.loads(out)
         assert payload["r"] == ["1/3", "1/6", "1/2"]
         assert payload["init_weights"] == ["1", "1/8", "3/8"]
+
+    @pytest.mark.parametrize("anchor, weight", [([], "1"), (["--anchor", "5/7"], "5/7")])
+    def test_equal_endpoints_build_one_level(self, capsys, state_files, anchor, weight):
+        argv = ["build-reservoir", "--method", "general", *anchor]
+        code, out = run(capsys, [*argv, state_files["tilted_init"], state_files["tilted_init"]])
+        assert code == 0
+        assert out == (
+            "{\n"
+            '  "average_work": 0.0,\n'
+            f'  "fin_weights": [\n    "{weight}"\n  ],\n'
+            f'  "init_weights": [\n    "{weight}"\n  ],\n'
+            '  "r": [\n    "1"\n  ]\n'
+            "}\n"
+        )
 
     def test_product_build(self, capsys, state_files):
         code, out = run(

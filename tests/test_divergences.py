@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 from thermomajor.curves import curve_of
 from thermomajor.divergences import (
     DEFAULT_ALPHA_GRID,
+    _Terms,
     alpha_free_energy,
     alpha_profile,
     curve_alpha_divergence,
-    d0_support_mass,
-    dinf_max_ratio,
     entropy_production,
     jarzynski_ratio_check,
     ln_frac,
@@ -348,13 +347,13 @@ class TestHelpers:
     def test_d0_support_mass_exact(self):
         p = make_state(("1/2", "1/2", 0), (1, 1, 1))
         tau = gibbs_of(p)
-        assert d0_support_mass(p, tau) == F(2, 3)
+        assert _Terms(p, tau).mass == F(2, 3)
         assert abs(renyi(0.0, p, tau) + math.log(2 / 3)) <= 1e-15
 
     def test_int_entries_give_an_exact_max_ratio(self):
         # Plain ints, which ThermoState accepts, divide exactly: no float ratio.
         p = ThermoState((1, 0), (1, 1))
-        ratio = dinf_max_ratio(p, p)
+        ratio = _Terms(p, p).ratio
         assert ratio == 1 and type(ratio) is F
 
     def test_int_entries_at_order_infinity(self):
@@ -447,8 +446,7 @@ class TestOneTermListPerPair:
         def refuse(*args):
             raise AssertionError("a multi-order caller read its pair per order")
 
-        for name in ("renyi", "d0_support_mass", "dinf_max_ratio"):
-            monkeypatch.setattr(divergences, name, refuse)
+        monkeypatch.setattr(divergences, "renyi", refuse)
         assert [self.results(t) for t in self.transitions()] == expected
 
     @pytest.mark.parametrize("n", [1, 3, 8])

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import pkgutil
 import sys
 import types
 
@@ -57,6 +58,17 @@ class TestLazyPackage:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             thermomajor.no_such_name
+
+    def test_the_package_table_is_the_one_list_of_public_names(self):
+        """No module keeps a list of its own to drift from ``_EXPORTS``, and
+        a star import of a module still binds every name listed for it."""
+        for info in pkgutil.iter_modules(thermomajor.__path__):
+            module = importlib.import_module(f"thermomajor.{info.name}")
+            assert not hasattr(module, "__all__"), info.name
+        for short, names in thermomajor._EXPORTS.items():
+            namespace = {}
+            exec(f"from thermomajor.{short} import *", namespace)
+            assert set(names) <= set(namespace), short
 
     def test_from_import_of_a_submodule(self):
         from thermomajor import curves

@@ -1045,8 +1045,9 @@ class TestIntegerReservoir:
     def test_integer_path_checks_like_the_public_one(
         self, masses, den, init_pairs, fin_pairs, error, message
     ):
+        # The walk's path: a bare reservoir checked on its integers.
         with pytest.raises(error, match=f"^{message}$"):
-            Reservoir._from_cells(masses, den, init_pairs, fin_pairs)
+            Reservoir.__new__(Reservoir)._store(masses, den, init_pairs, fin_pairs)
         fields = (
             tuple(F(m, den) for m in masses),
             tuple(F(*w) for w in init_pairs),
@@ -1062,13 +1063,6 @@ class TestIntegerReservoir:
         _, res = data.draw(transitions_with_reservoirs(kind))
         assert_same_state(res._initial, ThermoState(res.r, res.init_weights))
         assert_same_state(res._final, ThermoState(res.r, res.fin_weights))
-
-    def test_weights_stored_reduced(self):
-        res = Reservoir._from_cells([2, 4], 6, [(4, 6), (3, 9)], [(10, 5), (7, 1)])
-        assert (res._initial._pairs, res._final._pairs) == ([(2, 3), (1, 3)], [(2, 1), (7, 1)])
-        assert res.r == (F(1, 3), F(2, 3))
-        assert res.init_weights == (F(2, 3), F(1, 3))
-        assert res.dim == 4
 
 
 @st.composite

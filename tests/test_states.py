@@ -6,13 +6,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermomajor.curves import Segment, coincide, curve_of, majorizes
+from thermomajor.curves import Curve, Segment, coincide, curve_of, evaluate, majorizes
+from thermomajor.divergences import ln_frac
 from thermomajor.errors import (
     DimensionMismatch,
+    InvalidCurve,
     NegativeProbability,
     NonPositiveWeight,
+    OutsideDomain,
     ParseError,
     ProbSumNotOne,
+    WidthMismatch,
+)
+from thermomajor.reservoirs import (
+    Reservoir,
+    general_efficient_reservoir,
+    minimal_extraction_reservoir,
 )
 from thermomajor.states import (
     ThermoState,
@@ -270,3 +279,54 @@ class TestJson:
             s = random_state(rng, 3)
             back = state_from_dict(json.loads(json.dumps(state_to_dict(s))))
             assert coincide(curve_of(s), curve_of(back))
+
+
+# A rational whose denominator has 4301 digits, one past Python's default
+# limit for integer string conversion, and what a message shows in its place.
+TINY = Fraction(1, 10**4300)
+BEYOND = "(a rational of more than 4300 digits)"
+PAIR = make_state(("1/2", "1/2"), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ThermoState((Fraction(1, 2),) * 2, (-TINY, 1)), NonPositiveWeight,
+         f"weight {BEYOND} is not positive"),
+        (lambda: ThermoState((-TINY, 1 + TINY), (1, 1)), NegativeProbability,
+         f"probability {BEYOND} is negative"),
+        (lambda: ThermoState((TINY, 1), (1, 1)), ProbSumNotOne,
+         f"probabilities sum to {BEYOND}, not 1"),
+        (lambda: Reservoir((-TINY, 1 + TINY), (1, 1), (1, 1)), NegativeProbability,
+         f"reservoir probability {BEYOND} must be positive"),
+        (lambda: Reservoir((TINY,), (1,), (1,)), ProbSumNotOne,
+         f"reservoir distribution sums to {BEYOND}"),
+        (lambda: Reservoir((1,), (1,), (-TINY,)), NonPositiveWeight,
+         f"reservoir weight {BEYOND} must be positive"),
+        (lambda: minimal_extraction_reservoir(PAIR, -TINY), NonPositiveWeight,
+         f"gauge constant c={BEYOND} must be positive"),
+        (lambda: general_efficient_reservoir(Transition(PAIR, PAIR), -TINY), NonPositiveWeight,
+         f"anchor weight {BEYOND} must be positive"),
+        (lambda: Curve((Segment(-TINY, 1),), 1), InvalidCurve,
+         f"segment height {BEYOND} must be positive"),
+        (lambda: Curve((Segment(1, -TINY),), 1), InvalidCurve,
+         f"segment slope {BEYOND} must be positive"),
+        (lambda: Curve((Segment(TINY, 1),), 1), InvalidCurve,
+         f"segment heights sum to {BEYOND}, not 1"),
+        (lambda: evaluate(curve_of(PAIR), -TINY), OutsideDomain,
+         f"x={BEYOND} outside [0, 3]"),
+        (lambda: majorizes(curve_of(PAIR), curve_of(make_state((1, 0), ("1e4000", "1e-4000")))),
+         WidthMismatch,
+         f"widths differ: 3 vs {BEYOND}; curves from different Hamiltonians are not comparable"),
+        (lambda: ln_frac(-TINY), OutsideDomain, f"ln of non-positive rational {BEYOND}"),
+    ],
+    ids=["state-weight", "state-probability", "state-sum", "reservoir-probability",
+         "reservoir-sum", "reservoir-weight", "gauge", "anchor", "segment-height",
+         "segment-slope", "segment-sum", "evaluate", "widths", "ln"],
+)
+def test_message_shows_the_digit_limit_for_a_huge_rational(call, error, message):
+    """Every message that prints a rational builds, for one beyond the
+    digit limit too, and raises the library's own error."""
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

@@ -172,10 +172,10 @@ def test_checks_run_on_keyword_calls(cls):
         cls(**kwargs)
 
 
-def test_cto_verdict_grid_only_defaults_true():
-    verdict = CtoVerdict(feasible=False, witnessed=())
-    assert verdict.grid_only is True
-    assert verdict == CtoVerdict(False, (), True)
+def test_cto_verdict_has_no_default_field():
+    # One constructor for every value class: no field has a default.
+    with pytest.raises(TypeError, match="^CtoVerdict\\(\\) missing argument 'grid_only'$"):
+        CtoVerdict(True, ())
 
 
 def test_cached_properties_stay_cached():
