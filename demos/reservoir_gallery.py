@@ -19,7 +19,6 @@ from thermomajor import (
     characterize_formation_family,
     general_efficient_reservoir,
     gibbs_of,
-    jarzynski_ratio_check,
     make_state,
     minimal_extraction_reservoir,
     product,
@@ -45,8 +44,6 @@ def main():
     p = make_state(("3/4", "1/4"), (1, 1))
     t = Transition(p, gibbs_of(p))
     describe("minimal (dimension 4)", minimal_extraction_reservoir(p), t)
-    print("   fluctuation-ratio identity holds:", jarzynski_ratio_check(
-        minimal_extraction_reservoir(p), p))
 
     print("\n== General construction: (1/2, 1/2) -> (1/3, 2/3), weights (2, 1) ==")
     t2 = Transition(make_state(("1/2", "1/2"), (2, 1)),

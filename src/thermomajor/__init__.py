@@ -21,8 +21,7 @@ _EXPORTS = {
     ),
     "divergences": (
         "DEFAULT_ALPHA_GRID", "AlphaProfile", "alpha_free_energy", "alpha_profile",
-        "curve_alpha_divergence", "entropy_production", "jarzynski_ratio_check", "renyi",
-        "shannon_entropy",
+        "curve_alpha_divergence", "entropy_production", "renyi", "shannon_entropy",
     ),
     "engine": ("EngineReport", "EngineSpec", "LevelRow", "reservoir_level_table", "run_carnot"),
     "errors": (

@@ -40,7 +40,6 @@ exact integer sum, so every check stays exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
@@ -264,48 +263,48 @@ def breakpoints(curve: Curve) -> list[tuple[Fraction, Fraction]]:
 
 
 def evaluate(curve: Curve, x: Fraction) -> Fraction:
-    """Exact value of the curve at ``x`` in [0, Z], an int or a Fraction."""
+    """Exact value of the curve at ``x`` in [0, Z], an int or a Fraction,
+    from one walk over the segments (1 on the flat tail)."""
     _check_rationals((x,))
     if x < 0 or x > curve.total_width:
         raise OutsideDomain(f"x={_show(x)} outside [0, {_show(curve.total_width)}]")
-    points = breakpoints(curve)
-    return _height_at(points, bisect_left(points, x, key=lambda point: point[0]), x)
-
-
-def _height_at(points: list[tuple[Fraction, Fraction]], i: int, x: Fraction) -> Fraction:
-    """Height at ``x`` of the polyline ``points``, where ``points[i]`` is its
-    first point with abscissa at least ``x`` (and ``i > 0`` unless x = 0)."""
-    x1, y1 = points[i]
-    if x1 == x:
-        return y1
-    x0, y0 = points[i - 1]
-    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+    height = _ZERO
+    for seg in curve.segments:
+        width = _ratio(seg.height, seg.slope)
+        if x <= width:
+            return height + x * seg.slope
+        x -= width
+        height += seg.height
+    return _ONE
 
 
 def majorizes(a: Curve, b: Curve) -> bool:
     """Whether ``a`` lies on or above ``b`` everywhere on [0, Z].
 
-    Both curves are piecewise linear, so it suffices to compare them at the
-    union of their breakpoint abscissae.  One merge walk over the two sorted
-    breakpoint lists visits each abscissa once, so the cost is linear in the
-    segment counts; the comparison is exact.
+    A concave curve's dual F(t) = max_x (L(x) - t x) is H - t W, with H and
+    W the height and width of its segments steeper than t.  F_a - F_b is
+    linear between the curves' slopes and 0 at t = 0 and past the steepest,
+    so one walk over both curves' segments, steepest first, decides: it
+    compares at each slope, then adds that segment.  At its own slope a
+    segment adds h - t h / t = 0, so equal slopes need no special case.
     """
     if a.total_width != b.total_width:
         raise WidthMismatch(
             f"widths differ: {_show(a.total_width)} vs {_show(b.total_width)}; "
             "curves from different Hamiltonians are not comparable"
         )
-    pa, pb = breakpoints(a), breakpoints(b)
-    i = j = 0
-    # Both lists run from (0, 0) to (Z, 1), so they run out together.
-    while i < len(pa):
-        x = min(pa[i][0], pb[j][0])
-        if _height_at(pa, i, x) < _height_at(pb, j, x):
+    # b's heights enter negated: F_a(t) - F_b(t) = height - t * width.
+    segments = sorted(
+        [(seg.slope, seg.height) for seg in a.segments]
+        + [(seg.slope, -seg.height) for seg in b.segments],
+        reverse=True,
+    )
+    height = width = _ZERO
+    for slope, h in segments:
+        if height < slope * width:
             return False
-        if pa[i][0] == x:
-            i += 1
-        if pb[j][0] == x:
-            j += 1
+        height += h
+        width += _ratio(h, slope)
     return True
 
 

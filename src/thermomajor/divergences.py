@@ -8,9 +8,10 @@ reads it to decide those endpoints exactly.  Natural logs throughout.
 A pair (p, q), or a curve against its equilibrium, is read once into one
 private term list (log-ratios, the exact D_0 mass and D_inf ratio, support
 flags; each built on first use).  One kernel evaluates any order from a list
-and one comparison decides from two lists which D_alpha is larger (exactly
-at alpha = 0 and infinity, within ``_ORDER_TOL`` elsewhere); a caller that
-reads many orders, the catalytic checks among them, builds one list per state.
+and one comparison decides from two lists against the Gibbs state which
+D_alpha is larger (exactly at alpha = 0 and infinity, within ``_ORDER_TOL``
+elsewhere); a caller that reads many orders, the catalytic checks among
+them, builds one list per state.
 
 Conventions at zeros: 0*ln(0) = 0; for alpha >= 1 a probability outside the
 reference support gives +inf; for alpha < 0 a reference level that carries
@@ -32,7 +33,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .curves import Curve, _ratio, curve_of
+from .curves import Curve, _ratio
 from .errors import DimensionMismatch, InvalidOrder, OutsideDomain
 from .states import ThermoState, Transition, _Value, _exact_sum, _show, gibbs_of
 
@@ -53,9 +54,6 @@ DEFAULT_ALPHA_GRID: tuple[float, ...] = (
 #: Absolute slack within which :func:`_order_compare` reads two D_alpha values
 #: as equal, at every order other than 0 and inf.
 _ORDER_TOL = 1e-12
-
-#: Absolute slack on each order's log ratio in :func:`jarzynski_ratio_check`.
-_RATIO_TOL = 1e-9
 
 
 def ln_frac(x: Fraction) -> float:
@@ -85,8 +83,8 @@ class _Terms:
     """A pair (p, q) read once for every order: ``logs`` (p_i, ln(p_i / q_i))
     where both are positive, the ratio kept as ints until its log is taken;
     ``mass``, the exact q-mass of p's support (D_0), and ``ratio``, the exact
-    max p_i / q_i (D_inf; None if p escapes q's support), each built on first
-    use; ``escapes`` / ``misses``: p / q has mass where the other has none."""
+    max p_i / q_i (D_inf; read only when p stays in q's support), each built
+    on first use; ``escapes`` / ``misses``: p / q has mass where the other has none."""
 
     def __init__(self, p: ThermoState, q: ThermoState) -> None:
         if p.dim != q.dim:
@@ -108,8 +106,8 @@ class _Terms:
         return sum((qi for pi, qi in self.pairs if pi), Fraction(0))
 
     @cached_property
-    def ratio(self) -> Fraction | None:
-        return None if self.escapes else max(_ratio(pi, qi) for pi, qi in self.pairs if pi)
+    def ratio(self) -> Fraction:
+        return max(_ratio(pi, qi) for pi, qi in self.pairs if pi)
 
 
 class _CurveTerms(_Terms):
@@ -181,17 +179,16 @@ def renyi(alpha: float, p: ThermoState, q: ThermoState) -> float:
 
 
 def _order_compare(alpha: float, p: _Terms, q: _Terms) -> tuple[float, float, int]:
-    """D_alpha of two term lists against one reference and the sign of their
-    difference: exact at alpha = 0 (the larger support mass has the smaller
-    D_0) and at alpha = inf (from the max ratio; None is +inf).  Elsewhere a
-    value must exceed the other by more than ``_ORDER_TOL`` to count as
-    larger, so two infinities are equal."""
+    """D_alpha of two term lists against one full-support reference, the
+    Gibbs state, and the sign of their difference: exact at alpha = 0 (the
+    larger support mass has the smaller D_0) and at alpha = inf (from the max
+    ratio, always finite against full support).  Elsewhere a value must
+    exceed the other by more than ``_ORDER_TOL`` to count as larger, so two
+    infinities are equal."""
     d_p, d_q = _divergence(alpha, p), _divergence(alpha, q)
     if alpha == 0:
         return d_p, d_q, (p.mass < q.mass) - (p.mass > q.mass)
     if alpha == math.inf:
-        if p.ratio is None or q.ratio is None:
-            return d_p, d_q, (p.ratio is None) - (q.ratio is None)
         return d_p, d_q, (p.ratio > q.ratio) - (p.ratio < q.ratio)
     return d_p, d_q, (d_p > d_q + _ORDER_TOL) - (d_q > d_p + _ORDER_TOL)
 
@@ -239,32 +236,3 @@ def curve_alpha_divergence(curve: Curve, alpha: float) -> float:
     for every real alpha, including negative orders.
     """
     return _divergence(alpha, _CurveTerms(curve))
-
-
-def jarzynski_ratio_check(
-    res,
-    sys: ThermoState,
-    alphas: Sequence[float] = tuple(a for a in DEFAULT_ALPHA_GRID if a >= 0),
-) -> bool:
-    """Check the fluctuation-style ratio identity for formation/extraction reservoirs.
-
-    For any zero-dissipation reservoir taking ``sys`` to or from equilibrium,
-    the ratio exp(F_alpha(final work state)) / exp(F_alpha(initial work state))
-    is a fixed function of the system curve alone:
-    (sum_i y_i m_i^(alpha-1))^(1/(1-alpha)) / Z with (y_i, m_i) the system
-    curve segments.  Formation-direction reservoirs satisfy it as stated;
-    extraction reservoirs are the same reservoirs run backwards and satisfy
-    the reciprocal, so either orientation is accepted.  Free energies here are
-    curve-based (elbow data only), which is what the identity constrains.
-    """
-    work = res.work_transition()
-    system, init, fin = (_CurveTerms(curve_of(s)) for s in (sys, work.initial, work.final))
-    # The log of the right-hand side is -D_alpha(sys || tau) from the curve,
-    # at every order and in both sign conventions.
-    sides = [
-        (_divergence(alpha, fin) - _divergence(alpha, init), -_divergence(alpha, system))
-        for alpha in alphas
-    ]
-    return any(
-        all(abs(sign * lhs - rhs) <= _RATIO_TOL for lhs, rhs in sides) for sign in (1.0, -1.0)
-    )

@@ -13,6 +13,8 @@ from thermomajor import cli
 from thermomajor.cli import main
 from thermomajor.curves import breakpoints, curve_of
 from thermomajor.divergences import DEFAULT_ALPHA_GRID
+from thermomajor.reproduce import _scaled_match
+from thermomajor.reservoirs import Reservoir
 from thermomajor.states import make_state, state_from_dict, state_to_dict
 
 from conftest import run_python
@@ -522,6 +524,25 @@ class TestReproduce:
         assert [check["name"] for check in json.loads(out)["checks"] if not check["ok"]] == [
             "carnot_efficiency_exact"
         ]
+
+
+class TestScaledMatch:
+    RES = Reservoir((Fraction(1, 2), Fraction(1, 2)), (1, 2), (2, 1))
+
+    def test_match_up_to_one_scale(self):
+        assert _scaled_match(self.RES, [(Fraction(1, 2), 2, 4), (Fraction(1, 2), 4, 2)])
+
+    @pytest.mark.parametrize(
+        "expected",
+        [
+            [(1, 2, 4)],
+            [(Fraction(1, 4), 2, 4), (Fraction(3, 4), 4, 2)],
+            [(Fraction(1, 2), 2, 4), (Fraction(1, 2), 4, 3)],
+        ],
+        ids=["length", "mass", "weight-off-scale"],
+    )
+    def test_mismatch(self, expected):
+        assert not _scaled_match(self.RES, expected)
 
 
 class TestDeterminism:

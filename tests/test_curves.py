@@ -384,6 +384,16 @@ class TestMajorizes:
                 curve_of(make_state((1, 0), (1, 2))),
             )
 
+    def test_flattest_slope_decides(self):
+        # Only at a's flattest slope, 1/8, does a's dual fall below b's:
+        # L_a(2) = 7/8 < 1 = L_b(2).  A walk that stops one slope early
+        # accepts.
+        a = curve_of(make_state(("1/8", "1/8", "3/4"), (1, 1, 1)))
+        b = curve_of(make_state((0, "1/4", "3/4"), (1, 1, 1)))
+        assert a.segments[-1].slope == F(1, 8)
+        assert not majorizes(a, b)
+        assert majorizes(b, a)
+
     @HYPO
     @given(states(min_dim=2, max_dim=4))
     def test_everything_majorizes_its_gibbs(self, s):

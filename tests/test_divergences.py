@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from thermomajor.curves import curve_of
 from thermomajor.divergences import (
     DEFAULT_ALPHA_GRID,
+    _CurveTerms,
     _Terms,
+    _divergence,
     alpha_free_energy,
     alpha_profile,
     curve_alpha_divergence,
     entropy_production,
-    jarzynski_ratio_check,
     ln_frac,
     renyi,
     shannon_entropy,
@@ -24,7 +25,6 @@ from thermomajor import divergences
 from thermomajor.catalysis import cto_feasible
 from thermomajor.errors import DimensionMismatch, InvalidOrder, OutsideDomain, ThermomajorError
 from thermomajor.oracle import random_transition
-from thermomajor.reservoirs import Reservoir, minimal_extraction_reservoir
 from thermomajor.states import ThermoState, Transition, gibbs_of, make_state, tensor
 
 from conftest import family_states, random_full_support_state, random_state, seeded
@@ -116,6 +116,12 @@ class TestRenyi:
         q = make_state((1, 0), (1, 1))
         assert renyi(2.0, p, q) == math.inf
         assert renyi(1.0, p, q) == math.inf
+
+    def test_order_below_one_without_shared_support(self):
+        # No level carries mass under both, so the inner sum is empty.
+        p = make_state((1, 0), (1, 1))
+        q = make_state((0, 1), (1, 1))
+        assert renyi(0.5, p, q) == math.inf
 
     def test_tiny_weight_stays_finite(self):
         # exp(alpha ln p + (1 - alpha) ln q) leaves double range here for
@@ -297,35 +303,6 @@ class TestAlphaProfile:
             assert math.isfinite(curve_alpha_divergence(curve_of(s), alpha))
 
 
-class TestJarzynskiRatio:
-    def test_minimal_extraction_reservoir_satisfies_identity(self):
-        p = make_state(("3/4", "1/4"), (1, 1))
-        res = minimal_extraction_reservoir(p)
-        assert jarzynski_ratio_check(res, p, alphas=(0.5, 2.0))
-        assert jarzynski_ratio_check(res, p)
-
-    def test_reversed_reservoir_also_accepted(self):
-        p = make_state(("3/4", "1/4"), (1, 1))
-        res = minimal_extraction_reservoir(p)
-        formation = Reservoir(res.r, res.fin_weights, res.init_weights)
-        assert jarzynski_ratio_check(formation, p)
-
-    def test_gibbs_system_gives_unit_ratio(self):
-        s = gibbs_of(make_state((1, 0), (1, 2)))
-        trivial = Reservoir((F(1),), (F(1),), (F(1),))
-        assert jarzynski_ratio_check(trivial, s)
-
-    def test_perturbed_reservoir_fails(self):
-        p = make_state(("3/4", "1/4"), (1, 1))
-        res = minimal_extraction_reservoir(p)
-        bad = Reservoir(
-            res.r,
-            res.init_weights,
-            (res.fin_weights[0] * F(101, 100),) + res.fin_weights[1:],
-        )
-        assert not jarzynski_ratio_check(bad, p)
-
-
 class TestHelpers:
     def test_shannon_entropy(self):
         assert abs(shannon_entropy((F(1, 2), F(1, 2))) - math.log(2)) <= 1e-15
@@ -481,12 +458,10 @@ class TestOneTermListPerPair:
         assert built == [(t.initial, gibbs_of(t.initial)), (t.final, gibbs_of(t.initial))]
 
     def test_each_curve_term_is_logged_once(self, monkeypatch):
-        p = make_state(("1/2", "1/3", "1/6"), (1, 2, 3))
-        res = minimal_extraction_reservoir(p)
-        work = res.work_transition()
-        segments = sum(len(curve_of(s).segments) for s in (p, work.initial, work.final))
+        c = curve_of(make_state(("1/2", "1/3", "1/6"), (1, 2, 3)))
+        expected = [curve_alpha_divergence(c, alpha) for alpha in DEFAULT_ALPHA_GRID]
         calls = self.logged(monkeypatch)
-        assert jarzynski_ratio_check(res, p)
-        # Three curves, one log per segment, and one per exact rational at
-        # alpha = 0 and inf for each curve.
-        assert len(calls) == segments + 6
+        terms = _CurveTerms(c)
+        assert [_divergence(alpha, terms) for alpha in DEFAULT_ALPHA_GRID] == expected
+        # One log per segment, and one per exact rational at alpha = 0 and inf.
+        assert len(calls) == len(c.segments) + 2

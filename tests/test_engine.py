@@ -85,6 +85,12 @@ class TestLevelTable:
         expected = -math.log(c1 * p_c) / spec.beta_h - math.log(c2 * p_h) / spec.beta_c
         assert row.energies[0] == expected
 
+    @pytest.mark.parametrize("c1, c2", [(0.0, 1.0), (1.0, -1.0)])
+    def test_non_positive_constant_rejected(self, c1, c2):
+        spec = EngineSpec.from_temperatures(1.0, 2.0, 1.0)
+        with pytest.raises(InvalidTemperatures, match="level-table constants must be positive"):
+            reservoir_level_table(spec, c1, c2)
+
     def test_probabilities_cover_all_four_cells(self):
         spec = EngineSpec.from_temperatures(1.0, 2.0, 1.0)
         table = reservoir_level_table(spec)

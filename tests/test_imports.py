@@ -26,7 +26,7 @@ PUBLIC = [
     "characterize_formation_family", "clock_lift", "coincide", "cto_feasible",
     "curve_alpha_divergence", "curve_of", "dimension_lower_bound", "divide", "entropy_production",
     "evaluate", "general_efficient_reservoir", "gibbs_of", "identity_curve",
-    "jarzynski_ratio_check", "joint_states", "lp_feasible", "majorizes", "make_state",
+    "joint_states", "lp_feasible", "majorizes", "make_state",
     "minimal_extraction_reservoir", "num_distinct_slopes", "product",
     "random_rational_gibbs_matrix", "realize_state", "recovery_map", "renyi",
     "reservoir_level_table", "run_carnot", "shannon_entropy", "tensor",

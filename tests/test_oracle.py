@@ -7,7 +7,9 @@ import pytest
 
 from thermomajor.curves import coincide, curve_of, majorizes
 from thermomajor.divergences import entropy_production
-from thermomajor.errors import DimensionCapExceeded, DimensionMismatch, ParseError
+from thermomajor.errors import (
+    DimensionCapExceeded, DimensionMismatch, NonPositiveWeight, ParseError
+)
 from thermomajor.oracle import (
     lp_feasible,
     random_rational_gibbs_matrix,
@@ -58,6 +60,21 @@ class TestLpFeasible:
                 # feasible transitions never consume free energy for free
                 assert entropy_production(t) >= -1e-9
 
+    def test_every_pair_of_sixths_on_three_levels(self):
+        """A small world, exhaustively: every pair of 3-level states with
+        masses in sixths on weights (1, 2, 3), 784 pairs."""
+        states = [
+            make_state((F(i, 6), F(j, 6), F(6 - i - j, 6)), (1, 2, 3))
+            for i in range(7)
+            for j in range(7 - i)
+        ]
+        agreed = [
+            majorizes(curve_of(p), curve_of(q)) == lp_feasible(Transition(p, q))[0]
+            for p in states
+            for q in states
+        ]
+        assert len(agreed) == 784 and all(agreed)
+
 
 class TestRecoveryMap:
     def test_identity_maps_to_identity(self):
@@ -77,6 +94,10 @@ class TestRecoveryMap:
     def test_rejects_non_rational_entries(self, matrix, weights, bad):
         with pytest.raises(ParseError, match=f"^not a rational: {re.escape(bad)}$"):
             recovery_map(matrix, weights)
+
+    def test_rejects_non_positive_weight(self):
+        with pytest.raises(NonPositiveWeight, match="weights must be strictly positive"):
+            recovery_map(((1, 0), (0, 1)), (1, 0))
 
     def test_int_entries_stay_exact(self):
         swap = ((0, 1), (1, 0))

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from thermomajor import curves, reservoirs
-from thermomajor.curves import coincide, curve_of, num_distinct_slopes, product
+from thermomajor.curves import (
+    coincide, curve_of, divide, identity_curve, num_distinct_slopes, product
+)
 from thermomajor.divergences import renyi, shannon_entropy
 from thermomajor.errors import (
     DimensionMismatch,
@@ -921,6 +923,15 @@ class TestFormationFamily:
         b1 = curve_of(make_state(("1/4", "3/4"), (1, 3)))
         b2 = curve_of(make_state(("1/5", "4/5"), (1, 1)))
         assert not characterize_formation_family(p, product(b1, x1), product(b2, y1))
+
+    def test_non_quotient_rejected_at_either_division(self):
+        p = make_state(("3/4", "1/4"), (1, 1))
+        x1, y1 = minimal_formation_pair(p)
+        # Both pair curves are twice as wide as identity_curve: neither divides it.
+        assert divide(identity_curve(), x1) is None
+        assert not characterize_formation_family(p, identity_curve(), y1)
+        assert divide(identity_curve(), y1) is None
+        assert not characterize_formation_family(p, x1, identity_curve())
 
     def test_gibbs_input_rejected(self):
         g = gibbs_of(make_state((1, 0), (1, 1)))
