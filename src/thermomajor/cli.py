@@ -5,8 +5,7 @@ catalytic-check, oracle-check, engine, reproduce.  Exit codes: 0 success or
 verdict-true, 1 verdict-false, 2 input error (or a domain limit, such as an
 output rational beyond Python's digit limit for integer strings), 3
 reproduction mismatch, 4 internal error (an unexpected exception, reported
-in one line on stderr without a traceback).  THERMO_ALPHA_GRID overrides the
-default alpha grid.
+in one line on stderr without a traceback).
 
 Rationals serialize as "p/q" strings so JSON output re-parses exactly; with a
 fixed seed all output is byte-identical across runs.
@@ -159,11 +158,8 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
 def _alpha_grid(args: argparse.Namespace) -> tuple[float, ...]:
     from .divergences import DEFAULT_ALPHA_GRID
 
-    if getattr(args, "alpha_grid", None):
+    if args.alpha_grid:
         return _parse_alpha_grid(args.alpha_grid)
-    env = os.environ.get("THERMO_ALPHA_GRID")
-    if env:
-        return _parse_alpha_grid(env)
     return DEFAULT_ALPHA_GRID
 
 

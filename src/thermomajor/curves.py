@@ -12,17 +12,16 @@ under the tensor product (heights and slopes multiply pairwise, equal slopes
 merge, widths multiply).  The monoid is cancellative: :func:`divide` peels
 the unique quotient off a product when one exists.
 
-:func:`canonical_curve`, :func:`product` and :func:`divide` share one
-integer kernel.  A canonical curve is a finite measure on slopes (a height
-at each slope).  States, reservoir work states and curve segments (a
-segment (h, s) as a level of mass h and weight h / s, as in
-:func:`realize_state`) are all read by the one level reader,
-``states._read_levels``, which merges equal slopes as reduced integer
-pairs.  ``_measure_of`` then puts the slopes over the lcm of their
-denominators, a dict from slope numerator to height numerator with no
-Fraction.  A product slope is x*y over d_a*d_b and a product height h*k
-over e_a*e_b.  Two curves of equal width coincide exactly when their
-measures are equal.
+:func:`curve_of`, :func:`canonical_curve`, :func:`product` and
+:func:`divide` share one integer kernel.  A canonical curve is a finite
+measure on slopes (a height at each slope).  Its input is slope classes,
+each a reduced slope pair mapped to its mass over one denominator: a
+state's cached classes, a curve's own segments (already merged, reduced
+and sorted), or the raw pairs :func:`canonical_curve` merges by slope.
+``_measure_of`` then puts the slopes over the lcm of their denominators, a
+dict from slope numerator to height numerator with no Fraction.  A product
+slope is x*y over d_a*d_b and a product height h*k over e_a*e_b.  Two
+curves of equal width coincide exactly when their measures are equal.
 
 ``reservoirs.verify_efficient`` asks whether a (x) b = c (x) d.  It settles
 a slope-matched reservoir itself, from its levels, by cancellation, and
@@ -41,14 +40,14 @@ exact integer sum, so every check stays exact.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
 from .states import (
-    ThermoState, _ONE, _ZERO, _Value, _check_rationals, _exact_sum, _read_levels, _scaled, _show
+    ThermoState, _ONE, _ZERO, _Value, _check_rationals, _exact_sum, _scaled, _show
 )
 
 
@@ -112,15 +111,13 @@ def _ratio(a: Fraction, b: Fraction) -> Fraction:
 _Measure = namedtuple("_Measure", ("heights", "height_den", "slope_den"))
 
 
-def _measure(pairs: Sequence[tuple[Fraction, Fraction]]) -> _Measure:
-    """The measure of (height, slope) pairs, each read as a level of mass h
-    and weight h / s (slope s, the sign on the weight's denominator): heights
-    over the lcm of their denominators, zero heights dropped and equal
-    slopes merged."""
-    heights, height_den = _scaled([height.as_integer_ratio() for height, _ in pairs])
-    weights = [(abs(h) * s.denominator, (1 if h > 0 else -1) * height_den * s.numerator)
-               for h, (_, s) in zip(heights, pairs)]
-    return _measure_of(_read_levels(heights, weights, height_den), height_den)
+def _measure(curve: Curve) -> _Measure:
+    """The measure of a canonical curve, whose segments are its slope
+    classes: heights over the lcm of their denominators, slopes as reduced
+    pairs, steepest first."""
+    segments = curve.segments
+    heights, den = _scaled([seg.height.as_integer_ratio() for seg in segments])
+    return _measure_of(dict(zip([seg.slope.as_integer_ratio() for seg in segments], heights)), den)
 
 
 def _measure_of(classes: dict[tuple[int, int], int], den: int) -> _Measure:
@@ -129,10 +126,6 @@ def _measure_of(classes: dict[tuple[int, int], int], den: int) -> _Measure:
     slope_den = lcm(*[d for _, d in classes])
     heights = {x * (slope_den // d): m for (x, d), m in classes.items()}
     return _Measure(heights, den, slope_den)
-
-
-def _segment_pairs(curve: Curve) -> list[tuple[Fraction, Fraction]]:
-    return [(seg.height, seg.slope) for seg in curve.segments]
 
 
 def _product_measure(ma: _Measure, mb: _Measure) -> _Measure:
@@ -227,7 +220,13 @@ def canonical_curve(pairs: Iterable[tuple[Fraction, Fraction]], total_width: Fra
     """
     pairs = list(pairs)
     _check_rationals(x for pair in pairs for x in pair)
-    return _curve(_measure(pairs), total_width)
+    heights, den = _scaled([height.as_integer_ratio() for height, _ in pairs])
+    classes: dict[tuple[int, int], int] = {}
+    for h, (_, slope) in zip(heights, pairs):
+        if h:
+            key = slope.as_integer_ratio()
+            classes[key] = classes.get(key, 0) + h
+    return _curve(_measure_of(classes, den), total_width)
 
 
 def curve_of(state: ThermoState) -> Curve:
@@ -315,7 +314,7 @@ def coincide(a: Curve, b: Curve) -> bool:
 
 def product(a: Curve, b: Curve) -> Curve:
     """Monoid product: pairwise (height*height, slope*slope), widths multiply."""
-    measure = _product_measure(_measure(_segment_pairs(a)), _measure(_segment_pairs(b)))
+    measure = _product_measure(_measure(a), _measure(b))
     return _curve(measure, a.total_width * b.total_width)
 
 
@@ -342,7 +341,7 @@ def divide(l: Curve, a: Curve) -> Curve | None:
     ``Curve`` validation rejects that too.  No product measure is built.
     """
     width = _ratio(l.total_width, a.total_width)
-    ma, ml = _measure(_segment_pairs(a)), _measure(_segment_pairs(l))
+    ma, ml = _measure(a), _measure(l)
     rows = list(ma.heights.items())
     top_slope, top_height = rows[0]
     remaining: dict[int, Fraction] = {y * top_slope: h for y, h in ml.heights.items()}

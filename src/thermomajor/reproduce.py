@@ -3,38 +3,18 @@
 Each target rebuilds one result (the four-level erasure reservoir of Table 1,
 Examples 1 and 2, the Carnot engine) and returns its named checks.  Only the
 ``reproduce`` subcommand loads this module, so no other command compiles it.
-Library functions are read off their modules at call time, so a function
-rebound on its module after this one loads (a tracing wrapper) is the one
-that runs.
+A rebuilt reservoir must equal the paper's exactly: the construction's walk
+fixes the level order and its ``anchor_weight`` the gauge.  Library
+functions are read off their modules at call time, so a function rebound on
+its module after this one loads (a tracing wrapper) is the one that runs.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from fractions import Fraction
 
 from . import reservoirs, states
-
-
-def _scaled_match(
-    res: reservoirs.Reservoir,
-    expected: Sequence[tuple[Fraction, Fraction, Fraction]],
-) -> bool:
-    """Whether (r, init, fin) triples match a reference up to one global scale."""
-    if len(res.r) != len(expected):
-        return False
-    actual = sorted(zip(res.r, res.init_weights, res.fin_weights))
-    wanted = sorted(expected)
-    if [row[0] for row in actual] != [row[0] for row in wanted]:
-        return False
-    scale = actual[0][1] / wanted[0][1]
-    if scale <= 0:
-        return False
-    for (_, ai, af), (_, wi, wf) in zip(actual, wanted):
-        if ai != scale * wi or af != scale * wf:
-            return False
-    return True
 
 
 def _within(name: str, actual: float, tolerance: float, expected: float | None = None) -> dict:
@@ -63,17 +43,11 @@ def table1() -> dict:
     work = reservoirs.average_work(res)
     expected = (1 / 3) * math.log(1 / 3) + (2 / 3) * math.log(2 / 3)
     checks.append(_within("erasure_average_work", work, 1e-12, expected))
-    rebuilt = reservoirs.general_efficient_reservoir(t)
+    # The default anchor puts weight 1 on the walk's first level, as here.
     checks.append(
         {
             "name": "general_construction_matches_up_to_gauge",
-            "ok": _scaled_match(
-                rebuilt,
-                [
-                    (Fraction(1, 3), Fraction(1), Fraction(3)),
-                    (Fraction(2, 3), Fraction(2), Fraction(3)),
-                ],
-            ),
+            "ok": reservoirs.general_efficient_reservoir(t) == res,
         }
     )
     return {"target": "table1", "checks": checks}
@@ -85,15 +59,16 @@ def example1() -> dict:
     )
     res = reservoirs.general_efficient_reservoir(t)
     checks = [{"name": "reservoir_efficient", "ok": reservoirs.verify_efficient(t, res)}]
-    expected_triples = [
-        (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)),
-        (Fraction(1, 3), Fraction(2, 3), Fraction(4, 9)),
-        (Fraction(1, 6), Fraction(1, 12), Fraction(2, 9)),
-    ]
+    # The paper's weights, in walk order, in the gauge of first initial weight 2/3.
+    expected = reservoirs.Reservoir(
+        (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)),
+        (Fraction(2, 3), Fraction(1, 12), Fraction(1, 4)),
+        (Fraction(4, 9), Fraction(2, 9), Fraction(1, 3)),
+    )
     checks.append(
         {
             "name": "weight_ratios_exact",
-            "ok": _scaled_match(res, expected_triples),
+            "ok": reservoirs.general_efficient_reservoir(t, Fraction(2, 3)) == expected,
         }
     )
     work = reservoirs.average_work(res)

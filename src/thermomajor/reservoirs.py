@@ -64,7 +64,6 @@ from .curves import (
     coincide,
     curve_of,
     divide,
-    num_distinct_slopes,
 )
 from .errors import (
     DimensionMismatch,
@@ -226,11 +225,12 @@ def two_level_formation_bound(p: ThermoState) -> float:
 def dimension_lower_bound(p: ThermoState) -> int:
     """Minimal dimension of any efficient extraction/formation reservoir: 2m.
 
-    m is the number of distinct slopes of p's curve; a reservoir of dimension
-    2(m-1) or less cannot make the joint curves coincide because the final
-    joint curve would have fewer distinct slopes than the initial one.
+    m is the number of distinct slopes of p's curve, its slope classes; a
+    reservoir of dimension 2(m-1) or less cannot make the joint curves
+    coincide because the final joint curve would have fewer distinct slopes
+    than the initial one.
     """
-    return 2 * num_distinct_slopes(curve_of(p))
+    return 2 * len(p._classes)
 
 
 def minimal_extraction_reservoir(p: ThermoState, c: Fraction = _ONE) -> Reservoir:

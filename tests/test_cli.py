@@ -13,7 +13,6 @@ from thermomajor import cli
 from thermomajor.cli import main
 from thermomajor.curves import breakpoints, curve_of
 from thermomajor.divergences import DEFAULT_ALPHA_GRID
-from thermomajor.reproduce import _scaled_match
 from thermomajor.reservoirs import Reservoir
 from thermomajor.states import make_state, state_from_dict, state_to_dict
 
@@ -234,35 +233,32 @@ class TestDivergence:
         payload = json.loads(out)
         assert payload["alpha"] == [0.0, 1.0, "inf"]
 
-    def test_env_grid_override(self, capsys, state_files, monkeypatch):
+    def test_environment_sets_no_grid(self, capsys, state_files, monkeypatch):
+        argv = ["divergence", state_files["biased"]]
+        monkeypatch.delenv("THERMO_ALPHA_GRID", raising=False)
+        plain = run(capsys, argv)
         monkeypatch.setenv("THERMO_ALPHA_GRID", "0.5,2")
-        code, out = run(capsys, ["divergence", state_files["biased"]])
-        assert code == 0
-        assert json.loads(out)["alpha"] == [0.5, 2.0]
+        assert run(capsys, argv) == plain
+        assert plain[0] == 0
+        assert len(json.loads(plain[1])["alpha"]) == len(DEFAULT_ALPHA_GRID)
 
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv",
         [
-            (["divergence", "biased", "--alpha-grid", "nan"], None),
-            (["divergence", "biased"], "0,nan"),
-            (["catalytic-check", "biased", "biased", "--alpha-grid=-inf"], None),
+            ["divergence", "biased", "--alpha-grid", "nan"],
+            ["catalytic-check", "biased", "biased", "--alpha-grid=-inf"],
         ],
-        ids=["flag-nan", "env-nan", "catalytic-flag-minus-inf"],
+        ids=["flag-nan", "catalytic-flag-minus-inf"],
     )
-    def test_nan_and_minus_inf_orders_exit_2(self, capsys, state_files, monkeypatch, argv, env):
-        if env is None:
-            monkeypatch.delenv("THERMO_ALPHA_GRID", raising=False)
-        else:
-            monkeypatch.setenv("THERMO_ALPHA_GRID", env)
+    def test_nan_and_minus_inf_orders_exit_2(self, capsys, state_files, argv):
         argv = [state_files.get(arg, arg) for arg in argv]
         code, out = run(capsys, argv)
         assert code == 2
         assert out == ""
 
-    def test_order_refused_by_the_library_exits_2(self, capsys, state_files, monkeypatch):
+    def test_order_refused_by_the_library_exits_2(self, capsys, state_files):
         # --nonnegative-only drops negative reals only, so nan reaches the
         # library's one order check and comes back as an input error.
-        monkeypatch.delenv("THERMO_ALPHA_GRID", raising=False)
         argv = ["catalytic-check", state_files["biased"], state_files["mixed"]]
         code = main(argv + ["--nonnegative-only", "--alpha-grid", "0,nan"])
         captured = capsys.readouterr()
@@ -270,8 +266,7 @@ class TestDivergence:
         assert captured.out == ""
         assert "alpha must be a real number or inf, got nan" in captured.err
 
-    def test_tiny_weight_profile_is_finite(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("THERMO_ALPHA_GRID", raising=False)
+    def test_tiny_weight_profile_is_finite(self, capsys, tmp_path):
         path = tmp_path / "tiny.json"
         state = make_state(("1/2", "1/2"), (1, Fraction(1, 10**200)))
         path.write_text(json.dumps(state_to_dict(state)))
@@ -525,24 +520,30 @@ class TestReproduce:
             "carnot_efficiency_exact"
         ]
 
-
-class TestScaledMatch:
-    RES = Reservoir((Fraction(1, 2), Fraction(1, 2)), (1, 2), (2, 1))
-
-    def test_match_up_to_one_scale(self):
-        assert _scaled_match(self.RES, [(Fraction(1, 2), 2, 4), (Fraction(1, 2), 4, 2)])
-
     @pytest.mark.parametrize(
-        "expected",
-        [
-            [(1, 2, 4)],
-            [(Fraction(1, 4), 2, 4), (Fraction(3, 4), 4, 2)],
-            [(Fraction(1, 2), 2, 4), (Fraction(1, 2), 4, 3)],
-        ],
-        ids=["length", "mass", "weight-off-scale"],
+        "target, check", [("table1", "general_construction_matches_up_to_gauge"),
+                          ("example1", "weight_ratios_exact")],
     )
-    def test_mismatch(self, expected):
-        assert not _scaled_match(self.RES, expected)
+    @pytest.mark.parametrize("mutant", ["doubled", "reversed"])
+    def test_reservoir_off_gauge_or_order_fails(self, capsys, monkeypatch, target, check, mutant):
+        """The rebuilt reservoir must equal the paper's exactly: all weights
+        doubled (the anchor ignored) or the levels reversed is a mismatch,
+        although either reservoir is still efficient."""
+        from thermomajor import reservoirs
+
+        build = reservoirs.general_efficient_reservoir
+
+        def mutated(t, anchor_weight=Fraction(1)):
+            res = build(t)
+            if mutant == "doubled":
+                return Reservoir(res.r, [2 * w for w in res.init_weights],
+                                 [2 * w for w in res.fin_weights])
+            return Reservoir(res.r[::-1], res.init_weights[::-1], res.fin_weights[::-1])
+
+        monkeypatch.setattr(reservoirs, "general_efficient_reservoir", mutated)
+        code, out = run(capsys, ["reproduce", target])
+        assert code == 3
+        assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == [check]
 
 
 class TestDeterminism:

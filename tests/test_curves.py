@@ -186,30 +186,71 @@ class TestIntegerKernel:
         assert prod.sloped_width == ca.sloped_width * cb.sloped_width
 
     @pytest.mark.parametrize(
-        "pairs, width",
+        "pairs, width, expected",
         [
-            ([(0, F(3)), (F(1, 2), F(2)), (0, F(1)), (F(1, 2), F(1, 2))], F(5)),
-            ([(F(1, 4), F(2)), (F(1, 4), F(1, 2)), (F(1, 2), F(2))], F(3)),
-            ([(0, 5), (1, 3), (0, 0)], 1),
-            ([(0, F(1))], F(1)),
-            ([(F(1, 2), 0), (F(1, 2), F(1))], F(2)),
-            ([(F(1, 4), F(-2)), (F(1, 4), -2), (F(1, 2), F(1))], F(2)),
-            ([(F(3, 2), F(2)), (F(-1, 2), F(1))], F(2)),
-            ([(F(1, 2), F(2)), (F(-1, 2), F(2)), (F(1), F(1))], F(2)),
+            (
+                [(0, F(3)), (F(1, 2), F(2)), (0, F(1)), (F(1, 2), F(1, 2))], F(5),
+                Curve((Segment(F(1, 2), F(2)), Segment(F(1, 2), F(1, 2))), F(5)),
+            ),
+            (
+                [(F(1, 4), F(2)), (F(1, 4), F(1, 2)), (F(1, 2), F(2))], F(3),
+                Curve((Segment(F(3, 4), F(2)), Segment(F(1, 4), F(1, 2))), F(3)),
+            ),
+            ([(0, 5), (1, 3), (0, 0)], 1, Curve((Segment(F(1), F(3)),), 1)),
+            ([(0, F(1))], F(1), "curve needs at least one segment"),
+            ([(F(1, 2), 0), (F(1, 2), F(1))], F(2), "segment slope 0 must be positive"),
+            (
+                [(F(1, 4), F(-2)), (F(1, 4), -2), (F(1, 2), F(1))], F(2),
+                "segment slope -2 must be positive",
+            ),
+            ([(F(3, 2), F(2)), (F(-1, 2), F(1))], F(2), "segment height -1/2 must be positive"),
+            (
+                [(F(1, 2), F(2)), (F(-1, 2), F(2)), (F(1), F(1))], F(2),
+                "segment height 0 must be positive",
+            ),
+            (
+                [(F(1, 2), F(2)), (F(-1, 4), F(2)), (F(3, 4), 1)], 2,
+                Curve((Segment(F(1, 4), F(2)), Segment(F(3, 4), F(1))), 2),
+            ),
+            ([(F(1, 2), F(-1, 3)), (F(1, 2), F(1))], F(2), "segment slope -1/3 must be positive"),
+            ([], F(1), "curve needs at least one segment"),
+            ([(F(1, 4), F(1)), (F(1, 4), F(1))], F(2), "segment heights sum to 1/2, not 1"),
+            ([(F(1, 2), F(1, 2)), (F(1, 2), F(1, 4))], F(2), "sloped width exceeds total width"),
         ],
         ids=[
             "zero-heights", "repeated-slopes", "int-entries", "all-zero", "zero-slope",
             "negative-repeated-slope", "negative-height", "heights-cancelling",
+            "negative-height-merges", "negative-slope", "empty", "heights-below-one",
+            "too-narrow",
         ],
     )
-    def test_edge_inputs_match_fraction_definition(self, pairs, width):
-        outcomes = []
-        for build in (canonical_curve, fraction_canonical_curve):
-            try:
-                outcomes.append(build(pairs, width))
-            except InvalidCurve as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+    def test_edge_inputs_match_fraction_definition(self, pairs, width, expected):
+        """Raw pairs merge by slope before ``Curve`` validation, which
+        decides every bad input with its own message; each outcome is
+        pinned, and the Fraction definition reaches it too."""
+        if isinstance(expected, str):
+            for build in (canonical_curve, fraction_canonical_curve):
+                with pytest.raises(InvalidCurve, match=f"^{re.escape(expected)}$"):
+                    build(pairs, width)
+        else:
+            # repr pins the types too: Fraction entries, the width as given.
+            assert repr(canonical_curve(pairs, width)) == repr(expected)
+            assert fraction_canonical_curve(pairs, width) == expected
+
+    @pytest.mark.parametrize("palette", [True, False], ids=["palette", "generic"])
+    @HYPO
+    @given(data=st.data())
+    def test_segments_are_the_slope_classes(self, palette, data):
+        """A curve's measure, read from its segments, is its state's slope
+        classes: the same height at each slope, steepest first."""
+
+        def as_fractions(m):
+            return {F(x, m.slope_den): F(h, m.height_den) for x, h in m.heights.items()}
+
+        s = data.draw(family_states(data.draw(st.integers(1, 12)), palette))
+        from_curve = curves._measure(curve_of(s))
+        assert as_fractions(from_curve) == as_fractions(curves._measure_of(s._classes, s._den))
+        assert list(from_curve.heights) == sorted(from_curve.heights, reverse=True)
 
 
 class TestCurveValidation:
@@ -409,7 +450,7 @@ class TestMajorizes:
     @pytest.mark.parametrize("collapse", [True, False])
     @HYPO
     @given(data=st.data())
-    def test_merge_walk_matches_all_breakpoints(self, collapse, data):
+    def test_slope_walk_matches_evaluate_at_every_breakpoint(self, collapse, data):
         def brute_force(a, b):
             xs = {x for x, _ in breakpoints(a)} | {x for x, _ in breakpoints(b)}
             return all(evaluate(a, x) >= evaluate(b, x) for x in xs)

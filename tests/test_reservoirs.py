@@ -230,6 +230,16 @@ class TestDimensionLowerBound:
     def test_three_slopes(self):
         assert dimension_lower_bound(make_state(("1/2", "1/3", "1/6"), (1, 1, 1))) == 6
 
+    @pytest.mark.parametrize("palette", [True, False], ids=["palette", "generic"])
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_counts_the_curve_segments(self, palette, data):
+        p = data.draw(family_states(data.draw(st.integers(1, 8)), palette))
+        # A zero level adds no slope class (palette states draw their own too).
+        padded = ThermoState(p.probs + (F(0),), p.weights + (F(7, 5),))
+        for state in (p, padded):
+            assert dimension_lower_bound(state) == 2 * num_distinct_slopes(curve_of(state))
+
     def test_small_reservoirs_fail_at_m2(self):
         # Coarse sweep here; the acceptance suite runs the full 10^4 grid.
         p = make_state(("3/4", "1/4"), (1, 1))
