@@ -14,8 +14,13 @@ Each command runs in its own process, so start-up is most of its cost.  Only
 ``errors`` and ``states`` load with this module, because every subcommand and
 ``main``'s error handling use them; each handler imports the other library
 modules it runs in its own body.  So ``curve`` and ``majorize`` add only
-``curves``, no command but ``oracle-check`` loads the LP oracle, and the
-reproduction targets sit in ``reproduce``, which only ``reproduce`` loads.
+``curves``; ``build-reservoir``, ``verify`` (unless its reservoir is no shift
+of the transition), ``divergence``, ``catalytic-check``, ``reproduce`` and
+``engine`` without ``--curves-dir`` load no ``curves``; no command but
+``oracle-check`` loads the LP oracle; and the reproduction targets sit in
+``reproduce``, which only ``reproduce`` loads.  ``main`` builds the parser of
+the invoked subcommand alone (every one when ``argv[0]`` names none), with
+the same help, usage and error text.
 """
 
 from __future__ import annotations
@@ -368,12 +373,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def cmd_engine(args: argparse.Namespace) -> int:
     from . import engine
-    from .curves import curve_of
 
     spec = engine.EngineSpec.from_temperatures(args.epsilon, args.t_hot, args.t_cold)
     report = _dump(engine.run_carnot(spec))
     # The stage curves go first, so a run that cannot write them emits nothing.
     if args.curves_dir:
+        from .curves import curve_of
+
         os.makedirs(args.curves_dir, exist_ok=True)
         names = (
             "stage1_cold_equilibrium.csv",
@@ -405,85 +411,85 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command``'s alone when it
+    names one.  Then the usage line still lists every subcommand, so help,
+    usage and error text are those of the full parser."""
+    # Each subcommand's help line, handler and arguments, as (flags,
+    # keywords) for ``add_argument``; every one also takes -o/--output, last.
+    commands = {
+        "curve": ("breakpoints of a state's curve as CSV or SVG", cmd_curve, [
+            (("state",), {"help": "state JSON file"}),
+            (("--format",), {"choices": ("csv", "svg"), "default": "csv"}),
+        ]),
+        "majorize": ("does the first state thermomajorize the second?", cmd_majorize, [
+            (("initial",), {}),
+            (("final",), {}),
+        ]),
+        "divergence": ("alpha-divergence profile of a state", cmd_divergence, [
+            (("state",), {}),
+            (("--reference",), {"help": "reference state JSON (default: Gibbs)"}),
+            (("--alpha-grid",), {"help": "comma-separated alpha values, e.g. 0,0.5,1,inf"}),
+        ]),
+        "build-reservoir": ("synthesize an efficient work reservoir", cmd_build_reservoir, [
+            (("--method",), {"choices": ("minimal", "general", "product"), "required": True}),
+            (("states",), {
+                "nargs": "+", "help": "state JSON file(s): one for minimal, two otherwise",
+            }),
+            (("--c",), {"default": "1", "help": "gauge constant for the minimal method"}),
+            (("--anchor",), {
+                "default": "1", "help": "first initial weight for the general method",
+            }),
+        ]),
+        "verify": ("exact zero-dissipation check of a reservoir", cmd_verify, [
+            (("initial",), {}),
+            (("final",), {}),
+            (("reservoir",), {}),
+        ]),
+        "catalytic-check": ("alpha-monotonicity verdict for a transition", cmd_catalytic_check, [
+            (("initial",), {}),
+            (("final",), {}),
+            (("--alpha-grid",), {}),
+            (("--nonnegative-only",), {"action": "store_true", "help": "restrict to alpha >= 0"}),
+        ]),
+        "oracle-check": ("cross-validate the LP oracle against the curves", cmd_oracle_check, [
+            (("--trials",), {"type": int, "default": 200}),
+            (("--dims",), {"default": "2,3,4,5"}),
+            (("--seed",), {"type": int, "default": 0}),
+        ]),
+        "engine": ("run the qubit Carnot cycle", cmd_engine, [
+            (("--epsilon",), {"type": float, "required": True}),
+            (("--t-hot",), {"type": float, "required": True}),
+            (("--t-cold",), {"type": float, "required": True}),
+            (("--curves-dir",), {"help": "also write the four per-stage curve CSVs here"}),
+        ]),
+        "reproduce": ("regenerate a pinned reference result", cmd_reproduce, [
+            # reproduce.TARGETS' keys, spelled out so that parsing loads no target.
+            (("target",), {"choices": ("engine", "example1", "example2", "table1")}),
+        ]),
+    }
     parser = argparse.ArgumentParser(
         prog="thermomajor",
         description="Exact thermomajorization curves and efficient work reservoirs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p: argparse.ArgumentParser) -> None:
+    names, metavar = commands, None
+    if command in commands:
+        names, metavar = [command], "{" + ",".join(commands) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, func, arguments = commands[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
         p.add_argument("-o", "--output", help="write to file instead of stdout")
-
-    p = sub.add_parser("curve", help="breakpoints of a state's curve as CSV or SVG")
-    p.add_argument("state", help="state JSON file")
-    p.add_argument("--format", choices=("csv", "svg"), default="csv")
-    add_output(p)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("majorize", help="does the first state thermomajorize the second?")
-    p.add_argument("initial")
-    p.add_argument("final")
-    add_output(p)
-    p.set_defaults(func=cmd_majorize)
-
-    p = sub.add_parser("divergence", help="alpha-divergence profile of a state")
-    p.add_argument("state")
-    p.add_argument("--reference", help="reference state JSON (default: Gibbs)")
-    p.add_argument("--alpha-grid", help="comma-separated alpha values, e.g. 0,0.5,1,inf")
-    add_output(p)
-    p.set_defaults(func=cmd_divergence)
-
-    p = sub.add_parser("build-reservoir", help="synthesize an efficient work reservoir")
-    p.add_argument("--method", choices=("minimal", "general", "product"), required=True)
-    p.add_argument("states", nargs="+", help="state JSON file(s): one for minimal, two otherwise")
-    p.add_argument("--c", default="1", help="gauge constant for the minimal method")
-    p.add_argument("--anchor", default="1", help="first initial weight for the general method")
-    add_output(p)
-    p.set_defaults(func=cmd_build_reservoir)
-
-    p = sub.add_parser("verify", help="exact zero-dissipation check of a reservoir")
-    p.add_argument("initial")
-    p.add_argument("final")
-    p.add_argument("reservoir")
-    add_output(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("catalytic-check", help="alpha-monotonicity verdict for a transition")
-    p.add_argument("initial")
-    p.add_argument("final")
-    p.add_argument("--alpha-grid")
-    p.add_argument("--nonnegative-only", action="store_true", help="restrict to alpha >= 0")
-    add_output(p)
-    p.set_defaults(func=cmd_catalytic_check)
-
-    p = sub.add_parser("oracle-check", help="cross-validate the LP oracle against the curves")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--dims", default="2,3,4,5")
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
-    p.set_defaults(func=cmd_oracle_check)
-
-    p = sub.add_parser("engine", help="run the qubit Carnot cycle")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--t-hot", type=float, required=True)
-    p.add_argument("--t-cold", type=float, required=True)
-    p.add_argument("--curves-dir", help="also write the four per-stage curve CSVs here")
-    add_output(p)
-    p.set_defaults(func=cmd_engine)
-
-    p = sub.add_parser("reproduce", help="regenerate a pinned reference result")
-    # reproduce.TARGETS' keys, spelled out so that parsing loads no target.
-    p.add_argument("target", choices=("engine", "example1", "example2", "table1"))
-    add_output(p)
-    p.set_defaults(func=cmd_reproduce)
-
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the invoked subcommand's parser is built: each costs start-up.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ReproductionMismatch as exc:

@@ -47,7 +47,7 @@ from math import lcm
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
 from .states import (
-    ThermoState, _ONE, _ZERO, _Value, _check_rationals, _exact_sum, _scaled, _show
+    ThermoState, _ONE, _ZERO, _Value, _check_rationals, _exact_sum, _ratio, _scaled, _show
 )
 
 
@@ -97,12 +97,6 @@ class Curve(_Value):
     @cached_property
     def sloped_width(self) -> Fraction:
         return _exact_sum(_ratio(seg.height, seg.slope) for seg in self.segments)
-
-
-def _ratio(a: Fraction, b: Fraction) -> Fraction:
-    """a / b built from numerators and denominators, so ints divide exactly
-    too."""
-    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
 
 
 #: A curve's slope measure in integers: ``heights`` maps each slope

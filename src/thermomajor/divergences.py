@@ -24,6 +24,10 @@ the member of the extended free-energy family that is nonnegative and
 decreases under every Gibbs-stochastic map; the unsigned formula would point
 the monotonicity condition the wrong way for alpha < 0.  Values are therefore
 nondecreasing in alpha only on alpha >= 0.
+
+The module imports only ``errors`` and ``states``: a curve is read through
+its segments and width, so ``curves`` is never loaded here, and ``Curve`` in
+annotations is never evaluated.
 """
 
 from __future__ import annotations
@@ -33,9 +37,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .curves import Curve, _ratio
 from .errors import DimensionMismatch, InvalidOrder, OutsideDomain
-from .states import ThermoState, Transition, _Value, _exact_sum, _show, gibbs_of
+from .states import ThermoState, Transition, _Value, _exact_sum, _ratio, _show, gibbs_of
 
 #: Grid used by the catalytic-feasibility and curve-coincidence checks.
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (

@@ -9,8 +9,11 @@ independent to be checked against.
 The solver is a small dense Phase-I simplex with Bland's rule: at the
 dimensions this oracle caps out at (n <= 8, so at most 64 variables and 24
 equalities) an industrial LP library buys nothing, and a self-contained
-solver keeps the oracle's trust chain short.  It runs over exact rationals,
-so the verdict is exact and the witness satisfies every constraint exactly.
+solver keeps the oracle's trust chain short.  Its tableau holds each row
+as integers, the exact rational row times a positive scale, and pivots
+without division (a gcd is divided out of each row it changes); no float
+and no tolerance enters.  So the verdict is exact, and the witness, built
+as ``Fraction``s only at the end, satisfies every constraint exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionCapExceeded, DimensionMismatch, NonPositiveWeight
 from .states import ThermoState, Transition, _check_rationals
@@ -35,46 +39,95 @@ def _phase1_simplex(
     Returns (objective, x); the system is feasible iff the objective is 0.
     Bland's rule (smallest eligible column; ties in the ratio test broken by
     smallest basis variable) rules out cycling, so the loop terminates.
+
+    Entries are ints or Fractions.  Each row and its rhs are held as
+    integers: the exact row times a positive scale, ``scale[r]``, the
+    coefficient of the row's basic variable.  A pivot sets each row it
+    changes to pivot * row - factor * pivot_row, both multipliers divided
+    by their gcd, then divides out the gcd of the row, its rhs and its
+    scale.  Scaling a row by a positive number changes no sign and no ratio
+    rhs / entry, so the pivots are those of the rational tableau, and the
+    basic solution, rhs over scale, is the same exactly.
     """
     m, n = len(a), len(a[0])
-    tableau = [list(row) for row in a]
-    rhs = list(b)
-    # Artificial i starts basic in row i.  Its column is not stored: once it
-    # leaves the basis it never needs to return, since dropping it keeps the
-    # optimum 0 exactly when {x >= 0 : Ax = b} is non-empty.
+    tableau, rhs, scale = [], [], []
+    for row, value in zip(a, b):
+        den = lcm(value.denominator, *(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        top = value.numerator * (den // value.denominator)
+        g = gcd(top, den, *ints)
+        tableau.append([x // g for x in ints] if g > 1 else ints)
+        rhs.append(top // g)
+        scale.append(den // g)
+    # Artificial i starts basic in row i, with coefficient scale[i].  Its
+    # column is not stored: once it leaves the basis it never needs to
+    # return, since dropping it keeps the optimum 0 exactly when
+    # {x >= 0 : Ax = b} is non-empty.
     basis = list(range(n, n + m))
-    # Phase-I reduced costs with the all-artificial basis.
-    reduced = [-sum(column) for column in zip(*tableau)]
+    # Phase-I reduced costs with the all-artificial basis, -sum of the exact
+    # rows, times the positive lcm of the scales.
+    common = lcm(*scale)
+    reduced = [0] * n
+    for row, s in zip(tableau, scale):
+        weight = common // s
+        reduced = [c - weight * x for c, x in zip(reduced, row)]
     while True:
         j = next((k for k, cost in enumerate(reduced) if cost < 0), None)
         if j is None:
             break
         # The Phase-I objective is bounded below by 0, so a column with a
-        # negative reduced cost always has a positive entry.
-        i = min(
-            (r for r in range(m) if tableau[r][j] > 0),
-            key=lambda r: (rhs[r] / tableau[r][j], basis[r]),
-        )
+        # negative reduced cost always has a positive entry.  Ratios
+        # rhs / entry are compared by cross products.
+        i = -1
+        for r in range(m):
+            entry = tableau[r][j]
+            if entry > 0:
+                if i < 0:
+                    i = r
+                    continue
+                left, right = rhs[r] * tableau[i][j], rhs[i] * entry
+                if left < right or (left == right and basis[r] < basis[i]):
+                    i = r
+        # A row whose basic variable was artificial may now share a factor
+        # with its rhs; the new scale is the pivot itself.
         pivot_row = tableau[i]
-        pivot = pivot_row[j]
-        pivot_row[:] = [x / pivot if x else x for x in pivot_row]
-        rhs[i] /= pivot
-        support = [k for k, x in enumerate(pivot_row) if x]
+        g = gcd(rhs[i], *pivot_row)
+        if g > 1:
+            pivot_row[:] = [x // g for x in pivot_row]
+            rhs[i] //= g
+        pivot, top = pivot_row[j], rhs[i]
+        support = [k for k, y in enumerate(pivot_row) if y]
         for r, row in enumerate(tableau):
             factor = row[j]
             if r != i and factor:
+                g = gcd(pivot, factor)
+                mult, factor = pivot // g, factor // g
+                if mult != 1:
+                    row[:] = [mult * x for x in row]
                 for k in support:
                     row[k] -= factor * pivot_row[k]
-                rhs[r] -= factor * rhs[i]
+                rhs[r] = mult * rhs[r] - factor * top
+                scale[r] *= mult
+                g = gcd(rhs[r], scale[r], *row)
+                if g > 1:
+                    row[:] = [x // g for x in row]
+                    rhs[r] //= g
+                    scale[r] //= g
         factor = reduced[j]
-        for k in support:
-            reduced[k] -= factor * pivot_row[k]
+        reduced = [pivot * c - factor * y for c, y in zip(reduced, pivot_row)]
+        g = gcd(*reduced)
+        if g > 1:
+            reduced = [c // g for c in reduced]
+        scale[i] = pivot
         basis[i] = j
     x = [Fraction(0)] * n
+    objective = Fraction(0)
     for row, var in enumerate(basis):
+        value = Fraction(rhs[row], scale[row])
         if var < n:
-            x[var] = rhs[row]
-    objective = sum((rhs[row] for row, var in enumerate(basis) if var >= n), Fraction(0))
+            x[var] = value
+        else:
+            objective += value
     return objective, x
 
 
@@ -91,12 +144,12 @@ def lp_feasible(t: Transition) -> tuple[bool, Matrix | None]:
     rows = []
     rhs = []
     for j in range(n):  # column sums
-        rows.append([Fraction(int(k % n == j)) for k in range(n * n)])
-        rhs.append(Fraction(1))
+        rows.append([int(k % n == j) for k in range(n * n)])
+        rhs.append(1)
     # G g = g, then G p = p'
     for vec, image in ((t.weights, t.weights), (t.initial.probs, t.final.probs)):
         for i in range(n):
-            row = [Fraction(0)] * (n * n)
+            row = [0] * (n * n)
             row[i * n : (i + 1) * n] = vec
             rows.append(row)
             rhs.append(image[i])

@@ -47,6 +47,10 @@ state's slope classes read and no measure built.  Any other reservoir has
 its four factor measures compared by ``curves._products_coincide``.  No
 curve, clock lift or joint state is built; :func:`joint_states` keeps the
 materialised tensor product as an independent cross-check.
+
+The module imports ``curves`` only where it is used: in that fallback and
+in the formation-family functions.  So synthesis and the shift check load no
+curve code, and ``Curve`` in annotations is never evaluated.
 """
 
 from __future__ import annotations
@@ -57,14 +61,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .curves import (
-    Curve,
-    _measure_of,
-    _products_coincide,
-    coincide,
-    curve_of,
-    divide,
-)
 from .errors import (
     DimensionMismatch,
     GibbsInput,
@@ -435,6 +431,8 @@ def verify_efficient(t: Transition, res: Reservoir) -> bool:
     for kappa in _gauges(b, c._classes):
         if _is_shifted(b, c._classes, c._den, kappa):
             return _is_shifted(d, a._classes, a._den, kappa)
+    from .curves import _measure_of, _products_coincide  # loaded on use: the shifts need neither
+
     return _products_coincide(*[_measure_of(s._classes, s._den) for s in (a, b, c, d)])
 
 
@@ -462,6 +460,8 @@ def minimal_formation_pair(sys: ThermoState) -> tuple[Curve, Curve]:
     Formation tau -> sys runs the extraction reservoir backwards: the initial
     work curve copies the system's slope pattern, the final one is straight.
     """
+    from .curves import curve_of
+
     work = minimal_extraction_reservoir(sys).work_transition()
     return curve_of(work.final), curve_of(work.initial)
 
@@ -476,6 +476,8 @@ def characterize_formation_family(
     where (x1, y1) is the minimal pair.  Cancellation makes the quotients
     unique, so membership reduces to two exact divisions agreeing.
     """
+    from .curves import coincide, divide
+
     x1, y1 = minimal_formation_pair(sys)
     b_init = divide(candidate_init, x1)
     if b_init is None:

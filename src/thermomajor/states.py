@@ -95,6 +95,12 @@ def _scaled(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
+def _ratio(a: Fraction, b: Fraction) -> Fraction:
+    """a / b built from numerators and denominators, so ints divide exactly
+    too."""
+    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
+
+
 def _exact_sum(values: Iterable[Fraction]) -> Fraction:
     """The exact sum of rationals: one integer sum over the lcm of their
     denominators, normalised once, instead of a Fraction per partial sum."""

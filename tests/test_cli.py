@@ -569,6 +569,81 @@ class TestDeterminism:
         assert rebuilt == direct
 
 
+def parse_output(parse, argv):
+    """Exit code, stdout and stderr of ``parse(argv)``, which exits on help
+    and on a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+COMMANDS = [
+    "curve", "majorize", "divergence", "build-reservoir", "verify", "catalytic-check",
+    "oracle-check", "engine", "reproduce",
+]
+
+#: One call per command that its parser refuses for a missing argument.
+MISSING_ARGUMENT = [
+    ["curve"],
+    ["majorize", "a.json"],
+    ["divergence"],
+    ["build-reservoir", "a.json"],
+    ["verify", "a.json", "b.json"],
+    ["catalytic-check", "a.json"],
+    ["oracle-check", "--trials"],
+    ["engine", "--epsilon", "1", "--t-hot", "2"],
+    ["reproduce"],
+]
+
+
+class TestParser:
+    """``main`` builds only the invoked subcommand's parser; what it prints
+    and its exit code are the full parser's."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help_is_the_full_parsers(self, command):
+        code, out, err = parse_output(main, [command, "--help"])
+        assert (code, out, err) == parse_output(full_parse, [command, "--help"])
+        assert code == 0 and out.startswith(f"usage: thermomajor {command} ")
+
+    @pytest.mark.parametrize("argv", MISSING_ARGUMENT, ids=lambda argv: argv[0])
+    def test_missing_argument_error_is_the_full_parsers(self, argv):
+        code, out, err = parse_output(main, argv)
+        assert (code, out, err) == parse_output(full_parse, argv)
+        assert code == 2 and out == ""
+        assert f"thermomajor {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["majoriz"], [], ["curve", "a.json", "--bogus"]],
+        ids=["help", "unknown-command", "empty", "unrecognized-argument"],
+    )
+    def test_top_level_text_is_the_full_parsers(self, argv):
+        """An unrecognized argument after a command is reported in the top
+        parser's usage, which lists every subcommand even when only one is
+        built."""
+        code, out, err = parse_output(main, argv)
+        assert (code, out, err) == parse_output(full_parse, argv)
+        assert "{" + ",".join(COMMANDS) + "}" in out + err
+
+    def test_only_the_invoked_subcommand_is_built(self):
+        def choices(parser):
+            (sub,) = [a for a in parser._actions if a.dest == "command"]
+            return list(sub.choices)
+
+        assert choices(cli.build_parser()) == COMMANDS
+        assert choices(cli.build_parser("verify")) == ["verify"]
+        assert choices(cli.build_parser("majoriz")) == COMMANDS
+
+
 #: Rational-list entries: valid ints and fraction strings mixed with every
 #: kind of value the parser must refuse.
 ENTRIES = st.one_of(

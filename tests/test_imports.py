@@ -5,6 +5,7 @@ import json
 import pkgutil
 import sys
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -92,11 +93,13 @@ finally:
 # milliseconds to every process.
 _STARTUP_HEAVY = {"dataclasses", "inspect"}
 
-_ALL = {
-    "catalysis", "curves", "divergences", "engine", "errors", "oracle", "reproduce", "reservoirs",
-    "states",
+# The library modules a command may load beyond ``errors`` and ``states``,
+# which every command and ``main``'s error handling use.
+_LIBRARY = {
+    "catalysis", "curves", "divergences", "engine", "oracle", "reproduce", "reservoirs",
 }
-_CURVES_ONLY = _ALL - {"errors", "states", "curves"}
+_REPRODUCE = {"reproduce", "reservoirs"}
+ENGINE = ["engine", "--epsilon", "1", "--t-hot", "2", "--t-cold", "1"]
 
 
 @pytest.fixture(scope="module")
@@ -125,51 +128,64 @@ def cli_files(tmp_path):
     paths["initial"].write_text(json.dumps(state_to_dict(initial)))
     paths["final"].write_text(json.dumps(state_to_dict(gibbs_of(initial))))
     paths["reservoir"] = tmp_path / "reservoir.json"
+    paths["dir"] = tmp_path / "curves"
     argv = ["build-reservoir", "--method", "general", str(paths["initial"]), str(paths["final"])]
     assert main([*argv, "-o", str(paths["reservoir"])]) == 0
     return {name: str(path) for name, path in paths.items()}
 
 
 class TestImportFootprint:
-    """Each subcommand, in its own process, loads only the modules it runs."""
+    """Each subcommand, in its own process, loads exactly the library modules
+    it runs: every one beyond ``errors`` and ``states`` is listed, so a
+    module-level import that loads ``curves`` (or any other) for code the
+    command never runs fails here."""
 
     @pytest.mark.parametrize(
-        "argv, forbidden",
+        "argv, runs",
         [
-            (["curve", "{initial}"], _CURVES_ONLY),
-            (["majorize", "{initial}", "{final}"], _CURVES_ONLY),
-            (["divergence", "{initial}"], _CURVES_ONLY - {"divergences"}),
-            (
-                ["build-reservoir", "--method", "general", "{initial}", "{final}"],
-                {"divergences", "catalysis", "oracle", "engine", "reproduce"},
-            ),
-            (
-                ["verify", "{initial}", "{final}", "{reservoir}"],
-                {"divergences", "catalysis", "oracle", "engine", "reproduce"},
-            ),
-            (
-                ["catalytic-check", "{initial}", "{final}"],
-                {"reservoirs", "oracle", "engine", "reproduce"},
-            ),
-            (["oracle-check", "--trials", "3"], {"reservoirs", "catalysis", "engine", "reproduce"}),
-            (["reproduce", "table1"], {"divergences", "catalysis", "oracle", "engine"}),
-            (
-                ["engine", "--epsilon", "1", "--t-hot", "2", "--t-cold", "1"],
-                {"divergences", "catalysis", "oracle", "reproduce"},
-            ),
-            (["reproduce", "engine"], {"divergences", "catalysis", "oracle"}),
+            (["curve", "{initial}"], {"curves"}),
+            (["majorize", "{initial}", "{final}"], {"curves"}),
+            (["divergence", "{initial}"], {"divergences"}),
+            (["build-reservoir", "--method", "general", "{initial}", "{final}"], {"reservoirs"}),
+            (["verify", "{initial}", "{final}", "{reservoir}"], {"reservoirs"}),
+            (["catalytic-check", "{initial}", "{final}"], {"divergences", "catalysis"}),
+            (["oracle-check", "--trials", "3"], {"oracle", "curves"}),
+            (["reproduce", "table1"], _REPRODUCE),
+            (["reproduce", "example1"], _REPRODUCE),
+            (["reproduce", "example2"], _REPRODUCE),
+            (ENGINE, {"engine", "reservoirs"}),
+            ([*ENGINE, "--curves-dir", "{dir}"], {"engine", "reservoirs", "curves"}),
+            (["reproduce", "engine"], _REPRODUCE | {"engine"}),
         ],
         ids=["curve", "majorize", "divergence", "build-reservoir", "verify", "catalytic-check",
-             "oracle-check", "reproduce", "engine", "reproduce-engine"],
+             "oracle-check", "reproduce", "reproduce-example1", "reproduce-example2", "engine",
+             "engine-curves", "reproduce-engine"],
     )
-    def test_subcommand_loads_only_what_it_runs(self, cli_files, bare_modules, argv, forbidden):
+    def test_subcommand_loads_only_what_it_runs(self, cli_files, bare_modules, argv, runs):
         proc = run_python("-c", PROBE, *(arg.format(**cli_files) for arg in argv), timeout=10)
         assert proc.returncode == 0, proc.stderr
         modules = set(json.loads(proc.stderr.splitlines()[-1]))
         loaded = {m[len("thermomajor."):] for m in modules if m.startswith("thermomajor.")}
         assert {"errors", "states"} <= loaded
-        assert not loaded & forbidden
+        assert loaded & _LIBRARY == runs
         assert not (modules - bare_modules) & _STARTUP_HEAVY
+
+    def test_verify_loads_curves_only_off_the_shift_path(self, cli_files, tmp_path):
+        """A tampered initial weight makes the reservoir's initial work state
+        no shift of the final system state, so ``verify_efficient`` falls back
+        to comparing measures, and ``curves`` loads on that use."""
+        with open(cli_files["reservoir"]) as fh:
+            reservoir = json.load(fh)
+        weight = Fraction(reservoir["init_weights"][0]) * Fraction(10001, 10000)
+        reservoir["init_weights"][0] = str(weight)
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(reservoir))
+        argv = ["verify", cli_files["initial"], cli_files["final"], str(tampered)]
+        proc = run_python("-c", PROBE, *argv, timeout=10)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["efficient"] is False
+        modules = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert "thermomajor.curves" in modules
 
     def test_only_oracle_check_loads_random(self, cli_files):
         """``build-reservoir`` draws nothing at random, so it loads no
