@@ -12,16 +12,16 @@ under the tensor product (heights and slopes multiply pairwise, equal slopes
 merge, widths multiply).  The monoid is cancellative: :func:`divide` peels
 the unique quotient off a product when one exists.
 
-:func:`curve_of`, :func:`canonical_curve`, :func:`product` and
-:func:`divide` share one integer kernel.  A canonical curve is a finite
-measure on slopes (a height at each slope).  Its input is slope classes,
-each a reduced slope pair mapped to its mass over one denominator: a
-state's cached classes, a curve's own segments (already merged, reduced
-and sorted), or the raw pairs :func:`canonical_curve` merges by slope.
-``_measure_of`` then puts the slopes over the lcm of their denominators, a
-dict from slope numerator to height numerator with no Fraction.  A product
-slope is x*y over d_a*d_b and a product height h*k over e_a*e_b.  Two
-curves of equal width coincide exactly when their measures are equal.
+A canonical curve is a finite measure on slopes.  Every curve the library
+builds stores it in integers, steepest first (``_Measure``), and makes its
+``segments`` on first read.  ``_measure_of`` reads slope classes: a state's
+cached classes or the raw pairs :func:`canonical_curve` merges by slope.  A
+product slope is x*y over d_a*d_b and a product height h*k over e_a*e_b.
+A state's or a product's measure is canonical by construction (positive
+heights summing to one, distinct positive slopes, a sloped width of
+occupied weights at most Z), so :func:`curve_of` and :func:`product` skip
+validation; :func:`canonical_curve` checks its raw input and :func:`divide`
+its quotient.  Curves of equal width coincide when their measures do.
 
 ``reservoirs.verify_efficient`` asks whether a (x) b = c (x) d.  It settles
 a slope-matched reservoir itself, from its levels, by cancellation, and
@@ -49,6 +49,13 @@ from .errors import InvalidCurve, OutsideDomain, WidthMismatch
 from .states import (
     ThermoState, _ONE, _ZERO, _Value, _check_rationals, _exact_sum, _ratio, _scaled, _show
 )
+
+
+#: A curve's slope measure in integers: ``heights`` maps each slope
+#: numerator to the height numerator at that slope, steepest first, over
+#: one ``height_den`` and one ``slope_den``.  ``Curve._of`` sorts a built
+#: measure; one read from validated segments is sorted already.
+_Measure = namedtuple("_Measure", ("heights", "height_den", "slope_den"))
 
 
 class Segment(_Value):
@@ -94,24 +101,32 @@ class Curve(_Value):
         if self.sloped_width > self.total_width:
             raise InvalidCurve("sloped width exceeds total width")
 
+    @classmethod
+    def _of(cls, measure: _Measure, total_width: Fraction) -> Curve:
+        """The curve of a measure, slopes sorted steepest first, unvalidated."""
+        curve = cls.__new__(cls)
+        steepest_first = dict(sorted(measure.heights.items(), reverse=True))
+        object.__setattr__(curve, "_measure", measure._replace(heights=steepest_first))
+        object.__setattr__(curve, "total_width", total_width)
+        return curve
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        heights, height_den, slope_den = self._measure
+        return tuple([
+            Segment(Fraction(h, height_den), Fraction(x, slope_den)) for x, h in heights.items()
+        ])
+
+    @cached_property
+    def _measure(self) -> _Measure:
+        """The measure of validated segments: heights over one denominator."""
+        heights, den = _scaled([seg.height.as_integer_ratio() for seg in self.segments])
+        slopes = [seg.slope.as_integer_ratio() for seg in self.segments]
+        return _measure_of(dict(zip(slopes, heights)), den)
+
     @cached_property
     def sloped_width(self) -> Fraction:
         return _exact_sum(_ratio(seg.height, seg.slope) for seg in self.segments)
-
-
-#: A curve's slope measure in integers: ``heights`` maps each slope
-#: numerator to the height numerator at that slope, over one
-#: ``height_den`` and one ``slope_den``.
-_Measure = namedtuple("_Measure", ("heights", "height_den", "slope_den"))
-
-
-def _measure(curve: Curve) -> _Measure:
-    """The measure of a canonical curve, whose segments are its slope
-    classes: heights over the lcm of their denominators, slopes as reduced
-    pairs, steepest first."""
-    segments = curve.segments
-    heights, den = _scaled([seg.height.as_integer_ratio() for seg in segments])
-    return _measure_of(dict(zip([seg.slope.as_integer_ratio() for seg in segments], heights)), den)
 
 
 def _measure_of(classes: dict[tuple[int, int], int], den: int) -> _Measure:
@@ -194,17 +209,6 @@ def _products_coincide(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -
     return na * nb * dc * dd == nc * nd * da * db and _same_products(ma, mb, mc, md)
 
 
-def _curve(m: _Measure, total_width: Fraction) -> Curve:
-    """The canonical curve of a measure of positive heights: slopes sorted
-    descending, one Fraction per output segment."""
-    heights, height_den, slope_den = m
-    segments = tuple(
-        Segment(Fraction(heights[slope], height_den), Fraction(slope, slope_den))
-        for slope in sorted(heights, reverse=True)
-    )
-    return Curve(segments, total_width)
-
-
 def canonical_curve(pairs: Iterable[tuple[Fraction, Fraction]], total_width: Fraction) -> Curve:
     """Build a curve from raw (height, slope) pairs.
 
@@ -220,12 +224,14 @@ def canonical_curve(pairs: Iterable[tuple[Fraction, Fraction]], total_width: Fra
         if h:
             key = slope.as_integer_ratio()
             classes[key] = classes.get(key, 0) + h
-    return _curve(_measure_of(classes, den), total_width)
+    curve = Curve._of(_measure_of(classes, den), total_width)
+    curve._check()
+    return curve
 
 
 def curve_of(state: ThermoState) -> Curve:
     """Canonical curve of a state: slopes are p_i / g_i on the support."""
-    return _curve(_measure_of(state._classes, state._den), state.z)
+    return Curve._of(_measure_of(state._classes, state._den), state.z)
 
 
 def identity_curve() -> Curve:
@@ -279,25 +285,27 @@ def majorizes(a: Curve, b: Curve) -> bool:
     linear between the curves' slopes and 0 at t = 0 and past the steepest,
     so one walk over both curves' segments, steepest first, decides: it
     compares at each slope, then adds that segment.  At its own slope a
-    segment adds h - t h / t = 0, so equal slopes need no special case.
+    segment adds h - t h / t = 0, so equal slopes need no special case.  Over
+    common denominators H is an integer (b's heights negated) and W a Fraction.
     """
     if a.total_width != b.total_width:
         raise WidthMismatch(
             f"widths differ: {_show(a.total_width)} vs {_show(b.total_width)}; "
             "curves from different Hamiltonians are not comparable"
         )
-    # b's heights enter negated: F_a(t) - F_b(t) = height - t * width.
-    segments = sorted(
-        [(seg.slope, seg.height) for seg in a.segments]
-        + [(seg.slope, -seg.height) for seg in b.segments],
-        reverse=True,
-    )
-    height = width = _ZERO
-    for slope, h in segments:
+    ma, mb = a._measure, b._measure
+    slope_den, height_den = lcm(ma.slope_den, mb.slope_den), lcm(ma.height_den, mb.height_den)
+    entries = []
+    for m, sign in ((ma, 1), (mb, -1)):
+        slope_factor, height_factor = slope_den // m.slope_den, sign * (height_den // m.height_den)
+        entries += [(x * slope_factor, h * height_factor) for x, h in m.heights.items()]
+    entries.sort(reverse=True)
+    height, width = 0, _ZERO
+    for slope, h in entries:
         if height < slope * width:
             return False
         height += h
-        width += _ratio(h, slope)
+        width += Fraction(h, slope)
     return True
 
 
@@ -308,8 +316,7 @@ def coincide(a: Curve, b: Curve) -> bool:
 
 def product(a: Curve, b: Curve) -> Curve:
     """Monoid product: pairwise (height*height, slope*slope), widths multiply."""
-    measure = _product_measure(_measure(a), _measure(b))
-    return _curve(measure, a.total_width * b.total_width)
+    return Curve._of(_product_measure(a._measure, b._measure), a.total_width * b.total_width)
 
 
 def divide(l: Curve, a: Curve) -> Curve | None:
@@ -335,7 +342,7 @@ def divide(l: Curve, a: Curve) -> Curve | None:
     ``Curve`` validation rejects that too.  No product measure is built.
     """
     width = _ratio(l.total_width, a.total_width)
-    ma, ml = _measure(a), _measure(l)
+    ma, ml = a._measure, l._measure
     rows = list(ma.heights.items())
     top_slope, top_height = rows[0]
     remaining: dict[int, Fraction] = {y * top_slope: h for y, h in ml.heights.items()}

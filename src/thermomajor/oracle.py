@@ -213,37 +213,29 @@ def random_state(
 def random_rational_gibbs_matrix(
     weights: Sequence[Fraction], rng: random.Random
 ) -> list[list[Fraction]]:
-    """Exact-rational Gibbs-stochastic matrix (mixture of extremal pieces)."""
+    """Exact-rational Gibbs-stochastic matrix: a random mixture of the identity,
+    the all-tau matrix and, for n >= 2, n swaps, each the identity but on levels
+    i, j with tau_i >= tau_j, where all of j moves to i and tau_j / tau_i of i to j."""
     n = len(weights)
     z = sum(weights, Fraction(0))
     tau = [w / z for w in weights]
-    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    all_tau = [[tau[i] for _ in range(n)] for i in range(n)]
-    parts = [identity, all_tau]
-    if n >= 2:
-        for _ in range(n):
-            i, j = rng.sample(range(n), 2)
-            if tau[j] > tau[i]:
-                i, j = j, i
-            swap = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
-            ratio = tau[j] / tau[i]
-            swap[i][i] = 1 - ratio
-            swap[j][i] = ratio
-            swap[i][j] = Fraction(1)
-            swap[j][j] = Fraction(0)
-            parts.append(swap)
-    raw = [Fraction(rng.randint(0, 6)) for _ in parts]
-    if sum(raw) == 0:
-        raw[0] = Fraction(1)
-    total = sum(raw)
-    coeffs = [x / total for x in raw]
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for coeff, part in zip(coeffs, parts):
-        if coeff == 0:
-            continue
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += coeff * part[i][j]
+    swaps = [sorted(rng.sample(range(n), 2), key=tau.__getitem__, reverse=True)
+             for _ in range(n if n >= 2 else 0)]
+    raw = [rng.randint(0, 6) for _ in range(2 + len(swaps))]
+    if not any(raw):
+        raw[0] = 1
+    identity, all_tau, *swap_coeffs = [Fraction(x, sum(raw)) for x in raw]
+    # The identity and the swaps share the diagonal; each swap moves 4 entries.
+    diagonal = sum(swap_coeffs, identity)
+    out = [[all_tau * t] * n for t in tau]
+    for i in range(n):
+        out[i][i] += diagonal
+    for coeff, (i, j) in zip(swap_coeffs, swaps):
+        moved = coeff * tau[j] / tau[i]
+        out[i][i] -= moved
+        out[j][i] += moved
+        out[i][j] += coeff
+        out[j][j] -= coeff
     return out
 
 

@@ -46,7 +46,7 @@ def table1() -> dict:
     # The default anchor puts weight 1 on the walk's first level, as here.
     checks.append(
         {
-            "name": "general_construction_matches_up_to_gauge",
+            "name": "general_construction_equals_table1",
             "ok": reservoirs.general_efficient_reservoir(t) == res,
         }
     )

@@ -521,7 +521,7 @@ class TestReproduce:
         ]
 
     @pytest.mark.parametrize(
-        "target, check", [("table1", "general_construction_matches_up_to_gauge"),
+        "target, check", [("table1", "general_construction_equals_table1"),
                           ("example1", "weight_ratios_exact")],
     )
     @pytest.mark.parametrize("mutant", ["doubled", "reversed"])

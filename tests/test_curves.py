@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from thermomajor import curves
+from thermomajor import cli, curves
 from thermomajor.curves import (
     Curve,
     Segment,
@@ -241,16 +241,68 @@ class TestIntegerKernel:
     @HYPO
     @given(data=st.data())
     def test_segments_are_the_slope_classes(self, palette, data):
-        """A curve's measure, read from its segments, is its state's slope
-        classes: the same height at each slope, steepest first."""
+        """A curve's measure is its state's slope classes: the same height
+        at each slope, steepest first, whether stored or read from its
+        segments.  A product's stored measure is steepest first too."""
 
         def as_fractions(m):
             return {F(x, m.slope_den): F(h, m.height_den) for x, h in m.heights.items()}
 
         s = data.draw(family_states(data.draw(st.integers(1, 12)), palette))
-        from_curve = curves._measure(curve_of(s))
+        t = data.draw(family_states(data.draw(st.integers(1, 6)), palette))
+        from_curve = curve_of(s)._measure
         assert as_fractions(from_curve) == as_fractions(curves._measure_of(s._classes, s._den))
         assert list(from_curve.heights) == sorted(from_curve.heights, reverse=True)
+        c = curve_of(s)
+        read = Curve(c.segments, c.total_width)._measure
+        assert as_fractions(read) == as_fractions(from_curve)
+        assert list(read.heights) == sorted(read.heights, reverse=True)
+        stored = product(curve_of(s), curve_of(t))._measure
+        assert list(stored.heights) == sorted(stored.heights, reverse=True)
+
+    @pytest.mark.parametrize("palette", [True, False], ids=["palette", "generic"])
+    @HYPO
+    @given(data=st.data())
+    def test_built_curves_make_no_segments(self, palette, data):
+        """``curve_of`` and ``product`` store their measure unvalidated and
+        ``majorizes`` reads it: none of them makes a Segment or runs the
+        ``Curve`` check.  A curve built from segments is checked once."""
+        a = data.draw(family_states(data.draw(st.integers(1, 8)), palette))
+        b = data.draw(family_states(a.dim, palette, a.weights))
+        c = data.draw(family_states(data.draw(st.integers(1, 4)), palette))
+        refuse = AssertionError("a segment was made or a curve checked")
+        with mock.patch.object(curves, "Segment", side_effect=refuse), mock.patch.object(
+            Curve, "_check", side_effect=refuse
+        ):
+            ca, cb, cc = curve_of(a), curve_of(b), curve_of(c)
+            ac, bc = product(ca, cc), product(cb, cc)
+            pairs = [(ca, cb), (cb, ca), (ac, bc), (bc, ac)]
+            verdicts = [majorizes(x, y) for x, y in pairs]
+        check = mock.patch.object(Curve, "_check", autospec=True, side_effect=Curve._check)
+        with check as checked:
+            copies = [(Curve(x.segments, x.total_width), Curve(y.segments, y.total_width))
+                      for x, y in pairs]
+            assert [majorizes(x, y) for x, y in copies] == verdicts
+            assert [product(x, y) for x, y in copies] == [product(x, y) for x, y in pairs]
+        assert checked.call_count == 8
+
+    @pytest.mark.parametrize("palette", [True, False], ids=["palette", "generic"])
+    @HYPO
+    @given(data=st.data())
+    def test_built_curves_equal_their_segments_curves(self, palette, data):
+        """A built curve, first read any way, is the curve of its segments:
+        equal, with the same repr, hash and CLI JSON, for a state's curve
+        and for a product."""
+        a = data.draw(family_states(data.draw(st.integers(1, 8)), palette))
+        c = data.draw(family_states(data.draw(st.integers(1, 4)), palette))
+        for build in (
+            lambda: curve_of(a), lambda: curve_of(c), lambda: product(curve_of(a), curve_of(c))
+        ):
+            copy = Curve(build().segments, build().total_width)
+            assert build() == copy and copy == build()
+            assert repr(build()) == repr(copy)
+            assert hash(build()) == hash(copy)
+            assert cli._dump(build()) == cli._dump(copy)
 
 
 class TestCurveValidation:

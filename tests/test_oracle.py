@@ -1,5 +1,7 @@
 """LP feasibility oracle vs the exact curve criterion."""
 
+import itertools
+import random
 import re
 from collections.abc import Sequence
 from fractions import Fraction
@@ -62,20 +64,44 @@ class TestLpFeasible:
                 # feasible transitions never consume free energy for free
                 assert entropy_production(t) >= -1e-9
 
+    @staticmethod
+    def agreements(weights, den):
+        """Whether the curve criterion and the LP agree, for each ordered
+        pair of states on ``weights`` with masses in units of 1/den."""
+        states = [
+            make_state([F(m, den) for m in masses], weights)
+            for masses in itertools.product(range(den + 1), repeat=len(weights))
+            if sum(masses) == den
+        ]
+        curves = [curve_of(s) for s in states]
+        return [
+            majorizes(cp, cq) == lp_feasible(Transition(p, q))[0]
+            for p, cp in zip(states, curves)
+            for q, cq in zip(states, curves)
+        ]
+
     def test_every_pair_of_sixths_on_three_levels(self):
         """A small world, exhaustively: every pair of 3-level states with
         masses in sixths on weights (1, 2, 3), 784 pairs."""
-        states = [
-            make_state((F(i, 6), F(j, 6), F(6 - i - j, 6)), (1, 2, 3))
-            for i in range(7)
-            for j in range(7 - i)
-        ]
-        agreed = [
-            majorizes(curve_of(p), curve_of(q)) == lp_feasible(Transition(p, q))[0]
-            for p in states
-            for q in states
-        ]
+        agreed = self.agreements((1, 2, 3), 6)
         assert len(agreed) == 784 and all(agreed)
+
+    @pytest.mark.parametrize(
+        "weights, den, pairs",
+        [
+            ((1, 1, 1), 6, 784),
+            ((F(1, 2), 1, 3), 6, 784),
+            ((1, 2, 3, 4), 4, 1225),
+            ((1, 1, 2, 2), 4, 1225),
+        ],
+        ids=["sixths-flat", "sixths-half-one-three", "quarters-1234", "quarters-1122"],
+    )
+    def test_every_pair_of_a_small_world(self, weights, den, pairs):
+        """More small worlds, exhaustively: equal weights, where slopes
+        collapse to the probabilities, a fractional weight, and four levels
+        in quarters, with distinct and with repeated weights."""
+        agreed = self.agreements(weights, den)
+        assert len(agreed) == pairs and all(agreed)
 
 
 # The Fraction tableau the integer one replaced, verbatim but for its name:
@@ -241,6 +267,45 @@ class TestRecoveryMap:
         assert hits > 0
 
 
+# The dense mixture the direct one replaced, verbatim but for its name: an
+# n x n Fraction matrix per piece, summed entry by entry.
+def reference_random_rational_gibbs_matrix(
+    weights: Sequence[Fraction], rng: random.Random
+) -> list[list[Fraction]]:
+    """Exact-rational Gibbs-stochastic matrix (mixture of extremal pieces)."""
+    n = len(weights)
+    z = sum(weights, Fraction(0))
+    tau = [w / z for w in weights]
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    all_tau = [[tau[i] for _ in range(n)] for i in range(n)]
+    parts = [identity, all_tau]
+    if n >= 2:
+        for _ in range(n):
+            i, j = rng.sample(range(n), 2)
+            if tau[j] > tau[i]:
+                i, j = j, i
+            swap = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+            ratio = tau[j] / tau[i]
+            swap[i][i] = 1 - ratio
+            swap[j][i] = ratio
+            swap[i][j] = Fraction(1)
+            swap[j][j] = Fraction(0)
+            parts.append(swap)
+    raw = [Fraction(rng.randint(0, 6)) for _ in parts]
+    if sum(raw) == 0:
+        raw[0] = Fraction(1)
+    total = sum(raw)
+    coeffs = [x / total for x in raw]
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for coeff, part in zip(coeffs, parts):
+        if coeff == 0:
+            continue
+        for i in range(n):
+            for j in range(n):
+                out[i][j] += coeff * part[i][j]
+    return out
+
+
 class TestRandomGibbsMap:
     def test_data_processing_spot_check(self):
         rng = seeded(55)
@@ -251,6 +316,19 @@ class TestRandomGibbsMap:
             matrix = random_rational_gibbs_matrix(weights, rng)
             t = Transition(p, make_state(apply(matrix, p.probs), weights))
             assert entropy_production(t) >= -1e-9
+
+    def test_matches_the_dense_mixture(self):
+        """On 1,000 seeds, 125 at each dimension 1..8, the direct mixture
+        draws what the dense one draws and returns the same matrix, all
+        Fractions, with the same generator state after."""
+        weights_rng = seeded(58)
+        for seed in range(1000):
+            weights = random_state(weights_rng, seed % 8 + 1).weights
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            matrix = random_rational_gibbs_matrix(weights, rng)
+            assert matrix == reference_random_rational_gibbs_matrix(weights, reference_rng)
+            assert all(type(x) is F for row in matrix for x in row)
+            assert rng.getstate() == reference_rng.getstate()
 
     def test_rational_matrix_is_gibbs_stochastic(self):
         rng = seeded(56)
