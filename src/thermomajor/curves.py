@@ -12,16 +12,17 @@ under the tensor product (heights and slopes multiply pairwise, equal slopes
 merge, widths multiply).  The monoid is cancellative: :func:`divide` peels
 the unique quotient off a product when one exists.
 
-A canonical curve is a finite measure on slopes.  Every curve the library
-builds stores it in integers, steepest first (``_Measure``), and makes its
-``segments`` on first read.  ``_measure_of`` reads slope classes: a state's
-cached classes or the raw pairs :func:`canonical_curve` merges by slope.  A
-product slope is x*y over d_a*d_b and a product height h*k over e_a*e_b.
-A state's or a product's measure is canonical by construction (positive
-heights summing to one, distinct positive slopes, a sloped width of
-occupied weights at most Z), so :func:`curve_of` and :func:`product` skip
-validation; :func:`canonical_curve` checks its raw input and :func:`divide`
-its quotient.  Curves of equal width coincide when their measures do.
+A canonical curve is a finite measure on slopes; every curve stores it in
+integers, steepest first (``_Measure``), and every function here reads it.
+``_measure_of`` reads a state's cached slope classes, and a product slope
+is x*y over d_a*d_b and a product height h*k over e_a*e_b.  A state's or a
+product's measure is canonical by construction, so :func:`curve_of` and
+:func:`product` skip validation.  Any other curve (the constructor's
+segments, :func:`canonical_curve`'s pairs merged by slope, :func:`divide`'s
+quotient) is checked once, on its integers, by ``_checked``.  ``segments``
+is a view made on first read, for output, equality and
+``divergences._CurveTerms``.  Curves of equal width coincide when their
+measures do.
 
 ``reservoirs.verify_efficient`` asks whether a (x) b = c (x) d.  It settles
 a slope-matched reservoir itself, from its levels, by cancellation, and
@@ -32,9 +33,8 @@ alpha = 2), so chi_1(a) chi_1(b) != chi_1(c) chi_1(d) proves the products
 differ in O(n) integer operations.  Equal moments prove nothing alone, so
 a (x) b is then built once and c (x) d subtracted from it in place, one
 entry of c at a time; :func:`divide`'s peel is the same row subtraction.
-No product curve is built.  ``Curve`` validation reads signs and order
-from numerators and cross products and sums heights and widths in one
-exact integer sum, so every check stays exact.
+No product curve is built.  There and in :func:`majorizes`, ``_over`` puts a
+measure over multiples of its denominators.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .errors import InvalidCurve, OutsideDomain, WidthMismatch
@@ -52,9 +53,9 @@ from .states import (
 
 
 #: A curve's slope measure in integers: ``heights`` maps each slope
-#: numerator to the height numerator at that slope, steepest first, over
-#: one ``height_den`` and one ``slope_den``.  ``Curve._of`` sorts a built
-#: measure; one read from validated segments is sorted already.
+#: numerator x to its height numerator h, steepest first, over one
+#: ``height_den`` and one ``slope_den``; that segment is h slope_den /
+#: (x height_den) wide.
 _Measure = namedtuple("_Measure", ("heights", "height_den", "slope_den"))
 
 
@@ -76,30 +77,15 @@ class Curve(_Value):
     _fields = ("segments", "total_width")
 
     def _check(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
-            raise InvalidCurve("curve needs at least one segment")
-        _check_rationals((self.total_width,))
-        _check_rationals(x for seg in self.segments for x in (seg.height, seg.slope))
-        previous = None
-        # Denominators are positive: a numerator carries the sign, and
-        # a/b >= c/d exactly when a*d >= c*b.
-        for seg in self.segments:
-            height, slope = seg.height, seg.slope
-            if height.numerator <= 0:
-                raise InvalidCurve(f"segment height {_show(height)} must be positive")
-            if slope.numerator <= 0:
-                raise InvalidCurve(f"segment slope {_show(slope)} must be positive")
-            if previous is not None and (
-                slope.numerator * previous.denominator >= previous.numerator * slope.denominator
-            ):
-                raise InvalidCurve("segment slopes must strictly decrease")
-            previous = slope
-        total_height = _exact_sum(seg.height for seg in self.segments)
-        if total_height != _ONE:
-            raise InvalidCurve(f"segment heights sum to {_show(total_height)}, not 1")
-        if self.sloped_width > self.total_width:
-            raise InvalidCurve("sloped width exceeds total width")
+        segments = tuple(self.segments)
+        object.__setattr__(self, "segments", segments)
+        if segments:
+            _check_rationals((self.total_width,))
+        _check_rationals(x for seg in segments for x in (seg.height, seg.slope))
+        heights, height_den = _scaled([seg.height.as_integer_ratio() for seg in segments])
+        slopes, slope_den = _scaled([seg.slope.as_integer_ratio() for seg in segments])
+        checked = _checked(list(zip(slopes, heights)), height_den, slope_den, self.total_width)
+        object.__setattr__(self, "_measure", checked._measure)
 
     @classmethod
     def _of(cls, measure: _Measure, total_width: Fraction) -> Curve:
@@ -118,15 +104,33 @@ class Curve(_Value):
         ])
 
     @cached_property
-    def _measure(self) -> _Measure:
-        """The measure of validated segments: heights over one denominator."""
-        heights, den = _scaled([seg.height.as_integer_ratio() for seg in self.segments])
-        slopes = [seg.slope.as_integer_ratio() for seg in self.segments]
-        return _measure_of(dict(zip(slopes, heights)), den)
-
-    @cached_property
     def sloped_width(self) -> Fraction:
-        return _exact_sum(_ratio(seg.height, seg.slope) for seg in self.segments)
+        heights, height_den, slope_den = self._measure
+        return _exact_sum([Fraction(h * slope_den, x * height_den) for x, h in heights.items()])
+
+
+def _checked(entries: list, height_den: int, slope_den: int, width: Fraction) -> Curve:
+    """The curve of integer (slope, height) entries over ``slope_den`` and
+    ``height_den``, checked in their given order."""
+    if not entries:
+        raise InvalidCurve("curve needs at least one segment")
+    _check_rationals((width,))
+    previous = entries[0][0] + 1
+    for x, h in entries:
+        if h <= 0:
+            raise InvalidCurve(f"segment height {_show(Fraction(h, height_den))} must be positive")
+        if x <= 0:
+            raise InvalidCurve(f"segment slope {_show(Fraction(x, slope_den))} must be positive")
+        if x >= previous:
+            raise InvalidCurve("segment slopes must strictly decrease")
+        previous = x
+    total = sum([h for _, h in entries])
+    if total != height_den:
+        raise InvalidCurve(f"segment heights sum to {_show(Fraction(total, height_den))}, not 1")
+    curve = Curve._of(_Measure(dict(entries), height_den, slope_den), width)
+    if curve.sloped_width > width:
+        raise InvalidCurve("sloped width exceeds total width")
+    return curve
 
 
 def _measure_of(classes: dict[tuple[int, int], int], den: int) -> _Measure:
@@ -135,6 +139,14 @@ def _measure_of(classes: dict[tuple[int, int], int], den: int) -> _Measure:
     slope_den = lcm(*[d for _, d in classes])
     heights = {x * (slope_den // d): m for (x, d), m in classes.items()}
     return _Measure(heights, den, slope_den)
+
+
+def _over(m: _Measure, height_den: int, slope_den: int) -> _Measure:
+    """``m`` over multiples of its denominators; a negative ``height_den``
+    negates its heights."""
+    height_factor, slope_factor = height_den // m.height_den, slope_den // m.slope_den
+    heights = {x * slope_factor: h * height_factor for x, h in m.heights.items()}
+    return _Measure(heights, height_den, slope_den)
 
 
 def _product_measure(ma: _Measure, mb: _Measure) -> _Measure:
@@ -173,19 +185,10 @@ def _same_products(ma: _Measure, mb: _Measure, mc: _Measure, md: _Measure) -> bo
     """
     slope_den = lcm(ma.slope_den * mb.slope_den, mc.slope_den * md.slope_den)
     height_den = lcm(ma.height_den * mb.height_den, mc.height_den * md.height_den)
-
-    def over_common(m: _Measure, partner: _Measure) -> _Measure:
-        # m over the denominators that put its product with partner over the
-        # common ones.
-        m_height_den = height_den // partner.height_den
-        m_slope_den = slope_den // partner.slope_den
-        height_factor, slope_factor = m_height_den // m.height_den, m_slope_den // m.slope_den
-        heights = {x * slope_factor: h * height_factor for x, h in m.heights.items()}
-        return _Measure(heights, m_height_den, m_slope_den)
-
-    remaining = _product_measure(over_common(ma, mb), mb).heights
+    over_a = _over(ma, height_den // mb.height_den, slope_den // mb.slope_den)
+    remaining = _product_measure(over_a, mb).heights
     rows = list(md.heights.items())
-    entries = over_common(mc, md).heights.items()
+    entries = _over(mc, height_den // md.height_den, slope_den // md.slope_den).heights.items()
     return all(_subtract_row(remaining, rows, x, h) for x, h in entries)
 
 
@@ -219,14 +222,12 @@ def canonical_curve(pairs: Iterable[tuple[Fraction, Fraction]], total_width: Fra
     pairs = list(pairs)
     _check_rationals(x for pair in pairs for x in pair)
     heights, den = _scaled([height.as_integer_ratio() for height, _ in pairs])
-    classes: dict[tuple[int, int], int] = {}
-    for h, (_, slope) in zip(heights, pairs):
+    slopes, slope_den = _scaled([slope.as_integer_ratio() for _, slope in pairs])
+    merged: dict[int, int] = {}
+    for h, x in zip(heights, slopes):
         if h:
-            key = slope.as_integer_ratio()
-            classes[key] = classes.get(key, 0) + h
-    curve = Curve._of(_measure_of(classes, den), total_width)
-    curve._check()
-    return curve
+            merged[x] = merged.get(x, 0) + h
+    return _checked(sorted(merged.items(), reverse=True), den, slope_den, total_width)
 
 
 def curve_of(state: ThermoState) -> Curve:
@@ -241,7 +242,7 @@ def identity_curve() -> Curve:
 
 def num_distinct_slopes(curve: Curve) -> int:
     """Number of sloped segments (the flat tail does not count)."""
-    return len(curve.segments)
+    return len(curve._measure.heights)
 
 
 def breakpoints(curve: Curve) -> list[tuple[Fraction, Fraction]]:
@@ -249,14 +250,11 @@ def breakpoints(curve: Curve) -> list[tuple[Fraction, Fraction]]:
 
     Every coordinate is a Fraction, also for a curve with int entries.
     """
-    points = [(_ZERO, _ZERO)]
-    x = _ZERO
-    y = _ZERO
-    for seg in curve.segments:
-        x += _ratio(seg.height, seg.slope)
-        y += seg.height
-        points.append((x, y))
-    if x < curve.total_width:
+    heights, height_den, slope_den = curve._measure
+    widths = [Fraction(h * slope_den, x * height_den) for x, h in heights.items()]
+    xs, ys = accumulate(widths, initial=_ZERO), accumulate(heights.values(), initial=0)
+    points = [(x, Fraction(y, height_den)) for x, y in zip(xs, ys)]
+    if points[-1][0] < curve.total_width:
         points.append((Fraction(curve.total_width), _ONE))
     return points
 
@@ -267,13 +265,14 @@ def evaluate(curve: Curve, x: Fraction) -> Fraction:
     _check_rationals((x,))
     if x < 0 or x > curve.total_width:
         raise OutsideDomain(f"x={_show(x)} outside [0, {_show(curve.total_width)}]")
-    height = _ZERO
-    for seg in curve.segments:
-        width = _ratio(seg.height, seg.slope)
+    heights, height_den, slope_den = curve._measure
+    below = 0
+    for slope, h in heights.items():
+        width = Fraction(h * slope_den, slope * height_den)
         if x <= width:
-            return height + x * seg.slope
+            return Fraction(below, height_den) + x * Fraction(slope, slope_den)
         x -= width
-        height += seg.height
+        below += h
     return _ONE
 
 
@@ -295,11 +294,8 @@ def majorizes(a: Curve, b: Curve) -> bool:
         )
     ma, mb = a._measure, b._measure
     slope_den, height_den = lcm(ma.slope_den, mb.slope_den), lcm(ma.height_den, mb.height_den)
-    entries = []
-    for m, sign in ((ma, 1), (mb, -1)):
-        slope_factor, height_factor = slope_den // m.slope_den, sign * (height_den // m.height_den)
-        entries += [(x * slope_factor, h * height_factor) for x, h in m.heights.items()]
-    entries.sort(reverse=True)
+    over_a, over_b = _over(ma, height_den, slope_den), _over(mb, -height_den, slope_den)
+    entries = sorted([*over_a.heights.items(), *over_b.heights.items()], reverse=True)
     height, width = 0, _ZERO
     for slope, h in entries:
         if height < slope * width:
@@ -336,29 +332,31 @@ def divide(l: Curve, a: Curve) -> Curve | None:
     decrease, and its heights sum to 1 as l's and a's do.  The stop at a
     negative remainder is only an early exit: run on, a non-quotient gives
     a negative height (a negative left at one of l's slopes) or else a
-    negative remainder elsewhere, so heights summing past 1, and ``Curve``
-    validation rejects both.  Only the width can still fail: q's sloped
+    negative remainder elsewhere, so heights summing past 1, and
+    ``_checked`` rejects both.  Only the width can still fail: q's sloped
     width exceeds l.Z / a.Z when a has a flat tail that l lacks, and
-    ``Curve`` validation rejects that too.  No product measure is built.
+    ``_checked`` rejects that too.  No product measure and no segment is
+    built.
     """
     width = _ratio(l.total_width, a.total_width)
     ma, ml = a._measure, l._measure
     rows = list(ma.heights.items())
     top_slope, top_height = rows[0]
     remaining: dict[int, Fraction] = {y * top_slope: h for y, h in ml.heights.items()}
-    # q's height is k * height_unit: k is in l's height units per a's.
-    height_unit = Fraction(ma.height_den, ml.height_den)
-    slope_den = ml.slope_den * top_slope
-    segments = []
+    slopes, ks = [], []
     for y in ml.heights:
         left = remaining[y * top_slope]
         if left:
             k = Fraction(left, top_height)
             if not _subtract_row(remaining, rows, y, k):
                 return None
-            segments.append(Segment(k * height_unit, Fraction(y * ma.slope_den, slope_den)))
+            slopes.append(y * ma.slope_den)
+            ks.append((k.numerator * ma.height_den, k.denominator))
+    # q's height is k a.height_den / l.height_den: k is in l's height units per a's.
+    heights, den = _scaled(ks)
+    entries = list(zip(slopes, heights))
     try:
-        return Curve(tuple(segments), width)
+        return _checked(entries, den * ml.height_den, ml.slope_den * top_slope, width)
     except InvalidCurve:
         return None
 
@@ -369,8 +367,9 @@ def realize_state(curve: Curve) -> ThermoState:
     One level per segment (prob = height, weight = height/slope) plus, when
     the flat tail has width, a single zero-probability level carrying it.
     """
-    probs = [seg.height for seg in curve.segments]
-    weights = [_ratio(seg.height, seg.slope) for seg in curve.segments]
+    heights, height_den, slope_den = curve._measure
+    probs = [Fraction(h, height_den) for h in heights.values()]
+    weights = [Fraction(h * slope_den, x * height_den) for x, h in heights.items()]
     tail = curve.total_width - curve.sloped_width
     if tail > 0:
         probs.append(_ZERO)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionCapExceeded, DimensionMismatch, NonPositiveWeight
-from .states import ThermoState, Transition, _check_rationals
+from .states import ThermoState, Transition, _check_rationals, _exact_sum
 
 DEFAULT_DIMENSION_CAP = 8
 
@@ -251,10 +251,8 @@ def random_transition(
     initial = random_state(rng, dim, allow_zero=True)
     if rng.random() < feasible_bias:
         matrix = random_rational_gibbs_matrix(initial.weights, rng)
-        final_probs = tuple(
-            sum((matrix[i][j] * initial.probs[j] for j in range(dim)), Fraction(0))
-            for i in range(dim)
-        )
+        probs = initial.probs
+        final_probs = tuple(_exact_sum([g * p for g, p in zip(row, probs)]) for row in matrix)
         final = ThermoState(final_probs, initial.weights)
     else:
         final = random_state(rng, dim, allow_zero=True, weights=initial.weights)

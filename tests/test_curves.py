@@ -1,7 +1,9 @@
 """Curve geometry, the majorization order, and the monoid algebra."""
 
+import importlib.util
 import re
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -32,7 +34,7 @@ from thermomajor.errors import (
 )
 from thermomajor.states import ThermoState, _exact_sum, gibbs_of, make_state, tensor
 
-from conftest import family_states, random_curve, random_state, seeded
+from conftest import PALETTE, family_states, random_curve, random_state, seeded
 
 F = Fraction
 
@@ -303,6 +305,31 @@ class TestIntegerKernel:
             assert repr(build()) == repr(copy)
             assert hash(build()) == hash(copy)
             assert cli._dump(build()) == cli._dump(copy)
+
+    @pytest.mark.parametrize("palette", [True, False], ids=["palette", "generic"])
+    @HYPO
+    @given(data=st.data())
+    def test_curve_functions_read_the_measure(self, palette, data):
+        """Every curve function reads a built curve's integer measure: none
+        makes a Segment, so no built curve, the results of
+        :func:`canonical_curve` and :func:`divide` included, holds segments."""
+        a = data.draw(family_states(data.draw(st.integers(1, 8)), palette))
+        c = data.draw(family_states(data.draw(st.integers(1, 4)), palette))
+        pairs = [(p, p / w) for p, w in zip(a.probs, a.weights)]
+        refuse = AssertionError("a segment was made")
+        with mock.patch.object(curves, "Segment", side_effect=refuse):
+            ca, cc = curve_of(a), curve_of(c)
+            ac = product(ca, cc)
+            built = [ca, cc, ac, canonical_curve(pairs, a.z), divide(ac, cc)]
+            for curve in built:
+                points = breakpoints(curve)
+                assert [evaluate(curve, x) for x, _ in points] == [y for _, y in points]
+                state = realize_state(curve)
+                assert state.z == curve.total_width
+                assert num_distinct_slopes(curve) == len(state._classes)
+                assert curve.sloped_width == points[num_distinct_slopes(curve)][0]
+        assert all("segments" not in vars(curve) for curve in built)
+        assert built[3] == ca and built[4] == ca
 
 
 class TestCurveValidation:
@@ -849,3 +876,78 @@ class TestIntEntries:
         assert divide(self.TAILED, self.TAILED) == identity_curve()
         assert divide(self.ONE_THIRD, self.ONE_THIRD) == identity_curve()
         assert divide(product(self.TAILED, self.ONE_THIRD), self.TAILED) == self.TWIN
+
+
+def load_reference():
+    """``bench/reference.py``, loaded by its path: the benchmark's curve code,
+    written apart from the library and importing only the standard library."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = load_reference()
+
+
+def seeded_state(rng, n, palette, weights=None):
+    """A seeded state of one family, as in ``family_states``: palette weights
+    and masses 0..6, or distinct weights and masses 1..999."""
+    if weights is None:
+        if palette:
+            weights = tuple(rng.choice(PALETTE) for _ in range(n))
+        else:
+            distinct = set()
+            while len(distinct) < n:
+                distinct.add(F(rng.randint(1, 60), rng.randint(1, 60)))
+            weights = tuple(sorted(distinct, key=lambda _: rng.random()))
+    low, high = (0, 6) if palette else (1, 999)
+    masses = [0]
+    while not any(masses):
+        masses = [rng.randint(low, high) for _ in weights]
+    return ThermoState(tuple(F(m, sum(masses)) for m in masses), weights)
+
+
+class TestAgainstReference:
+    """The curve functions against ``bench/reference.py``: its merge walk over
+    elbows for majorization, its elbows, and its curve of a tensor product."""
+
+    SIZES = (1, 2, 3, 4, 8, 16, 64)
+
+    @pytest.mark.parametrize("palette", [True, False], ids=["palette", "generic"])
+    def test_majorizes_and_breakpoints(self, palette):
+        rng = seeded(32)
+        verdicts = set()
+        for n in self.SIZES:
+            for _ in range(6 if n < 64 else 2):
+                a = seeded_state(rng, n, palette)
+                # A mixture with the Gibbs state lies below a; another state
+                # on a's weights is usually incomparable with it.
+                mix = F(rng.randint(0, 4), 4)
+                tau = gibbs_of(a).probs
+                below = ThermoState(
+                    tuple(mix * p + (1 - mix) * g for p, g in zip(a.probs, tau)), a.weights
+                )
+                for b in (below, seeded_state(rng, n, palette, a.weights)):
+                    ra, rb = reference.curve(a.probs, a.weights), reference.curve(b.probs, b.weights)
+                    ca, cb = curve_of(a), curve_of(b)
+                    assert breakpoints(ca) == reference.elbows(ra)
+                    assert breakpoints(cb) == reference.elbows(rb)
+                    for x, y, rx, ry in ((ca, cb, ra, rb), (cb, ca, rb, ra)):
+                        verdict = majorizes(x, y)
+                        assert verdict == reference.majorizes(rx, ry)
+                        verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("palette", [True, False], ids=["palette", "generic"])
+    def test_product(self, palette):
+        rng = seeded(33)
+        for n in self.SIZES:
+            for _ in range(4 if n < 64 else 1):
+                a = seeded_state(rng, n, palette)
+                c = seeded_state(rng, rng.randint(1, 8), palette)
+                expected = reference.curve(
+                    *reference.tensor((a.probs, a.weights), (c.probs, c.weights))
+                )
+                reference.check_curve("product", product(curve_of(a), curve_of(c)), expected)

@@ -545,6 +545,31 @@ class TestJointStatesAgainstMonoid:
         assert verdict == coincide(joint_i, joint_f)
         assert verdict is not tampered
 
+    def test_every_built_reservoir_of_a_small_world(self):
+        """A small world, exhaustively: the 28 states in sixths on weights
+        (1, 2, 3).  The general reservoir of each of the 784 pairs and the
+        minimal extraction reservoir of each non-Gibbs state pass
+        ``verify_efficient``, and their joint states' curves coincide.  With
+        the heaviest level's final weight times 10001/10000, both say no."""
+        states = [
+            make_state((F(a, 6), F(b, 6), F(6 - a - b, 6)), (1, 2, 3))
+            for a in range(7) for b in range(7 - a)
+        ]
+        built = [(Transition(p, q), general_efficient_reservoir(Transition(p, q)))
+                 for p in states for q in states]
+        built += [(extraction_transition(p), minimal_extraction_reservoir(p))
+                  for p in states if p != gibbs_of(p)]
+        assert len(built) == 784 + 27
+        for t, res in built:
+            k = max(range(len(res.r)), key=res.r.__getitem__)
+            fin = list(res.fin_weights)
+            fin[k] *= F(10001, 10000)
+            tampered = Reservoir(res.r, res.init_weights, tuple(fin))
+            for reservoir, efficient in ((res, True), (tampered, False)):
+                assert verify_efficient(t, reservoir) is efficient
+                ji, jf = joint_states(t, reservoir)
+                assert coincide(curve_of(ji), curve_of(jf)) is efficient
+
     @pytest.mark.parametrize("kind", BUILT_KINDS + ["padded"])
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
