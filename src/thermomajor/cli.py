@@ -7,8 +7,11 @@ output rational beyond Python's digit limit for integer strings), 3
 reproduction mismatch, 4 internal error (an unexpected exception, reported
 in one line on stderr without a traceback).
 
-Rationals serialize as "p/q" strings so JSON output re-parses exactly; with a
-fixed seed all output is byte-identical across runs.
+This module owns the JSON file format.  ``_dump`` writes every value, a
+value class as the dict of its fields and a rational as its "p/q" string, so
+output re-parses exactly; ``_load`` reads a state or reservoir file back by
+the class's fields, one list of rationals each.  With a fixed seed all
+output is byte-identical across runs.
 
 Each command runs in its own process, so start-up is most of its cost.  Only
 ``errors`` and ``states`` load with this module, because every subcommand and
@@ -30,20 +33,11 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import ParseError, ReproductionMismatch, ThermomajorError
-from .states import (
-    ThermoState,
-    Transition,
-    _Value,
-    as_rat,
-    clock_lift,
-    rational_list,
-    state_from_dict,
-    state_to_dict,
-)
+from .states import ThermoState, Transition, _Value, as_rat, clock_lift
 
 SVG_WIDTH = 800
 SVG_HEIGHT = 500
@@ -55,8 +49,25 @@ SVG_MARGIN = 60
 # ---------------------------------------------------------------------------
 
 
-def _load(path: str, parse: Callable[[object], object]) -> object:
-    """Read the JSON file at ``path`` and build it with ``parse``.
+def _rationals(data: dict, key: str, kind: str) -> tuple[Fraction, ...]:
+    """Parse the JSON list ``data[key]`` of rationals; errors name the field."""
+    if key not in data:
+        raise ParseError(f"{kind} JSON missing field {key!r}")
+    if not isinstance(data[key], Sequence) or isinstance(data[key], str):
+        raise ParseError(f"{kind} field {key!r} must be a list")
+    out = []
+    for index, raw in enumerate(data[key]):
+        try:
+            out.append(as_rat(raw))
+        except ParseError as exc:
+            raise ParseError(f"{key}[{index}]: {exc}") from exc
+    return tuple(out)
+
+
+def _load(path: str, cls: type[_Value] = ThermoState, kind: str = "state") -> _Value:
+    """Read the JSON file at ``path`` as a ``cls``: an object holding one
+    list of rationals ("p/q" strings or integers) per field of ``cls``, the
+    shape ``_dump`` writes.
 
     Every error names the path once, so a command that reads several files
     says which one is bad; a file that is not JSON, deep nesting included,
@@ -68,7 +79,10 @@ def _load(path: str, parse: Callable[[object], object]) -> object:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        return parse(json.loads(text))
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ParseError(f"{kind} JSON must be an object, got {type(data).__name__}")
+        return cls(*[_rationals(data, key, kind) for key in cls._fields])
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -77,21 +91,9 @@ def _load(path: str, parse: Callable[[object], object]) -> object:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _reservoir_from_dict(data: object) -> Reservoir:
-    from .reservoirs import Reservoir
-
-    if not isinstance(data, dict):
-        raise ParseError("reservoir JSON must be an object")
-    return Reservoir(
-        rational_list(data, "r", "reservoir"),
-        rational_list(data, "init_weights", "reservoir"),
-        rational_list(data, "fin_weights", "reservoir"),
-    )
-
-
 def _load_pair(initial_path: str, final_path: str) -> tuple[ThermoState, ThermoState]:
     """The initial and final states a command reads, in that order."""
-    return _load(initial_path, state_from_dict), _load(final_path, state_from_dict)
+    return _load(initial_path), _load(final_path)
 
 
 def _load_transition(initial_path: str, final_path: str) -> Transition:
@@ -144,28 +146,25 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _parse_alpha_grid(text: str) -> tuple[float, ...]:
+def _alpha_grid(args: argparse.Namespace) -> tuple[float, ...]:
+    """The orders of ``--alpha-grid``, or ``DEFAULT_ALPHA_GRID`` when the
+    flag is absent; a grid given empty is an input error."""
+    from .divergences import DEFAULT_ALPHA_GRID
+
+    if args.alpha_grid is None:
+        return DEFAULT_ALPHA_GRID
     grid = []
-    for token in text.split(","):
+    for token in args.alpha_grid.split(","):
         token = token.strip()
         if not token:
             continue
         try:
-            alpha = float(token)
+            grid.append(float(token))
         except ValueError as exc:
             raise ParseError(f"bad alpha value {token!r}") from exc
-        grid.append(alpha)
     if not grid:
         raise ParseError("alpha grid is empty")
     return tuple(grid)
-
-
-def _alpha_grid(args: argparse.Namespace) -> tuple[float, ...]:
-    from .divergences import DEFAULT_ALPHA_GRID
-
-    if args.alpha_grid:
-        return _parse_alpha_grid(args.alpha_grid)
-    return DEFAULT_ALPHA_GRID
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def curve_svg(curve: Curve) -> str:
 def cmd_curve(args: argparse.Namespace) -> int:
     from .curves import curve_of
 
-    state = _load(args.state, state_from_dict)
+    state = _load(args.state)
     curve = curve_of(state)
     if args.format == "svg":
         _emit(args, curve_svg(curve))
@@ -248,8 +247,8 @@ def cmd_majorize(args: argparse.Namespace) -> int:
 def cmd_divergence(args: argparse.Namespace) -> int:
     from .divergences import alpha_profile
 
-    state = _load(args.state, state_from_dict)
-    reference = _load(args.reference, state_from_dict) if args.reference else None
+    state = _load(args.state)
+    reference = _load(args.reference) if args.reference else None
     profile = alpha_profile(state, reference, _alpha_grid(args))
     payload = {
         "alpha": [_float_token(a) for a in profile.alphas],
@@ -270,7 +269,7 @@ def cmd_build_reservoir(args: argparse.Namespace) -> int:
     if args.method == "minimal":
         if len(args.states) != 1:
             raise ParseError("minimal method takes one state file")
-        state = _load(args.states[0], state_from_dict)
+        state = _load(args.states[0])
         res = minimal_extraction_reservoir(state, as_rat(args.c))
     else:
         if len(args.states) != 2:
@@ -287,10 +286,10 @@ def cmd_build_reservoir(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .reservoirs import average_work, verify_efficient
+    from .reservoirs import Reservoir, average_work, verify_efficient
 
     t = _load_transition(args.initial, args.final)
-    res = _load(args.reservoir, _reservoir_from_dict)
+    res = _load(args.reservoir, Reservoir, "reservoir")
     verdict = verify_efficient(t, res)
     _emit(args, _dump({"efficient": verdict, "average_work": average_work(res)}))
     return 0 if verdict else 1
@@ -355,8 +354,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             disagreements.append(
                 {
                     "trial": index,
-                    "initial": state_to_dict(t.initial),
-                    "final": state_to_dict(t.final),
+                    "initial": t.initial,
+                    "final": t.final,
                     "curve": curve_verdict,
                     "lp": lp_verdict,
                 }

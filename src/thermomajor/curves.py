@@ -86,6 +86,7 @@ class Curve(_Value):
         slopes, slope_den = _scaled([seg.slope.as_integer_ratio() for seg in segments])
         checked = _checked(list(zip(slopes, heights)), height_den, slope_den, self.total_width)
         object.__setattr__(self, "_measure", checked._measure)
+        object.__setattr__(self, "sloped_width", checked.sloped_width)
 
     @classmethod
     def _of(cls, measure: _Measure, total_width: Fraction) -> Curve:

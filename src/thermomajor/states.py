@@ -23,7 +23,8 @@ not validated again, and makes its ``probs`` and ``weights`` tuples only
 when they are read.
 
 The library's ten value classes derive from ``_Value``, whose one
-constructor binds their fields; each class adds only its checks.
+constructor binds their fields; each class adds only its checks.  No file
+format lives here: the CLI reads and writes a value by its fields.
 """
 
 from __future__ import annotations
@@ -343,38 +344,3 @@ def tensor(a: ThermoState, b: ThermoState) -> ThermoState:
     weights = tuple(wa * wb for wa in a.weights for wb in b.weights)
     return ThermoState(probs, weights)
 
-
-# ---------------------------------------------------------------------------
-# JSON schema: {"probs": ["1/3", "2/3"], "weights": ["1", "1"]}
-# Rationals serialize as "num/den" strings; bare integers are accepted.
-# ---------------------------------------------------------------------------
-
-
-def state_to_dict(state: ThermoState) -> dict:
-    return {
-        "probs": [str(p) for p in state.probs],
-        "weights": [str(w) for w in state.weights],
-    }
-
-
-def rational_list(data: dict, key: str, kind: str) -> tuple[Fraction, ...]:
-    """Parse the JSON list ``data[key]`` of rationals; errors name the field."""
-    if key not in data:
-        raise ParseError(f"{kind} JSON missing field {key!r}")
-    if not isinstance(data[key], Sequence) or isinstance(data[key], str):
-        raise ParseError(f"{kind} field {key!r} must be a list")
-    out = []
-    for index, raw in enumerate(data[key]):
-        try:
-            out.append(as_rat(raw))
-        except ParseError as exc:
-            raise ParseError(f"{key}[{index}]: {exc}") from exc
-    return tuple(out)
-
-
-def state_from_dict(data: object) -> ThermoState:
-    if not isinstance(data, dict):
-        raise ParseError(f"state JSON must be an object, got {type(data).__name__}")
-    return ThermoState(
-        rational_list(data, "probs", "state"), rational_list(data, "weights", "state")
-    )

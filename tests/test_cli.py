@@ -14,7 +14,7 @@ from thermomajor.cli import main
 from thermomajor.curves import breakpoints, curve_of
 from thermomajor.divergences import DEFAULT_ALPHA_GRID
 from thermomajor.reservoirs import Reservoir
-from thermomajor.states import make_state, state_from_dict, state_to_dict
+from thermomajor.states import make_state
 
 from conftest import run_python
 
@@ -30,7 +30,7 @@ def state_files(tmp_path):
         "tilted_fin": make_state(("1/3", "2/3"), (2, 1)),
     }.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(state_to_dict(state)))
+        path.write_text(cli._dump(state))
         paths[name] = str(path)
     return paths
 
@@ -53,7 +53,7 @@ class TestCurve:
 
     def test_gibbs_curve_is_two_points(self, capsys, tmp_path):
         path = tmp_path / "gibbs.json"
-        path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
+        path.write_text(cli._dump(make_state(("1/2", "1/2"), (1, 1))))
         code, out = run(capsys, ["curve", str(path)])
         assert code == 0
         assert len(out.strip().splitlines()) == 3  # header + 2 points
@@ -100,7 +100,7 @@ class TestCurve:
             return
         rows = [line.split(",") for line in captured.out.splitlines()[1:]]
         exact = [(Fraction(x), Fraction(y)) for x, y, _, _ in rows]
-        assert exact == breakpoints(curve_of(state_from_dict(data)))
+        assert exact == breakpoints(curve_of(cli._load(str(path))))
         assert [row[2] for row in rows] == ["0.0", "1.0", "inf"]
 
     @pytest.mark.parametrize(
@@ -233,6 +233,17 @@ class TestDivergence:
         payload = json.loads(out)
         assert payload["alpha"] == [0.0, 1.0, "inf"]
 
+    @pytest.mark.parametrize("grid", ["", ",", " "], ids=["empty", "comma", "blank"])
+    @pytest.mark.parametrize("command", ["divergence", "catalytic-check"])
+    def test_empty_grid_exits_2(self, capsys, state_files, command, grid):
+        """A grid given empty is refused, not read as the default grid."""
+        files = [state_files["biased"]] * (2 if command == "catalytic-check" else 1)
+        code = main([command, *files, f"--alpha-grid={grid}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: alpha grid is empty\n"
+
     def test_environment_sets_no_grid(self, capsys, state_files, monkeypatch):
         argv = ["divergence", state_files["biased"]]
         monkeypatch.delenv("THERMO_ALPHA_GRID", raising=False)
@@ -269,7 +280,7 @@ class TestDivergence:
     def test_tiny_weight_profile_is_finite(self, capsys, tmp_path):
         path = tmp_path / "tiny.json"
         state = make_state(("1/2", "1/2"), (1, Fraction(1, 10**200)))
-        path.write_text(json.dumps(state_to_dict(state)))
+        path.write_text(cli._dump(state))
         code, out = run(capsys, ["divergence", str(path)])
         assert code == 0
         values = json.loads(out)["value"]
@@ -290,7 +301,7 @@ class TestBuildVerify:
         payload = json.loads(res_path.read_text())
         assert payload["r"] == ["3/4", "1/4"]
         gibbs_path = tmp_path / "gibbs.json"
-        gibbs_path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
+        gibbs_path.write_text(cli._dump(make_state(("1/2", "1/2"), (1, 1))))
         code, out = run(
             capsys,
             ["verify", state_files["biased"], str(gibbs_path), str(res_path)],
@@ -347,13 +358,50 @@ class TestBuildVerify:
             json.dumps({"r": ["1"], "init_weights": ["1"], "fin_weights": ["2"]})
         )
         gibbs_path = tmp_path / "gibbs.json"
-        gibbs_path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
+        gibbs_path.write_text(cli._dump(make_state(("1/2", "1/2"), (1, 1))))
         code, out = run(
             capsys,
             ["verify", state_files["biased"], str(gibbs_path), str(res_path)],
         )
         assert code == 1
         assert json.loads(out)["efficient"] is False
+
+    @pytest.mark.parametrize(
+        "method, count, message",
+        [
+            ("minimal", 2, "minimal method takes one state file"),
+            ("general", 1, "general method takes two state files"),
+            ("general", 3, "general method takes two state files"),
+            ("product", 1, "product method takes two state files"),
+            ("product", 3, "product method takes two state files"),
+        ],
+    )
+    def test_wrong_number_of_state_files_exits_2(
+        self, capsys, state_files, method, count, message
+    ):
+        argv = ["build-reservoir", "--method", method, *[state_files["biased"]] * count]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (["1", "1", "1"], "reservoir JSON must be an object, got list"),
+            ({"r": ["1"], "init_weights": ["1"]}, "reservoir JSON missing field 'fin_weights'"),
+        ],
+        ids=["list", "no-fin-weights"],
+    )
+    def test_malformed_reservoir_file_exits_2(self, capsys, state_files, tmp_path, data, message):
+        res_path = tmp_path / "res.json"
+        res_path.write_text(json.dumps(data))
+        code = main(["verify", state_files["mixed"], state_files["mixed"], str(res_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"input error: {res_path}: {message}\n"
 
     @pytest.mark.parametrize("field", ["r", "init_weights", "fin_weights"])
     def test_reservoir_string_field_exits_2(self, capsys, state_files, tmp_path, field):
@@ -369,7 +417,7 @@ class TestBuildVerify:
 class TestCatalyticCheck:
     def test_feasible_direction(self, capsys, state_files, tmp_path):
         gibbs_path = tmp_path / "gibbs.json"
-        gibbs_path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
+        gibbs_path.write_text(cli._dump(make_state(("1/2", "1/2"), (1, 1))))
         code, out = run(
             capsys, ["catalytic-check", state_files["mixed"], str(gibbs_path)]
         )
@@ -380,7 +428,7 @@ class TestCatalyticCheck:
 
     def test_infeasible_direction(self, capsys, state_files, tmp_path):
         gibbs_path = tmp_path / "gibbs.json"
-        gibbs_path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
+        gibbs_path.write_text(cli._dump(make_state(("1/2", "1/2"), (1, 1))))
         code, out = run(
             capsys, ["catalytic-check", str(gibbs_path), state_files["mixed"]]
         )
@@ -389,7 +437,7 @@ class TestCatalyticCheck:
 
     def test_grid_emptied_by_nonnegative_only_exits_2(self, capsys, state_files, tmp_path):
         gibbs_path = tmp_path / "gibbs.json"
-        gibbs_path.write_text(json.dumps(state_to_dict(make_state(("1/2", "1/2"), (1, 1)))))
+        gibbs_path.write_text(cli._dump(make_state(("1/2", "1/2"), (1, 1))))
         argv = ["catalytic-check", "--nonnegative-only", "--alpha-grid=-1,-2"]
         code = main([*argv, str(gibbs_path), state_files["mixed"]])
         captured = capsys.readouterr()
@@ -413,6 +461,33 @@ class TestOracleCheck:
         payload = json.loads(out)
         assert payload["agreements"] == 30
         assert payload["disagreements"] == []
+
+    def test_disagreement_records_both_states(self, capsys, monkeypatch):
+        """A disagreement, forced by flipping the LP's second verdict, records
+        each endpoint as the fields of a state file."""
+        from thermomajor import oracle
+
+        lp_feasible, seen = oracle.lp_feasible, []
+
+        def flip_second(t):
+            seen.append(t)
+            verdict, witness = lp_feasible(t)
+            return verdict != (len(seen) == 2), witness
+
+        monkeypatch.setattr(oracle, "lp_feasible", flip_second)
+        code, out = run(capsys, ["oracle-check", "--trials", "3", "--seed", "5"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["agreements"] == 2
+        [record] = payload["disagreements"]
+        assert record["trial"] == 1
+        assert record["lp"] is not record["curve"]
+        for name in ("initial", "final"):
+            state = getattr(seen[1], name)
+            assert record[name] == {
+                "probs": [str(p) for p in state.probs],
+                "weights": [str(w) for w in state.weights],
+            }
 
     @pytest.mark.parametrize(
         "argv",
@@ -561,10 +636,9 @@ class TestDeterminism:
             capsys,
             ["build-reservoir", "--method", "minimal", state_files["biased"], "-o", str(res_path)],
         )
-        from thermomajor.cli import _load, _reservoir_from_dict
         from thermomajor.reservoirs import minimal_extraction_reservoir
 
-        rebuilt = _load(str(res_path), _reservoir_from_dict)
+        rebuilt = cli._load(str(res_path), Reservoir, "reservoir")
         direct = minimal_extraction_reservoir(make_state(("3/4", "1/4"), (1, 1)))
         assert rebuilt == direct
 
@@ -806,7 +880,7 @@ class TestFuzz:
             files = []
             for index, state in enumerate(data.draw(st.sampled_from(GRID_STATE_PAIRS))):
                 path = directory / f"{index}.json"
-                path.write_text(json.dumps(state_to_dict(state)))
+                path.write_text(cli._dump(state))
                 files.append(str(path))
             command_argv = data.draw(
                 st.sampled_from(

@@ -331,6 +331,13 @@ class TestIntegerKernel:
         assert all("segments" not in vars(curve) for curve in built)
         assert built[3] == ca and built[4] == ca
 
+    def test_constructed_curve_keeps_its_sloped_width(self):
+        """The public constructor keeps the sloped width its check summed,
+        so reading it sums nothing again."""
+        curve = Curve((Segment(F(1, 2), F(2)), Segment(F(1, 2), F(1, 2))), F(3))
+        with mock.patch.object(curves, "_exact_sum", side_effect=AssertionError("summed again")):
+            assert curve.sloped_width == F(5, 4)
+
 
 class TestCurveValidation:
     """Each ``Curve`` check fires exactly, with its message."""

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 import thermomajor
-from thermomajor.cli import main
-from thermomajor.states import gibbs_of, make_state, state_to_dict
+from thermomajor.cli import _dump, main
+from thermomajor.states import gibbs_of, make_state
 
 from conftest import run_python
 
@@ -125,8 +125,8 @@ def bare_s_modules():
 def cli_files(tmp_path):
     initial = make_state(("1/2", "1/3", "1/6"), (1, 2, "1/2"))
     paths = {"initial": tmp_path / "initial.json", "final": tmp_path / "final.json"}
-    paths["initial"].write_text(json.dumps(state_to_dict(initial)))
-    paths["final"].write_text(json.dumps(state_to_dict(gibbs_of(initial))))
+    paths["initial"].write_text(_dump(initial))
+    paths["final"].write_text(_dump(gibbs_of(initial)))
     paths["reservoir"] = tmp_path / "reservoir.json"
     paths["dir"] = tmp_path / "curves"
     argv = ["build-reservoir", "--method", "general", str(paths["initial"]), str(paths["final"])]

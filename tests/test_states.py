@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thermomajor.cli import _dump, _load
 from thermomajor.curves import Curve, Segment, coincide, curve_of, evaluate, majorizes
 from thermomajor.divergences import ln_frac
 from thermomajor.errors import (
@@ -30,8 +31,6 @@ from thermomajor.states import (
     clock_lift,
     gibbs_of,
     make_state,
-    state_from_dict,
-    state_to_dict,
     tensor,
 )
 
@@ -254,30 +253,37 @@ class TestTensor:
 
 
 class TestJson:
-    """The dict forms through JSON text; the CLI's loader turns text that is
-    not JSON, deep nesting included, into a ParseError (tests/test_cli.py)."""
+    """State files through the CLI's one reader and writer, ``_load`` and
+    ``_dump``; the loader turns text that is not JSON, deep nesting
+    included, into a ParseError (tests/test_cli.py)."""
 
-    def test_round_trip_exact(self):
+    @staticmethod
+    def load(tmp_path, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        return _load(str(path))
+
+    def test_round_trip_exact(self, tmp_path):
         s = make_state(("1/3", "2/3"), ("1/7", 5))
-        assert state_from_dict(json.loads(json.dumps(state_to_dict(s)))) == s
+        assert self.load(tmp_path, _dump(s)) == s
 
-    def test_schema_shapes(self):
-        s = state_from_dict(json.loads('{"probs": ["1/3", "2/3"], "weights": [1, "1"]}'))
+    def test_schema_shapes(self, tmp_path):
+        s = self.load(tmp_path, '{"probs": ["1/3", "2/3"], "weights": [1, "1"]}')
         assert s.weights == (1, 1)
 
-    def test_zero_denominator_rejected(self):
+    def test_zero_denominator_rejected(self, tmp_path):
         with pytest.raises(ParseError):
-            state_from_dict(json.loads('{"probs": ["1/0", "1"], "weights": [1, 1]}'))
+            self.load(tmp_path, '{"probs": ["1/0", "1"], "weights": [1, 1]}')
 
     def test_deterministic_output(self):
         s = make_state(("1/3", "2/3"), (1, 1))
-        assert state_to_dict(s) == {"probs": ["1/3", "2/3"], "weights": ["1", "1"]}
+        assert json.loads(_dump(s)) == {"probs": ["1/3", "2/3"], "weights": ["1", "1"]}
 
-    def test_coincide_after_round_trip(self):
+    def test_coincide_after_round_trip(self, tmp_path):
         rng = seeded(13)
         for _ in range(10):
             s = random_state(rng, 3)
-            back = state_from_dict(json.loads(json.dumps(state_to_dict(s))))
+            back = self.load(tmp_path, _dump(s))
             assert coincide(curve_of(s), curve_of(back))
 
 
